@@ -194,16 +194,7 @@ def _load_library_dir(library: Library, directory: Path) -> None:
 
 
 def _cmd_fuzz(args) -> int:
-    bounds = SearchBounds(
-        max_agents=args.max_agents,
-        max_initial=args.max_states,
-        max_actions=args.max_actions,
-        max_outcomes=args.max_outcomes,
-        max_props=args.max_props,
-        mode="random",
-        seed=args.seed,
-        iterations=args.iters,
-    )
+    bounds = _bounds_from(args, "random", seed=args.seed, iterations=args.iters)
     found = soundness_fuzz(
         args.schema, bounds,
         enforce_side_conditions=not args.violate_side_conditions,
@@ -317,9 +308,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="sample games instead of exhaustive enumeration")
     p.add_argument("--seed", type=int)
     p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for interface stability; search is "
-                        "single-process and order-deterministic")
     add_json(p)
     p.set_defaults(func=_cmd_countermodel)
 
@@ -341,9 +329,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--violate-side-conditions", action="store_true",
                    help="drop the schema's side conditions (expects a "
                         "counterexample)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for interface stability; search is "
-                        "single-process and order-deterministic")
     add_json(p)
     p.set_defaults(func=_cmd_fuzz)
 

@@ -294,6 +294,32 @@ def subformulas(f: Formula) -> list:
     return out
 
 
+def fold_masks(f: Formula, full: int, memo: dict, leaf) -> int:
+    """Int mask of the rows (the bits of ``full``) where f holds.
+
+    ``Not`` and ``Implies`` are Boolean operations on their children's
+    masks; any other node gets ``leaf(node)``, called once its child's mask
+    is in ``memo``.  Nodes already in ``memo`` are opaque; every node
+    computed is added to it.
+    """
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in memo:
+            continue
+        pending = [child for child in children_of(g) if child not in memo]
+        if pending:
+            stack.append(g)
+            stack.extend(pending)
+        elif isinstance(g, Not):
+            memo[g] = full ^ memo[g.child]
+        elif isinstance(g, Implies):
+            memo[g] = (full ^ memo[g.left]) | memo[g.right]
+        else:
+            memo[g] = leaf(g)
+    return memo[f]
+
+
 def node_count(f: Formula) -> int:
     """Total number of AST nodes (counting repeats, not deduplicated)."""
     total = 0

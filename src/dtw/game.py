@@ -19,9 +19,10 @@ The line-oriented file format (``#`` starts a comment)::
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import (
     EmptyInputError,
@@ -53,12 +54,6 @@ class ActionProfile:
     def domain(self) -> Coalition:
         return frozenset(agent for agent, _ in self.assignment)
 
-    def action_of(self, agent: str) -> str:
-        for a, act in self.assignment:
-            if a == agent:
-                return act
-        raise KeyError(agent)
-
     def as_dict(self) -> Dict[str, str]:
         return dict(self.assignment)
 
@@ -69,9 +64,6 @@ class ActionProfile:
 
     def __str__(self):
         return ",".join(f"{agent}={act}" for agent, act in self.assignment)
-
-
-EMPTY_PROFILE = ActionProfile(())
 
 
 @dataclass(frozen=True)
@@ -93,6 +85,16 @@ class Play:
         }
 
 
+class PlayMasks(NamedTuple):
+    """Sets of plays as int bitmasks: play i of ``Game.plays`` is bit i."""
+
+    index: Dict[Play, int]  # play -> its bit position
+    full: int  # every play
+    state: Dict[str, int]  # initial state -> its plays
+    action: Dict[Tuple[str, str], int]  # (agent, action) -> plays where taken
+    prop: Dict[str, int]  # proposition -> plays in its valuation
+
+
 @dataclass
 class Game:
     """Validated game; treat instances as immutable after construction."""
@@ -105,20 +107,28 @@ class Game:
     plays: Tuple[Play, ...]
     valuation: Dict[str, frozenset]  # prop -> subset of plays
     _block_index: Dict[str, Dict[str, int]] = field(default_factory=dict, repr=False)
-    _play_set: frozenset = field(default=frozenset(), repr=False)
 
     def __post_init__(self):
         self._block_index = {
             agent: {state: i for i, block in enumerate(blocks) for state in block}
             for agent, blocks in self.partitions.items()
         }
-        self._play_set = frozenset(self.plays)
+
+    @functools.cached_property
+    def masks(self) -> PlayMasks:
+        """The game's plays as bitmasks, built on first use."""
+        index, state, action = {}, {}, {}
+        for i, play in enumerate(self.plays):
+            index.setdefault(play, i)
+            state[play.initial] = state.get(play.initial, 0) | 1 << i
+            for pair in play.profile.assignment:
+                action[pair] = action.get(pair, 0) | 1 << i
+        prop = {name: sum(1 << index[p] for p in members if p in index)
+                for name, members in self.valuation.items()}
+        return PlayMasks(index, (1 << len(self.plays)) - 1, state, action, prop)
 
     def has_play(self, play: Play) -> bool:
-        return play in self._play_set
-
-    def prop_holds(self, name: str, play: Play) -> bool:
-        return play in self.valuation.get(name, frozenset())
+        return play in self.masks.index
 
     def check_agents(self, members: Iterable[str]) -> None:
         for agent in sorted(members):

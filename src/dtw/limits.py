@@ -7,6 +7,8 @@ via the explicit argument that each budgeted operation accepts.
 
 import os
 
+from .errors import BadParamsError
+
 DEFAULT_BUDGETS = {
     # node budget for subcoalition expansion
     "expand-nodes": 10**6,
@@ -27,6 +29,6 @@ def budget(kind: str, explicit=None) -> int:
     if env is not None:
         try:
             return int(env)
-        except ValueError as exc:
-            raise ValueError(f"DTW_BUDGET must be an integer, got {env!r}") from exc
+        except ValueError:
+            raise BadParamsError(f"DTW_BUDGET must be an integer, got {env!r}") from None
     return DEFAULT_BUDGETS[kind]

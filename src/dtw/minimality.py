@@ -18,19 +18,6 @@ from .limits import budget
 from .semantics import Evaluator
 
 
-class _BlameOracle:
-    """One shared evaluator, so repeated (knowers, actors) queries reuse
-    modal subresults across the subcoalition sweeps."""
-
-    def __init__(self, game: Game, play: Play, phi: Formula):
-        self._ev = Evaluator(game)
-        self._play = play
-        self._phi = phi
-
-    def blame(self, knowers: Coalition, actors: Coalition) -> bool:
-        return self._ev.check(self._play, Blame(knowers, actors, self._phi))
-
-
 def _iterations_needed(kind, n_knowers, n_actors, n_agents) -> int:
     if kind == 1:
         return 2**n_knowers
@@ -41,15 +28,15 @@ def _iterations_needed(kind, n_knowers, n_actors, n_agents) -> int:
     return 2**n_agents * (2**n_agents * 2**n_agents + 2**n_knowers)
 
 
-def _kind3_holds(oracle, knowers, actors, agents) -> bool:
-    if not oracle.blame(knowers, actors):
+def _kind3_holds(blame, knowers, actors, agents) -> bool:
+    if not blame(knowers, actors):
         return False
     for e in subsets_of(agents):
         for f in proper_subsets_of(actors):
-            if oracle.blame(e, f):
+            if blame(e, f):
                 return False
     for e in proper_subsets_of(knowers):
-        if oracle.blame(e, actors):
+        if blame(e, actors):
             return False
     return True
 
@@ -72,9 +59,7 @@ def check_minimal(
     """
     result = minimal_verdict(kind, game, play, knowers, actors, phi,
                              iteration_budget)
-    if kind == 4:
-        return result is not None
-    return result
+    return result is not None if kind == 4 else result
 
 
 def minimal_verdict(
@@ -113,20 +98,24 @@ def minimal_verdict(
             f"budget is {limit}"
         )
 
-    oracle = _BlameOracle(game, play, phi)
+    ev = Evaluator(game)  # shared, so the sweep computes phi's mask once
+
+    def blame(e: Coalition, f: Coalition) -> bool:
+        return ev.check(play, Blame(e, f, phi))
+
     if kind == 1:
-        return oracle.blame(knowers_set, actors_set) and not any(
-            oracle.blame(e, actors_set) for e in proper_subsets_of(knowers_set)
+        return blame(knowers_set, actors_set) and not any(
+            blame(e, actors_set) for e in proper_subsets_of(knowers_set)
         )
     if kind == 2:
-        return oracle.blame(knowers_set, actors_set) and not any(
-            oracle.blame(e, f)
+        return blame(knowers_set, actors_set) and not any(
+            blame(e, f)
             for e in proper_subsets_of(knowers_set)
             for f in subsets_of(agents)
         )
     if kind == 3:
-        return _kind3_holds(oracle, knowers_set, actors_set, agents)
+        return _kind3_holds(blame, knowers_set, actors_set, agents)
     for candidate in subsets_of(agents):
-        if _kind3_holds(oracle, knowers_set, candidate, agents):
+        if _kind3_holds(blame, knowers_set, candidate, agents):
             return candidate
     return None

@@ -27,7 +27,6 @@ File format (``#`` starts a comment)::
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 import threading
 from dataclasses import dataclass
@@ -44,6 +43,7 @@ from .formula import (
     Not,
     Prop,
     coalition,
+    fold_masks,
     render,
 )
 from .parser import parse_coalition_token, parse_formula
@@ -179,29 +179,24 @@ def boolean_atoms(f: Formula) -> list:
     return out
 
 
-def _eval_boolean(f: Formula, env: dict) -> bool:
-    value = env.get(f)
-    if value is not None:
-        return value
-    if isinstance(f, Not):
-        return not _eval_boolean(f.child, env)
-    return (not _eval_boolean(f.left, env)) or _eval_boolean(f.right, env)
-
-
 @functools.lru_cache(maxsize=8192)
 def is_tautology(f: Formula) -> bool:
     """Truth-table check treating propositions and modal subformulas as
-    opaque atoms; raises TooManyAtomsError beyond 20 atoms."""
+    opaque atoms; raises TooManyAtomsError beyond 20 atoms.  The table is
+    bit-sliced: each atom's column is one int over all rows."""
     atoms = boolean_atoms(f)
     if len(atoms) > MAX_TAUTOLOGY_ATOMS:
         raise TooManyAtomsError(
             f"{len(atoms)} distinct atoms exceeds the limit of "
             f"{MAX_TAUTOLOGY_ATOMS}"
         )
-    for values in itertools.product((False, True), repeat=len(atoms)):
-        if not _eval_boolean(f, dict(zip(atoms, values))):
-            return False
-    return True
+    columns, rows = [], 1
+    for _ in atoms:  # row r gives atom i the value of bit i of r
+        columns = [c | c << rows for c in columns] + [((1 << rows) - 1) << rows]
+        rows <<= 1
+    full = (1 << rows) - 1
+    # Every atom is seeded, so the fold never reaches a leaf.
+    return fold_masks(f, full, dict(zip(atoms, columns)), None) == full
 
 
 # ---------------------------------------------------------------------------

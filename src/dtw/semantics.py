@@ -1,19 +1,16 @@
 """Evaluation of formulas at plays, validity in a game, randomized
 soundness fuzzing of the axiom schemas, and bounded countermodel search.
 
-Truth at a play follows the recursive clauses of the satisfaction
-relation: a proposition holds when the play is in its valuation; the
-knowledge modality quantifies over every play whose initial state the
-coalition cannot distinguish from the current one; blame holds when the
-formula is true and some joint action of the actor coalition falsifies it
-on every knowledge-compatible play.  Blame witnesses are enumerated in
-lexicographic order (sorted actor agents x declared action order) and the
-first one found is reported.
-
-An evaluator instance caches modal subresults per initial state within a
-single query; this never changes any verdict (knowledge and preventability
-depend on the play only through its initial state) and keeps the acceptance
-workloads fast.
+Truth follows the satisfaction relation: a proposition holds at the plays
+in its valuation; ``K[C] f`` holds at a play when f holds at every play
+whose initial state C cannot distinguish from its own (its C-block); and
+``B[C][D] f`` holds when f does and some joint action of D falsifies f on
+every play of the C-block.  The evaluator computes satisfaction sets: play
+i of a game is bit i, and a formula evaluates to the int mask of the plays
+where it holds, with joint actions tried by ANDing per-(agent, action)
+masks.  Blame witnesses are enumerated in lexicographic order (sorted
+actor agents x declared action order) and the first one found is
+reported.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import itertools
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import axioms
 from .errors import BadParamsError, ResourceLimitError, UnknownPlayError
@@ -36,10 +33,10 @@ from .formula import (
     Prop,
     RESERVED_PREFIX,
     agents_of,
-    coalition,
+    fold_masks,
     props_of,
 )
-from .game import ActionProfile, Game, Play, indist_state, make_game
+from .game import ActionProfile, Game, Play, make_game
 from .limits import budget
 
 
@@ -89,115 +86,99 @@ class SearchBounds:
 
 
 class Evaluator:
-    """Evaluates formulas against one game, caching per initial state.
-
-    Caches are keyed by formula value (hashes are precomputed at node
-    construction), so structurally equal subformulas share results and the
-    evaluator stays sound however long its inputs live.
-    """
+    """Evaluates formulas against one game as masks over its plays.  One
+    instance serves one query and memoizes the mask of every subformula,
+    keyed by formula value, so equal subformulas share results."""
 
     def __init__(self, game: Game):
         self.game = game
-        self._know: Dict[Tuple[Formula, str], bool] = {}
-        self._prevent: Dict[Tuple[Formula, str], Optional[ActionProfile]] = {}
-        self._local: Dict[Tuple[Formula, Play], bool] = {}
-        self._warned: set = set()
+        self._memo: Dict[Formula, int] = {}
+        self._blocks: Dict[Coalition, Dict[str, int]] = {}
+
+    def mask(self, f: Formula) -> int:
+        """The plays where f holds: bit i is play i of the game."""
+        return fold_masks(f, self.game.masks.full, self._memo, self._leaf)
 
     def check(self, play: Play, f: Formula) -> bool:
-        key = (f, play)
-        cached = self._local.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, Prop):
-            value = self.game.prop_holds(f.name, play)
-            if (
-                f.name not in self.game.valuation
-                and not f.name.startswith(RESERVED_PREFIX)
-                and f.name not in self._warned
-            ):
-                self._warned.add(f.name)
-                warnings.warn(
-                    f"proposition {f.name!r} has no valuation in this game; "
-                    "treating it as false everywhere",
-                    stacklevel=2,
-                )
-        elif isinstance(f, Not):
-            value = not self.check(play, f.child)
-        elif isinstance(f, Implies):
-            value = (not self.check(play, f.left)) or self.check(play, f.right)
-        elif isinstance(f, Know):
-            value = self._know_at(f, play.initial)
-        elif isinstance(f, Blame):
-            value = (
-                self.check(play, f.child)
-                and self.preventing_profile(f, play.initial) is not None
-            )
-        else:  # pragma: no cover - exhaustive match
-            raise TypeError(f"not a formula: {f!r}")
-        self._local[key] = value
-        return value
+        if not self.game.has_play(play):
+            raise UnknownPlayError(f"not a play of this game: {play}")
+        return bool(self.mask(f) >> self.game.masks.index[play] & 1)
 
-    def _know_at(self, f: Know, alpha: str) -> bool:
-        key = (f, alpha)
-        cached = self._know.get(key)
-        if cached is None:
-            cached = all(
-                self.check(other, f.child)
-                for other in self.game.plays
-                if indist_state(self.game, f.knowers, alpha, other.initial)
-            )
-            self._know[key] = cached
-        return cached
+    def _leaf(self, f: Formula) -> int:
+        if isinstance(f, Prop):
+            name = f.name
+            if name not in self.game.valuation and not name.startswith(RESERVED_PREFIX):
+                warnings.warn(f"proposition {name!r} has no valuation in this game; "
+                              "treating it as false everywhere")
+            return self.game.masks.prop.get(name, 0)
+        body = self._memo[f.child]
+        # Distinct blocks are disjoint, so a sum of blocks is their union.
+        blocks = set(self._blocks_of(f.knowers).values())
+        if isinstance(f, Know):
+            return sum(block for block in blocks if block & body == block)
+        actors = sorted(f.actors)
+        return sum(live for live in (block & body for block in blocks)
+                   if self._first_preventing(live, actors) is not None)
+
+    def _blocks_of(self, knowers: Coalition) -> Dict[str, int]:
+        """Initial state -> the plays whose initial state the knowers cannot
+        tell from it."""
+        found = self._blocks.get(knowers)
+        if found is None:
+            game = self.game
+            game.check_agents(knowers)
+            keys = {state: tuple(game._block_index[agent][state] for agent in knowers)
+                    for state in game.initial_states}
+            union: Dict[tuple, int] = {}
+            for state, key in keys.items():
+                union[key] = union.get(key, 0) | game.masks.state.get(state, 0)
+            found = self._blocks[knowers] = {state: union[key]
+                                             for state, key in keys.items()}
+        return found
+
+    def _first_preventing(self, live: int, actors: List[str]) -> Optional[tuple]:
+        """First actions of the actors, in lexicographic order, under which
+        none of the plays in ``live`` can happen, else None."""
+        if not actors:
+            return () if live == 0 else None
+        plays_of = self.game.masks.action
+        for act in self.game.actions:
+            rest = self._first_preventing(live & plays_of.get((actors[0], act), 0),
+                                          actors[1:])
+            if rest is not None:
+                return (act,) + rest
+        return None
 
     def preventing_profile(self, f: Blame, alpha: str) -> Optional[ActionProfile]:
         """First joint action of the actors falsifying the body on every
         play the knowers cannot tell apart from alpha, else None."""
-        key = (f, alpha)
-        if key in self._prevent:
-            return self._prevent[key]
-        found = None
-        for profile in coalition_profiles(self.game, f.actors):
-            if all(
-                not self.check(other, f.child)
-                for other in self.game.plays
-                if indist_state(self.game, f.knowers, alpha, other.initial)
-                and profile.agrees_with(other.profile)
-            ):
-                found = profile
-                break
-        self._prevent[key] = found
-        return found
+        live = self._blocks_of(f.knowers)[alpha] & self.mask(f.child)
+        actors = sorted(f.actors)
+        acts = self._first_preventing(live, actors)
+        return None if acts is None else ActionProfile.make(zip(actors, acts))
 
     def refuting_play(self, f: Know, alpha: str) -> Optional[Play]:
-        for other in self.game.plays:
-            if indist_state(self.game, f.knowers, alpha, other.initial):
-                if not self.check(other, f.child):
-                    return other
-        return None
+        """First play the knowers cannot tell apart from alpha where the
+        body fails, else None."""
+        missed = self._blocks_of(f.knowers)[alpha] & ~self.mask(f.child)
+        return _first_play(self.game, missed)
 
 
-def coalition_profiles(game: Game, members: Iterable[str]) -> Iterator[ActionProfile]:
-    """All joint actions of a coalition, lexicographic over (sorted agents,
-    declared action order).  The empty coalition has one empty profile."""
-    ordered = sorted(coalition(members))
-    for combo in itertools.product(game.actions, repeat=len(ordered)):
-        yield ActionProfile.make(dict(zip(ordered, combo)))
-
-
-def _validate_query(game: Game, f: Formula) -> None:
-    game.check_agents(agents_of(f))
+def _first_play(game: Game, mask: int) -> Optional[Play]:
+    """The play of the lowest bit set in mask, else None."""
+    return game.plays[(mask & -mask).bit_length() - 1] if mask else None
 
 
 def holds(game: Game, play: Play, f: Formula) -> Verdict:
     """Evaluate f at one play of the game.
 
-    Propositions without a valuation are treated as false everywhere (with
-    a warning).  Raises UnknownAgentError when f names agents outside the
-    game and UnknownPlayError when the play is not in the play relation.
+    Propositions without a valuation are treated as false everywhere; each
+    one f mentions draws one warning per call, whether or not its value
+    decides the verdict.  Raises UnknownAgentError when f names agents
+    outside the game and UnknownPlayError when the play is not in the play
+    relation.
     """
-    _validate_query(game, f)
-    if not game.has_play(play):
-        raise UnknownPlayError(f"not a play of this game: {play}")
+    game.check_agents(agents_of(f))
     ev = Evaluator(game)
     value = ev.check(play, f)
     witness = None
@@ -212,12 +193,9 @@ def holds(game: Game, play: Play, f: Formula) -> Verdict:
 def valid_in_game(game: Game, f: Formula) -> Verdict:
     """True iff f holds at every play; else the first falsifying play in
     declaration order is reported as the refutation."""
-    _validate_query(game, f)
-    ev = Evaluator(game)
-    for play in game.plays:
-        if not ev.check(play, f):
-            return Verdict(False, refutation=play)
-    return Verdict(True)
+    game.check_agents(agents_of(f))
+    refutation = _first_play(game, game.masks.full ^ Evaluator(game).mask(f))
+    return Verdict(refutation is None, refutation=refutation)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +352,17 @@ def _label_choices(props: Tuple[str, ...], max_outcomes: int) -> List[Tuple[froz
     return choices
 
 
+def _bell(n: int) -> int:
+    """Number of set partitions of n items, by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        grown = [row[-1]]
+        for value in row:
+            grown.append(grown[-1] + value)
+        row = grown
+    return row[0]
+
+
 def count_models(formula_agents: Tuple[str, ...], props: Tuple[str, ...],
                  bounds: SearchBounds) -> int:
     """Number of candidate models the exhaustive enumeration will visit."""
@@ -382,7 +371,7 @@ def count_models(formula_agents: Tuple[str, ...], props: Tuple[str, ...],
     min_agents = max(1, len(formula_agents))
     for n_agents in range(min_agents, max(min_agents, bounds.max_agents) + 1):
         for n_initial in range(1, bounds.max_initial + 1):
-            parts = len(_set_partitions([f"s{i}" for i in range(n_initial)]))
+            parts = _bell(n_initial)
             for n_actions in range(1, bounds.max_actions + 1):
                 cells = n_initial * n_actions**n_agents
                 total += parts**n_agents * n_choices**cells
@@ -479,10 +468,9 @@ def countermodel_search(
     else:
         stream = _random_game_stream(base_agents, props, bounds)
     for game in stream:
-        ev = Evaluator(game)
-        for play in game.plays:
-            if not ev.check(play, f):
-                return game, play
+        play = _first_play(game, game.masks.full ^ Evaluator(game).mask(f))
+        if play is not None:
+            return game, play
     return None
 
 

@@ -1,9 +1,11 @@
 """Independent oracles and shared generators for the test suite.
 
 The naive evaluator below is a direct transcription of the satisfaction
-clauses with no caching, no witness machinery, and its own
-indistinguishability test; it deliberately shares no code with the package
-evaluator so the two can cross-check each other.
+clauses with no caching, its own witness search in the documented order,
+and its own indistinguishability test; it deliberately shares no code with
+the package evaluator so the two can cross-check each other.  The truth
+table likewise evaluates one row at a time, independently of the
+package's bit-sliced check.
 """
 
 import itertools
@@ -38,28 +40,78 @@ def naive_holds(game, play, f):
             if naive_indist(game, f.knowers, play.initial, other.initial)
         )
     if isinstance(f, Blame):
-        if not naive_holds(game, play, f.child):
-            return False
-        actors = sorted(f.actors)
-        for combo in itertools.product(game.actions, repeat=len(actors)):
-            joint = dict(zip(actors, combo))
-            matching = [
-                other
-                for other in game.plays
-                if naive_indist(game, f.knowers, play.initial, other.initial)
-                and all(
-                    other.profile.as_dict()[agent] == act
-                    for agent, act in joint.items()
-                )
-            ]
-            if all(not naive_holds(game, other, f.child) for other in matching):
-                return True
-        return False
+        return (naive_holds(game, play, f.child)
+                and naive_witness(game, play, f) is not None)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def naive_witness(game, play, f):
+    """First joint action of the blame formula's actors, in lexicographic
+    order (sorted agents x declared actions), under which the body fails on
+    every play the knowers cannot tell from this one; a dict, else None."""
+    actors = sorted(f.actors)
+    for combo in itertools.product(game.actions, repeat=len(actors)):
+        joint = dict(zip(actors, combo))
+        matching = [
+            other
+            for other in game.plays
+            if naive_indist(game, f.knowers, play.initial, other.initial)
+            and all(
+                other.profile.as_dict()[agent] == act
+                for agent, act in joint.items()
+            )
+        ]
+        if all(not naive_holds(game, other, f.child) for other in matching):
+            return joint
+    return None
+
+
+def naive_refutation(game, play, f):
+    """First play, in declaration order, that the knowledge formula's
+    knowers cannot tell from this one and where its body fails, else None."""
+    for other in game.plays:
+        if naive_indist(game, f.knowers, play.initial, other.initial) and not (
+            naive_holds(game, other, f.child)
+        ):
+            return other
+    return None
 
 
 def naive_valid(game, f):
     return all(naive_holds(game, play, f) for play in game.plays)
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row truth table.
+# ---------------------------------------------------------------------------
+
+def _boolean_atoms(f, out):
+    if isinstance(f, Not):
+        _boolean_atoms(f.child, out)
+    elif isinstance(f, Implies):
+        _boolean_atoms(f.left, out)
+        _boolean_atoms(f.right, out)
+    elif f not in out:
+        out.append(f)
+
+
+def _truth_value(f, row):
+    if f in row:
+        return row[f]
+    if isinstance(f, Not):
+        return not _truth_value(f.child, row)
+    return (not _truth_value(f.left, row)) or _truth_value(f.right, row)
+
+
+def naive_tautology(f):
+    """True iff f holds on every row of its truth table, with propositions
+    and modal subformulas as opaque atoms; one row at a time."""
+    atoms = []
+    _boolean_atoms(f, atoms)
+    return all(
+        _truth_value(f, dict(zip(atoms, values)))
+        for values in itertools.product((False, True), repeat=len(atoms))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,20 @@ class TestValid:
         assert got["refutation"]["outcome"] == "alive"
 
 
+class TestBudgetEnvironment:
+    def test_non_integer_budget_exits_two_with_one_line(self, example_dir,
+                                                        capsys, monkeypatch):
+        monkeypatch.setenv("DTW_BUDGET", "abc")
+        code, out, err = run(capsys, [
+            "valid", str(example_dir / "tarasoff.game"),
+            "K[parents] killed -> killed",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "DTW_BUDGET" in err
+
+
 class TestProve:
     def test_accepted(self, example_dir, capsys):
         code, out, _ = run(capsys, [

@@ -14,6 +14,7 @@ from dtw.formula import (
     Know,
     Not,
     Prop,
+    big_conj,
     big_disj,
     coalition,
     falsum,
@@ -39,8 +40,39 @@ from dtw.proof import (
     render_script,
 )
 
+from oracles import naive_tautology
+
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 A = coalition("a")
+
+# Twelve distinct atoms for truth tables: propositions and modal formulas.
+ATOM_POOL = [Prop(f"x{i}") for i in range(7)] + [
+    Know(A, p),
+    Know(A, Not(p)),
+    Know(coalition("ab"), p),
+    Blame(A, coalition("b"), p),
+    Blame(coalition(), A, Implies(p, q)),
+]
+
+
+def _connectives(kids):
+    return st.one_of(st.builds(Not, kids), st.builds(Implies, kids, kids))
+
+
+@st.composite
+def boolean_formulas(draw):
+    """Random Boolean combination using every one of 1-12 atoms, plus a
+    second formula over the same atoms."""
+    n = draw(st.integers(1, len(ATOM_POOL)))
+    atoms = draw(st.permutations(ATOM_POOL))[:n]
+    parts = list(atoms)
+    while len(parts) > 1:
+        left, right = parts.pop(), parts.pop()
+        if draw(st.booleans()):
+            left = Not(left)
+        parts.insert(draw(st.integers(0, len(parts))), Implies(left, right))
+    other = draw(st.recursive(st.sampled_from(atoms), _connectives, max_leaves=6))
+    return parts[0], other
 
 
 class TestMatchAxiom:
@@ -111,6 +143,27 @@ class TestTautology:
 
     def test_not_a_tautology(self):
         assert not is_tautology(parse_formula("p -> q"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(boolean_formulas())
+    def test_agrees_with_row_by_row_truth_table(self, formulas):
+        f, g = formulas
+        for candidate in (
+            f,
+            Implies(g, f),
+            Implies(f, Implies(g, f)),
+            Implies(Implies(f, g), Implies(Not(g), Not(f))),
+        ):
+            assert is_tautology(candidate) == naive_tautology(candidate), (
+                render(candidate)
+            )
+
+    def test_first_and_last_rows_checked(self):
+        for n in (12, 20):
+            atoms = [Prop(f"x{i}") for i in range(n)]
+            assert not is_tautology(big_disj(atoms))
+            assert not is_tautology(Not(big_conj(atoms)))
+            assert is_tautology(big_disj(atoms + [Not(big_conj(atoms))]))
 
     def test_atom_cap(self):
         f = big_disj([Prop(f"x{i}") for i in range(21)])

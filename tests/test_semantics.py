@@ -1,20 +1,35 @@
 """Satisfaction, validity, fuzzing, and countermodel search."""
 
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtw import axioms
-from dtw.errors import BadParamsError, UnknownAgentError, UnknownPlayError
-from dtw.formula import Blame, Know, Prop, coalition, render
-from dtw.game import ActionProfile, Play, matching_plays, tarasoff2_game, tarasoff_game
+from dtw import axioms, semantics
+from dtw.errors import (
+    BadParamsError,
+    ResourceLimitError,
+    UnknownAgentError,
+    UnknownPlayError,
+)
+from dtw.formula import Blame, Implies, Know, Prop, coalition, conj, render
+from dtw.game import (
+    ActionProfile,
+    Play,
+    make_game,
+    matching_plays,
+    tarasoff2_game,
+    tarasoff_game,
+)
 from dtw.parser import parse_formula
 from dtw.semantics import (
     Evaluator,
     SearchBounds,
+    count_models,
     countermodel_search,
+    enumerate_games,
     holds,
     random_formula,
     sample_game,
@@ -22,7 +37,13 @@ from dtw.semantics import (
     valid_in_game,
 )
 
-from oracles import naive_holds, naive_valid, random_small_game
+from oracles import (
+    naive_holds,
+    naive_refutation,
+    naive_valid,
+    naive_witness,
+    random_small_game,
+)
 
 KILLED = Prop("killed")
 
@@ -86,6 +107,18 @@ class TestHolds:
         with pytest.warns(UserWarning):
             v = holds(g, g.plays[0], Prop("mystery"))
         assert not v.holds
+
+    def test_unvalued_proposition_warns_once_when_not_decisive(self):
+        g = tarasoff2_game()
+        alive = next(p for p in g.plays if p.outcome == "alive")
+        mystery = Prop("mystery")
+        f = Implies(KILLED, conj(mystery, Implies(mystery, KILLED)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            v = holds(g, alive, f)
+        assert v.holds
+        assert len(caught) == 1
+        assert "'mystery' has no valuation" in str(caught[0].message)
 
     def test_deterministic_verdicts(self):
         g = tarasoff_game()
@@ -154,6 +187,57 @@ class TestAgainstNaiveOracle:
             assert ev.check(play, dual_know(members, a)) == (
                 not ev.check(play, Know(members, Not(a)))
             )
+
+
+def non_serial_game(seed):
+    """A sampled game with about a third of its plays dropped, built
+    without validation, so some (state, profile) cells have no outcome."""
+    g = random_small_game(seed)
+    rng = random.Random(seed)
+    kept = [p for p in g.plays if rng.random() < 0.65]
+    kept_set = set(kept)
+    valuation = {name: [p for p in members if p in kept_set]
+                 for name, members in g.valuation.items()}
+    return make_game(g.agents, g.initial_states, g.partitions, g.actions,
+                     g.outcomes, kept, valuation)
+
+
+class TestNonSerialGames:
+    @settings(max_examples=80, deadline=None)
+    @given(games_and_formulas)
+    def test_verdicts_witnesses_and_refutations_follow_naive_order(self, seeds):
+        game_seed, formula_seed = seeds
+        g = non_serial_game(game_seed)
+        rng = random.Random(formula_seed)
+        props = tuple(sorted(g.valuation)) or ("p",)
+        agents = tuple(g.agents)
+        body = random_formula(rng, props, agents, depth=2)
+        knowers = frozenset(a for a in agents if rng.random() < 0.5)
+        actors = frozenset(a for a in agents if rng.random() < 0.6)
+        for f in (body, Know(knowers, body), Blame(knowers, actors, body)):
+            for play in g.plays:
+                v = holds(g, play, f)
+                assert v.holds == naive_holds(g, play, f), render(f)
+                if isinstance(f, Blame) and v.holds:
+                    assert v.witness.as_dict() == naive_witness(g, play, f)
+                if isinstance(f, Know) and not v.holds:
+                    assert v.refutation == naive_refutation(g, play, f)
+            first_false = next(
+                (p for p in g.plays if not naive_holds(g, p, f)), None
+            )
+            assert valid_in_game(g, f).refutation == first_false
+
+    def test_profile_without_plays_prevents_vacuously(self):
+        g = tarasoff2_game()
+        kept = [p for p in g.plays if p.profile.as_dict()["parents"] != "0"]
+        g = make_game(g.agents, g.initial_states, g.partitions, g.actions,
+                      g.outcomes, kept,
+                      {"killed": [p for p in kept if p.outcome == "dead"]})
+        attack = next(p for p in kept if p.initial == "Oct"
+                      and p.outcome == "dead")
+        v = holds(g, attack, parse_formula("B[poddar][parents] killed"))
+        assert v.holds
+        assert v.witness == ActionProfile.make({"parents": "0"})
 
 
 class TestSemanticInvariants:
@@ -308,6 +392,28 @@ class TestCountermodels:
         f = parse_formula("K[a,b]p -> K[a]p")
         with pytest.raises(ResourceLimitError):
             countermodel_search(f, self.BOUNDS, model_budget=10)
+
+
+class TestModelCount:
+    def test_bell_numbers_count_the_set_partitions(self):
+        for n in range(1, 8):
+            states = [f"s{i}" for i in range(n)]
+            assert semantics._bell(n) == len(semantics._set_partitions(states))
+
+    def test_count_matches_the_enumeration(self):
+        bounds = SearchBounds(max_agents=1, max_initial=3, max_actions=1,
+                              max_outcomes=1)
+        visited = sum(1 for _ in enumerate_games(("a",), ("p",), bounds))
+        assert count_models(("a",), ("p",), bounds) == visited == 50
+
+    def test_budget_refuses_before_building_partitions(self, monkeypatch):
+        def unwanted(items):
+            raise AssertionError("set partitions built before the budget check")
+
+        monkeypatch.setattr(semantics, "_set_partitions", unwanted)
+        monkeypatch.delenv("DTW_BUDGET", raising=False)
+        with pytest.raises(ResourceLimitError):
+            next(enumerate_games(("a",), ("p",), SearchBounds(max_initial=12)))
 
 
 class TestSearchBounds:
