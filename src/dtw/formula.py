@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import BadParamsError, UniverseTooLargeError
 from .limits import budget
@@ -277,47 +277,83 @@ def children_of(f: Formula) -> tuple:
     return (f.left, f.right)
 
 
-def subformulas(f: Formula) -> list:
-    """All distinct subformulas in post-order, including f itself."""
-    seen = set()
-    out = []
-
-    def walk(g):
-        if g in seen:
-            return
-        seen.add(g)
-        for child in children_of(g):
-            walk(child)
-        out.append(g)
-
-    walk(f)
-    return out
-
-
-def fold_masks(f: Formula, full: int, memo: dict, leaf) -> int:
-    """Int mask of the rows (the bits of ``full``) where f holds.
-
-    ``Not`` and ``Implies`` are Boolean operations on their children's
-    masks; any other node gets ``leaf(node)``, called once its child's mask
-    is in ``memo``.  Nodes already in ``memo`` are opaque; every node
-    computed is added to it.
-    """
+def _post_order(f: Formula, opaque=()) -> dict:
+    """The distinct subformulas of f in post-order, each mapped to its
+    place in that order; the children of nodes in ``opaque`` are not
+    visited.  Iterative, so depth is not limited by the interpreter's
+    stack: a None on the stack closes the innermost open node."""
+    order: dict = {}
     stack = [f]
+    open_nodes = []
     while stack:
         g = stack.pop()
-        if g in memo:
-            continue
-        pending = [child for child in children_of(g) if child not in memo]
-        if pending:
-            stack.append(g)
-            stack.extend(pending)
+        if g is None:
+            order[open_nodes.pop()] = len(order)
+        elif g not in order:
+            children = () if g in opaque else children_of(g)
+            if children:
+                open_nodes.append(g)
+                stack.append(None)
+                stack.extend(reversed(children))
+            else:
+                order[g] = len(order)
+    return order
+
+
+def subformulas(f: Formula) -> list:
+    """All distinct subformulas in post-order, including f itself."""
+    return list(_post_order(f))
+
+
+NOT, IMPLIES, LEAF = range(3)
+
+
+class MaskProgram(NamedTuple):
+    """A formula compiled for mask evaluation: its distinct subformulas in
+    post-order, and one step ``(op, a, b)`` per subformula.  ``NOT`` and
+    ``IMPLIES`` combine the values of steps a and b; a ``LEAF`` step is left
+    to the caller, with a the step of its child, or -1 for propositions and
+    opaque nodes."""
+
+    nodes: tuple
+    code: tuple
+
+
+def compile_masks(f: Formula, opaque=()) -> MaskProgram:
+    """Compile f into a :class:`MaskProgram`; nodes in ``opaque`` become
+    leaves whose children are not compiled."""
+    step = _post_order(f, opaque)
+    code = []
+    for g in step:
+        if g in opaque or isinstance(g, Prop):
+            code.append((LEAF, -1, -1))
         elif isinstance(g, Not):
-            memo[g] = full ^ memo[g.child]
+            code.append((NOT, step[g.child], -1))
         elif isinstance(g, Implies):
-            memo[g] = (full ^ memo[g.left]) | memo[g.right]
+            code.append((IMPLIES, step[g.left], step[g.right]))
         else:
-            memo[g] = leaf(g)
-    return memo[f]
+            code.append((LEAF, step[g.child], -1))
+    return MaskProgram(tuple(step), tuple(code))
+
+
+def run_masks(program: MaskProgram, full: int, leaf) -> list:
+    """The int mask of the rows (the bits of ``full``) where each node of
+    the program holds, in program order; the last is the formula's.
+
+    ``Not`` and ``Implies`` are Boolean operations on their children's
+    masks; a leaf step i gets ``leaf(i, body)``, where body is its child's
+    mask (None for propositions and opaque nodes).
+    """
+    values = []
+    push = values.append
+    for op, a, b in program.code:
+        if op == NOT:
+            push(full ^ values[a])
+        elif op == IMPLIES:
+            push((full ^ values[a]) | values[b])
+        else:
+            push(leaf(len(values), values[a] if a >= 0 else None))
+    return values
 
 
 def node_count(f: Formula) -> int:

@@ -85,14 +85,67 @@ class Play:
         }
 
 
+def index_blocks(partitions: Dict[str, Tuple[Coalition, ...]]) -> Dict[str, Dict[str, int]]:
+    """agent -> state -> the number of its block in the agent's partition."""
+    return {agent: {state: i for i, block in enumerate(blocks) for state in block}
+            for agent, blocks in partitions.items()}
+
+
+class Frame:
+    """The structure that ``K`` and ``B`` read, as int masks over positions:
+    the plays of a game, or the play slots of a structure in exhaustive
+    search.  Each coalition's blocks and each actor coalition's action rows
+    are built on first use and kept."""
+
+    def __init__(self, states, block_index, state, actions, action):
+        self.states = states  # initial states
+        self.block_index = block_index  # agent -> state -> its block number
+        self.state = state  # initial state -> its positions
+        self.actions = actions  # declared action order
+        self.action = action  # (agent, action) -> positions where taken
+        self._blocks: Dict[Coalition, tuple] = {}
+        self._rows: Dict[Coalition, tuple] = {}
+
+    def _check(self, members: Iterable[str]) -> None:
+        for agent in sorted(members):
+            if agent not in self.block_index:
+                raise UnknownAgentError(f"unknown agent {agent!r}")
+
+    def blocks(self, knowers: Coalition) -> Tuple[Dict[str, int], Tuple[int, ...]]:
+        """Each initial state's block (the positions whose initial state the
+        knowers cannot tell from it), and the distinct blocks."""
+        found = self._blocks.get(knowers)
+        if found is None:
+            self._check(knowers)
+            keys = {state: tuple(self.block_index[agent][state] for agent in knowers)
+                    for state in self.states}
+            union: Dict[tuple, int] = {}
+            for state, key in keys.items():
+                union[key] = union.get(key, 0) | self.state.get(state, 0)
+            found = self._blocks[knowers] = (
+                {state: union[key] for state, key in keys.items()},
+                tuple(union.values()))
+        return found
+
+    def rows(self, actors: Coalition) -> Tuple[Tuple[int, ...], ...]:
+        """Per actor in sorted order, its positions under each action in
+        declared order."""
+        found = self._rows.get(actors)
+        if found is None:
+            self._check(actors)
+            found = self._rows[actors] = tuple(
+                tuple(self.action.get((agent, act), 0) for act in self.actions)
+                for agent in sorted(actors))
+        return found
+
+
 class PlayMasks(NamedTuple):
     """Sets of plays as int bitmasks: play i of ``Game.plays`` is bit i."""
 
     index: Dict[Play, int]  # play -> its bit position
     full: int  # every play
-    state: Dict[str, int]  # initial state -> its plays
-    action: Dict[Tuple[str, str], int]  # (agent, action) -> plays where taken
     prop: Dict[str, int]  # proposition -> plays in its valuation
+    frame: Frame  # initial states, partitions and actions over the plays
 
 
 @dataclass
@@ -109,10 +162,7 @@ class Game:
     _block_index: Dict[str, Dict[str, int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self._block_index = {
-            agent: {state: i for i, block in enumerate(blocks) for state in block}
-            for agent, blocks in self.partitions.items()
-        }
+        self._block_index = index_blocks(self.partitions)
 
     @functools.cached_property
     def masks(self) -> PlayMasks:
@@ -125,7 +175,9 @@ class Game:
                 action[pair] = action.get(pair, 0) | 1 << i
         prop = {name: sum(1 << index[p] for p in members if p in index)
                 for name, members in self.valuation.items()}
-        return PlayMasks(index, (1 << len(self.plays)) - 1, state, action, prop)
+        frame = Frame(self.initial_states, self._block_index, state,
+                      self.actions, action)
+        return PlayMasks(index, (1 << len(self.plays)) - 1, prop, frame)
 
     def has_play(self, play: Play) -> bool:
         return play in self.masks.index

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import BadParamsError, ResourceLimitError
-from .formula import Blame, Coalition, Formula, coalition, proper_subsets_of, subsets_of
+from .formula import (Blame, Coalition, Formula, agents_of, coalition,
+                      proper_subsets_of, subsets_of)
 from .game import Game, Play
 from .limits import budget
 from .semantics import Evaluator
@@ -77,7 +78,7 @@ def minimal_verdict(
     knowers_set = coalition(knowers)
     if kind not in (1, 2, 3, 4):
         raise BadParamsError(f"kind must be 1, 2, 3, or 4, got {kind!r}")
-    game.check_agents(knowers_set)
+    game.check_agents(knowers_set | agents_of(phi))
     if kind == 4:
         if actors is not None:
             raise BadParamsError("kind 4 quantifies actors; pass actors=None")

@@ -50,6 +50,9 @@ _TOKEN_RE = re.compile(
 )
 
 KEYWORDS = frozenset({"false"})
+# Operands nested deeper than this are refused: the parser and the printer
+# recurse once per level, and deeper input would exhaust the stack.
+MAX_NESTING = 100
 _MODALITY_HEADS = frozenset({"K", "Kd", "B"})
 
 
@@ -88,6 +91,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -108,6 +112,20 @@ class _Parser:
             )
         return self.take()
 
+    def nested(self, tok: Token, parse) -> Formula:
+        """``parse()`` the operand of tok one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"formula nested more than {MAX_NESTING} levels deep",
+                pos=tok.pos,
+                expected="a less deeply nested formula",
+            )
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     def formula(self) -> Formula:
         out = self.impl()
         while self.peek().kind == "iff":
@@ -117,9 +135,10 @@ class _Parser:
 
     def impl(self) -> Formula:
         left = self.disj()
-        if self.peek().kind == "arrow":
+        tok = self.peek()
+        if tok.kind == "arrow":
             self.take()
-            return Implies(left, self.impl())
+            return Implies(left, self.nested(tok, self.impl))
         return left
 
     def disj(self) -> Formula:
@@ -140,10 +159,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "~":
             self.take()
-            return Not(self.unary())
+            return Not(self.nested(tok, self.unary))
         if tok.kind == "(":
             self.take()
-            inner = self.formula()
+            inner = self.nested(tok, self.formula)
             self.expect(")", "')'")
             return inner
         if tok.kind == "false":
@@ -153,10 +172,10 @@ class _Parser:
             if tok.text in _MODALITY_HEADS and self.peek(1).kind == "[":
                 self.take()
                 if tok.text == "K":
-                    return Know(self.coal(), self.unary())
+                    return Know(self.coal(), self.nested(tok, self.unary))
                 if tok.text == "Kd":
-                    return dual_know(self.coal(), self.unary())
-                return Blame(self.coal(), self.coal(), self.unary())
+                    return dual_know(self.coal(), self.nested(tok, self.unary))
+                return Blame(self.coal(), self.coal(), self.nested(tok, self.unary))
             self.take()
             return Prop(tok.text)
         raise ParseError(
@@ -181,7 +200,9 @@ def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into the core AST.
 
     Raises :class:`ParseError` with a 1-based character position and an
-    expected-token hint on malformed input, and :class:`EmptyInputError`
+    expected-token hint on malformed input or on operands nested more than
+    ``MAX_NESTING`` levels deep (each ``~``, modality, parenthesis and
+    right operand of ``->`` is one level), and :class:`EmptyInputError`
     when the input is blank.
     """
     tokens = tokenize(text)

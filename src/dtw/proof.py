@@ -43,8 +43,9 @@ from .formula import (
     Not,
     Prop,
     coalition,
-    fold_masks,
+    compile_masks,
     render,
+    run_masks,
 )
 from .parser import parse_coalition_token, parse_formula
 
@@ -195,8 +196,9 @@ def is_tautology(f: Formula) -> bool:
         columns = [c | c << rows for c in columns] + [((1 << rows) - 1) << rows]
         rows <<= 1
     full = (1 << rows) - 1
-    # Every atom is seeded, so the fold never reaches a leaf.
-    return fold_masks(f, full, dict(zip(atoms, columns)), None) == full
+    column = dict(zip(atoms, columns))
+    program = compile_masks(f, column)
+    return run_masks(program, full, lambda i, _: column[program.nodes[i]])[-1] == full
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import itertools
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import axioms
 from .errors import BadParamsError, ResourceLimitError, UnknownPlayError
@@ -33,10 +33,11 @@ from .formula import (
     Prop,
     RESERVED_PREFIX,
     agents_of,
-    fold_masks,
+    compile_masks,
     props_of,
+    run_masks,
 )
-from .game import ActionProfile, Game, Play, make_game
+from .game import ActionProfile, Frame, Game, Play, index_blocks, make_game
 from .limits import budget
 
 
@@ -93,75 +94,82 @@ class Evaluator:
     def __init__(self, game: Game):
         self.game = game
         self._memo: Dict[Formula, int] = {}
-        self._blocks: Dict[Coalition, Dict[str, int]] = {}
 
     def mask(self, f: Formula) -> int:
         """The plays where f holds: bit i is play i of the game."""
-        return fold_masks(f, self.game.masks.full, self._memo, self._leaf)
+        memo = self._memo
+        if f not in memo:
+            program = compile_masks(f, memo)
+            nodes = program.nodes
+            values = run_masks(program, self.game.masks.full,
+                               lambda i, body: self._leaf(nodes[i], body))
+            memo.update(zip(nodes, values))
+        return memo[f]
 
     def check(self, play: Play, f: Formula) -> bool:
         if not self.game.has_play(play):
             raise UnknownPlayError(f"not a play of this game: {play}")
         return bool(self.mask(f) >> self.game.masks.index[play] & 1)
 
-    def _leaf(self, f: Formula) -> int:
+    def _leaf(self, f: Formula, body: Optional[int]) -> int:
+        known = self._memo.get(f)
+        if known is not None:
+            return known
+        masks = self.game.masks
         if isinstance(f, Prop):
             name = f.name
             if name not in self.game.valuation and not name.startswith(RESERVED_PREFIX):
                 warnings.warn(f"proposition {name!r} has no valuation in this game; "
                               "treating it as false everywhere")
-            return self.game.masks.prop.get(name, 0)
-        body = self._memo[f.child]
-        # Distinct blocks are disjoint, so a sum of blocks is their union.
-        blocks = set(self._blocks_of(f.knowers).values())
-        if isinstance(f, Know):
-            return sum(block for block in blocks if block & body == block)
-        actors = sorted(f.actors)
-        return sum(live for live in (block & body for block in blocks)
-                   if self._first_preventing(live, actors) is not None)
-
-    def _blocks_of(self, knowers: Coalition) -> Dict[str, int]:
-        """Initial state -> the plays whose initial state the knowers cannot
-        tell from it."""
-        found = self._blocks.get(knowers)
-        if found is None:
-            game = self.game
-            game.check_agents(knowers)
-            keys = {state: tuple(game._block_index[agent][state] for agent in knowers)
-                    for state in game.initial_states}
-            union: Dict[tuple, int] = {}
-            for state, key in keys.items():
-                union[key] = union.get(key, 0) | game.masks.state.get(state, 0)
-            found = self._blocks[knowers] = {state: union[key]
-                                             for state, key in keys.items()}
-        return found
-
-    def _first_preventing(self, live: int, actors: List[str]) -> Optional[tuple]:
-        """First actions of the actors, in lexicographic order, under which
-        none of the plays in ``live`` can happen, else None."""
-        if not actors:
-            return () if live == 0 else None
-        plays_of = self.game.masks.action
-        for act in self.game.actions:
-            rest = self._first_preventing(live & plays_of.get((actors[0], act), 0),
-                                          actors[1:])
-            if rest is not None:
-                return (act,) + rest
-        return None
+            return masks.prop.get(name, 0)
+        return _modal_mask(masks.frame, f, masks.full, body)
 
     def preventing_profile(self, f: Blame, alpha: str) -> Optional[ActionProfile]:
         """First joint action of the actors falsifying the body on every
         play the knowers cannot tell apart from alpha, else None."""
-        live = self._blocks_of(f.knowers)[alpha] & self.mask(f.child)
-        actors = sorted(f.actors)
-        acts = self._first_preventing(live, actors)
-        return None if acts is None else ActionProfile.make(zip(actors, acts))
+        frame = self.game.masks.frame
+        live = frame.blocks(f.knowers)[0][alpha] & self.mask(f.child)
+        acts = _first_preventing(live, frame.rows(f.actors))
+        if acts is None:
+            return None
+        return ActionProfile.make(zip(sorted(f.actors),
+                                      (frame.actions[i] for i in acts)))
 
     def refuting_play(self, f: Know, alpha: str) -> Optional[Play]:
         """First play the knowers cannot tell apart from alpha where the
         body fails, else None."""
-        missed = self._blocks_of(f.knowers)[alpha] & ~self.mask(f.child)
+        missed = self.game.masks.frame.blocks(f.knowers)[0][alpha] & ~self.mask(f.child)
         return _first_play(self.game, missed)
+
+
+def _modal_mask(frame: Frame, f: Formula, full: int, body: int) -> int:
+    """Where ``K`` or ``B`` node f holds among the positions of ``full``,
+    given body, the mask of its child.
+
+    ``K[C]`` keeps the C-blocks (restricted to full) lying inside body.
+    ``B[C][D]`` keeps block & body when some joint action of D rules out
+    all of it.  Distinct blocks are disjoint, so their union is a sum.
+    """
+    blocks = frame.blocks(f.knowers)[1]
+    if isinstance(f, Know):
+        return sum(live for live in (block & full for block in blocks)
+                   if live & body == live)
+    rows = frame.rows(f.actors)
+    return sum(live for live in (block & body for block in blocks)
+               if _first_preventing(live, rows) is not None)
+
+
+def _first_preventing(live: int, rows: tuple) -> Optional[tuple]:
+    """Indices of the first actions of the actors, in lexicographic order,
+    under which none of the positions in ``live`` can happen, else None.
+    ``rows`` holds, per actor, its positions under each action."""
+    if not rows:
+        return () if live == 0 else None
+    for i, taken in enumerate(rows[0]):
+        rest = _first_preventing(live & taken, rows[1:])
+        if rest is not None:
+            return (i,) + rest
+    return None
 
 
 def _first_play(game: Game, mask: int) -> Optional[Play]:
@@ -282,17 +290,19 @@ def _random_coalition(rng: random.Random, agents: Tuple[str, ...]) -> Coalition:
 def sample_instantiation(
     rng: random.Random,
     schema: axioms.Schema,
-    game: Game,
+    agents: Tuple[str, ...],
+    props: Tuple[str, ...],
     enforce_side_conditions: bool = True,
 ) -> dict:
-    """Random metavariable assignment for a schema over one game.
+    """Random metavariable assignment for a schema over the given agents
+    and proposition names (``p`` when there are none).
 
     With ``enforce_side_conditions`` the assignment is adjusted to satisfy
     the schema's side conditions; without it, disjointness conditions are
     deliberately violated (the coalitions are forced to intersect).
     """
-    props = tuple(sorted(game.valuation)) or ("p",)
-    agents = tuple(game.agents)
+    props = tuple(props) or ("p",)
+    agents = tuple(agents)
     subst = {
         name: random_formula(rng, props, agents, depth=3)
         for name in schema.formula_vars
@@ -327,6 +337,14 @@ def sample_instantiation(
 # count, then per-agent partitions, then action count, then the per-cell
 # label assignment as an odometer (cells in row-major order, label sets in
 # (size, index) order).
+#
+# A structure (agents, initial states, partitions, actions) is laid out
+# once as play slots: slot i of cell c is bit c*W + i, where W is the
+# largest label-set size, and a cell labelled with k labels has plays in
+# its first k slots, the i-th with outcome o<i>.  A model is then only the
+# mask of present slots plus one slot mask per proposition, and the
+# odometer moves between models by XOR-ing the masks of the cells whose
+# labels change.  A Game is built only for a model that is returned.
 
 def _set_partitions(items: List[str]) -> List[Tuple[frozenset, ...]]:
     if not items:
@@ -363,19 +381,105 @@ def _bell(n: int) -> int:
     return row[0]
 
 
+def _power(base: int, exponent: int, cap: Optional[int]) -> int:
+    """base ** exponent, or, when that exceeds cap, some number over cap
+    that is at most base ** exponent (found in about log2(cap) steps)."""
+    if cap is None or base < 2:
+        return base ** exponent
+    out = 1
+    for _ in range(exponent):
+        out *= base
+        if out > cap:
+            break
+    return out
+
+
 def count_models(formula_agents: Tuple[str, ...], props: Tuple[str, ...],
-                 bounds: SearchBounds) -> int:
-    """Number of candidate models the exhaustive enumeration will visit."""
+                 bounds: SearchBounds, limit: Optional[int] = None) -> int:
+    """Number of candidate models the exhaustive enumeration will visit.
+
+    With a limit, counting stops once the total passes it: a result over
+    the limit is then a lower bound, and a result within it is exact.
+    """
     total = 0
     n_choices = len(_label_choices(props, bounds.max_outcomes))
     min_agents = max(1, len(formula_agents))
     for n_agents in range(min_agents, max(min_agents, bounds.max_agents) + 1):
         for n_initial in range(1, bounds.max_initial + 1):
-            parts = _bell(n_initial)
+            parts = _power(_bell(n_initial), n_agents, limit)
             for n_actions in range(1, bounds.max_actions + 1):
                 cells = n_initial * n_actions**n_agents
-                total += parts**n_agents * n_choices**cells
+                total += parts * _power(n_choices, cells, limit)
+                if limit is not None and total > limit:
+                    return total
     return total
+
+
+class Structure(NamedTuple):
+    """What the models of one step of the enumeration share: agents,
+    initial states, partitions and actions, laid out as play slots."""
+
+    agents: Tuple[str, ...]
+    states: Tuple[str, ...]
+    partitions: Dict[str, Tuple[Coalition, ...]]
+    actions: Tuple[str, ...]
+    cells: Tuple[Tuple[str, ActionProfile], ...]  # (initial state, profile)
+    width: int  # slots per cell
+    props: Tuple[str, ...]
+    prop_index: Dict[str, int]  # proposition -> its place in Model.prop
+    frame: Frame  # states, partitions and actions over the slots
+
+
+class Model(NamedTuple):
+    """One model of the exhaustive stream: which slots of its structure
+    hold plays, and where each proposition holds."""
+
+    structure: Structure
+    full: int  # the present slots
+    prop: Tuple[int, ...]  # per proposition of the structure, its slots
+
+    def mask(self, program) -> int:
+        """The present slots where the compiled formula holds."""
+        frame, full, prop = self.structure.frame, self.full, self.prop
+        index = self.structure.prop_index
+        nodes = program.nodes
+
+        def leaf(i, body):
+            f = nodes[i]
+            if isinstance(f, Prop):
+                slot = index.get(f.name)
+                return 0 if slot is None else prop[slot]
+            return _modal_mask(frame, f, full, body)
+
+        return run_masks(program, full, leaf)[-1]
+
+    def game(self) -> Game:
+        """The model as a Game: plays in slot order, outcome o<i> for slot i."""
+        s = self.structure
+        cell_slots = (1 << s.width) - 1
+        outcomes = tuple(f"o{i}" for i in range(max(
+            (self.full >> c * s.width & cell_slots).bit_length()
+            for c in range(len(s.cells)))))
+        plays = []
+        valuation = {name: [] for name in s.props}
+        for c, (alpha, profile) in enumerate(s.cells):
+            for i in range(s.width):
+                bit = c * s.width + i
+                if self.full >> bit & 1:
+                    play = Play(alpha, profile, outcomes[i])
+                    plays.append(play)
+                    for name, slots in zip(s.props, self.prop):
+                        if slots >> bit & 1:
+                            valuation[name].append(play)
+        return make_game(s.agents, s.states, s.partitions, s.actions, outcomes,
+                         plays, valuation)
+
+    def answer(self, missed: int) -> Tuple[Game, Play]:
+        """The game of this model and its play at the lowest slot of missed;
+        play order is slot order, so its index counts the slots below."""
+        game = self.game()
+        below = (missed & -missed) - 1
+        return game, game.plays[(self.full & below).bit_count()]
 
 
 def enumerate_games(
@@ -383,61 +487,98 @@ def enumerate_games(
     props: Tuple[str, ...],
     bounds: SearchBounds,
     model_budget: Optional[int] = None,
-) -> Iterator[Game]:
-    """Deterministic exhaustive stream of canonical games within bounds.
+) -> Iterator[Model]:
+    """Deterministic exhaustive stream of canonical models within bounds,
+    each a :class:`Model` over a structure shared with its neighbours.
 
     Raises ResourceLimitError upfront when the implied model count exceeds
     the budget.
     """
-    total = count_models(formula_agents, props, bounds)
     limit = budget("exhaustive-models", model_budget)
+    total = count_models(formula_agents, props, bounds, limit)
     if total > limit:
         raise ResourceLimitError(
-            f"exhaustive search would enumerate {total} models, budget is {limit}"
+            f"exhaustive search would enumerate at least {total} models, "
+            f"budget is {limit}"
         )
     base = tuple(sorted(formula_agents))
     extras = tuple(n for n in _AGENT_NAMES if n not in base) + tuple(
         f"z{i}" for i in range(len(base))
     )
     min_agents = max(1, len(base))
-    choices_cache = _label_choices(props, bounds.max_outcomes)
+    props = tuple(props)
+    prop_index = {name: i for i, name in enumerate(props)}
+    choices = _label_choices(props, bounds.max_outcomes)
+    width = max(len(choice) for choice in choices)
     for n_agents in range(min_agents, max(min_agents, bounds.max_agents) + 1):
         agents = (base + extras)[:n_agents] if base else extras[:n_agents]
         for n_initial in range(1, bounds.max_initial + 1):
-            states = [f"s{i}" for i in range(n_initial)]
-            all_parts = _set_partitions(states)
-            for combo in itertools.product(all_parts, repeat=n_agents):
+            states = tuple(f"s{i}" for i in range(n_initial))
+            layouts = [_slot_layout(agents, states, n_actions, width)
+                       for n_actions in range(1, bounds.max_actions + 1)]
+            for combo in itertools.product(_set_partitions(list(states)),
+                                           repeat=n_agents):
                 partitions = dict(zip(agents, combo))
-                for n_actions in range(1, bounds.max_actions + 1):
-                    actions = tuple(str(i) for i in range(n_actions))
-                    cells = [
-                        (alpha, ActionProfile.make(dict(zip(agents, acts))))
-                        for alpha in states
-                        for acts in itertools.product(actions, repeat=n_agents)
-                    ]
-                    for assignment in itertools.product(
-                        choices_cache, repeat=len(cells)
-                    ):
-                        yield _game_from_labels(
-                            agents, states, partitions, actions, cells,
-                            assignment, props,
-                        )
+                blocks = index_blocks(partitions)
+                for actions, cells, state, action in layouts:
+                    frame = Frame(states, blocks, state, actions, action)
+                    structure = Structure(agents, states, partitions, actions,
+                                          cells, width, props, prop_index, frame)
+                    yield from _label_odometer(structure, choices)
 
 
-def _game_from_labels(agents, states, partitions, actions, cells, assignment,
-                      props) -> Game:
-    n_outcomes = max(len(labels) for labels in assignment)
-    outcomes = tuple(f"o{i}" for i in range(n_outcomes))
-    plays = []
-    valuation = {name: [] for name in props}
-    for (alpha, profile), labels in zip(cells, assignment):
-        for i, label in enumerate(labels):
-            play = Play(alpha, profile, outcomes[i])
-            plays.append(play)
-            for name in label:
-                valuation[name].append(play)
-    return make_game(agents, states, partitions, actions, outcomes, plays,
-                     valuation)
+def _slot_layout(agents, states, n_actions, width):
+    """Actions, cells in row-major order, and the slots of each initial
+    state and of each (agent, action)."""
+    actions = tuple(str(i) for i in range(n_actions))
+    cells = tuple((alpha, ActionProfile.make(zip(agents, acts)))
+                  for alpha in states
+                  for acts in itertools.product(actions, repeat=len(agents)))
+    cell_slots = (1 << width) - 1
+    per_state = len(cells) // len(states)
+    state = {alpha: ((1 << per_state * width) - 1) << k * per_state * width
+             for k, alpha in enumerate(states)}
+    action: Dict[Tuple[str, str], int] = {}
+    for c, (_, profile) in enumerate(cells):
+        for pair in profile.assignment:
+            action[pair] = action.get(pair, 0) | cell_slots << c * width
+    return actions, cells, state, action
+
+
+def _label_odometer(structure: Structure, choices) -> Iterator[Model]:
+    """The structure's models, one per assignment of a label choice to each
+    cell, in odometer order (the last cell turns fastest)."""
+    width, props = structure.width, structure.props
+    # Per choice: the slots it fills in cell 0, and where each prop holds.
+    masks = [((1 << len(choice)) - 1,
+              tuple(sum(1 << i for i, label in enumerate(choice) if name in label)
+                    for name in props))
+             for choice in choices]
+    # Per cell and choice: the XOR that turns it into the next choice.
+    turns = [[((a_full ^ b_full) << c * width,
+               tuple((p ^ q) << c * width for p, q in zip(a_prop, b_prop)))
+              for (a_full, a_prop), (b_full, b_prop) in zip(masks, masks[1:] + masks[:1])]
+             for c in range(len(structure.cells))]
+    full = sum(masks[0][0] << c * width for c in range(len(turns)))
+    prop = tuple(sum(p << c * width for c in range(len(turns)))
+                 for p in masks[0][1])
+    digits = [0] * len(turns)
+    last = len(masks) - 1
+    while True:
+        yield Model(structure, full, prop)
+        c = len(digits) - 1
+        while c >= 0:
+            d = digits[c]
+            turn_full, turn_prop = turns[c][d]
+            full ^= turn_full
+            prop = tuple(map(int.__xor__, prop, turn_prop))
+            if d < last:
+                digits[c] = d + 1
+                break
+            digits[c] = 0
+            c -= 1
+        else:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +604,13 @@ def countermodel_search(
             f"formula names {len(base_agents)} agents, bound is {bounds.max_agents}"
         )
     if bounds.mode == "exhaustive":
-        stream: Iterator[Game] = enumerate_games(base_agents, props, bounds,
-                                                 model_budget)
-    else:
-        stream = _random_game_stream(base_agents, props, bounds)
-    for game in stream:
+        program = compile_masks(f)
+        for model in enumerate_games(base_agents, props, bounds, model_budget):
+            missed = model.full ^ model.mask(program)
+            if missed:
+                return model.answer(missed)
+        return None
+    for game in _random_game_stream(base_agents, props, bounds):
         play = _first_play(game, game.masks.full ^ Evaluator(game).mask(f))
         if play is not None:
             return game, play
@@ -509,7 +652,7 @@ def soundness_fuzz(
 
     Random mode draws each iteration's game from a pool of ``games_pool``
     sampled games and pairs it with a fresh random instantiation.
-    Exhaustive mode enumerates canonical games and tries
+    Exhaustive mode enumerates canonical models and tries
     ``instantiations_per_game`` seeded instantiations on each.
     """
     try:
@@ -521,43 +664,34 @@ def soundness_fuzz(
         ) from None
     schemas = [axioms.ALL_SCHEMAS[name] for name in schema_names]
 
+    def instance(agents, props):
+        picked = schemas[rng.randrange(len(schemas))]
+        subst = sample_instantiation(rng, picked, agents, props,
+                                     enforce_side_conditions)
+        return picked.name, axioms.instantiate(picked, subst), subst
+
     if bounds.mode == "random":
         rng = random.Random(bounds.seed)
         pool_size = max(1, min(games_pool, bounds.iterations))
         pool = [sample_game(rng, bounds) for _ in range(pool_size)]
         for iteration in range(bounds.iterations):
             game = pool[iteration % pool_size]
-            result = _try_instance(rng, schemas, game, enforce_side_conditions,
-                                   iteration)
-            if result is not None:
-                return result
+            name, f, subst = instance(game.agents, tuple(sorted(game.valuation)))
+            verdict = valid_in_game(game, f)
+            if not verdict.holds:
+                return FuzzCounterexample(name, game, verdict.refutation, f,
+                                          subst, iteration)
         return None
 
     rng = random.Random(bounds.seed if bounds.seed is not None else 0)
     props = _PROP_NAMES[: bounds.max_props]
     iteration = 0
-    for game in enumerate_games((), props, bounds):
+    for model in enumerate_games((), props, bounds):
         for _ in range(instantiations_per_game):
-            result = _try_instance(rng, schemas, game, enforce_side_conditions,
-                                   iteration)
+            name, f, subst = instance(model.structure.agents, props)
+            missed = model.full ^ model.mask(compile_masks(f))
+            if missed:
+                game, play = model.answer(missed)
+                return FuzzCounterexample(name, game, play, f, subst, iteration)
             iteration += 1
-            if result is not None:
-                return result
-    return None
-
-
-def _try_instance(rng, schemas, game, enforce_side_conditions, iteration):
-    schema = schemas[rng.randrange(len(schemas))]
-    subst = sample_instantiation(rng, schema, game, enforce_side_conditions)
-    instance = axioms.instantiate(schema, subst)
-    verdict = valid_in_game(game, instance)
-    if not verdict.holds:
-        return FuzzCounterexample(
-            schema=schema.name,
-            game=game,
-            play=verdict.refutation,
-            instance=instance,
-            substitution=subst,
-            iteration=iteration,
-        )
     return None

@@ -103,6 +103,21 @@ class TestBudgetEnvironment:
         assert "DTW_BUDGET" in err
 
 
+class TestDeepNesting:
+    @pytest.mark.parametrize("text", [
+        "(" * 400 + "killed" + ")" * 400,
+        "~" * 5000 + "killed",
+    ])
+    def test_exits_two_with_one_line(self, example_dir, capsys, text):
+        code, out, err = run(capsys, [
+            "valid", str(example_dir / "tarasoff.game"), text,
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested more than" in err and "position 101" in err
+
+
 class TestProve:
     def test_accepted(self, example_dir, capsys):
         code, out, _ = run(capsys, [

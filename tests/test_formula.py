@@ -14,6 +14,7 @@ from dtw.formula import (
     big_conj,
     big_disj,
     coalition,
+    compile_masks,
     conj,
     disj,
     dual_know,
@@ -23,11 +24,12 @@ from dtw.formula import (
     node_count,
     proper_subsets_of,
     render,
+    run_masks,
     subformulas,
     subsets_of,
     verum,
 )
-from dtw.parser import parse_formula
+from dtw.parser import MAX_NESTING, parse_formula
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -57,6 +59,23 @@ class TestParse:
 
     def test_dual_knowledge(self):
         assert parse_formula("Kd[a] p") == Not(Know(coalition("a"), Not(p)))
+
+    def test_nesting_up_to_the_limit_parses(self):
+        deep = "~" * MAX_NESTING + "p"
+        assert len(subformulas(parse_formula(deep))) == MAX_NESTING + 1
+        assert parse_formula("(" * MAX_NESTING + "p" + ")" * MAX_NESTING) == p
+
+    @pytest.mark.parametrize("text", [
+        "~" * (MAX_NESTING + 1) + "p",
+        "(" * 400 + "p" + ")" * 400,
+        "K[a]" * (MAX_NESTING + 1) + "p",
+        "p -> " * (MAX_NESTING + 1) + "p",
+    ])
+    def test_nesting_past_the_limit_is_a_parse_error(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_formula(text)
+        assert "nested more than" in str(info.value)
+        assert info.value.pos is not None and info.value.pos > MAX_NESTING
 
     def test_arrow_right_associative(self):
         assert parse_formula("p -> q -> r") == Implies(p, Implies(q, r))
@@ -156,6 +175,19 @@ class TestSubformulas:
     def test_post_order(self):
         f = Know(coalition("a"), Implies(p, q))
         assert subformulas(f) == [p, q, Implies(p, q), f]
+
+    def test_shared_nodes_keep_their_first_place(self):
+        left, right = Implies(p, q), Implies(q, p)
+        f = Implies(left, Implies(right, left))
+        assert subformulas(f) == [p, q, left, right, Implies(right, left), f]
+
+    def test_depth_is_not_limited_by_the_stack(self):
+        f = p
+        for _ in range(20000):
+            f = Not(f)
+        assert len(subformulas(f)) == 20001
+        program = compile_masks(f)
+        assert run_masks(program, 0b11, lambda i, body: 0b01)[-1] == 0b01
 
 
 class TestSubsets:

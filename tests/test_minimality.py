@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtw.errors import BadParamsError, ResourceLimitError
+from dtw.errors import BadParamsError, ResourceLimitError, UnknownAgentError
 from dtw.formula import Prop, coalition, expand_minimality
 from dtw.game import ActionProfile, Play, tarasoff_game
 from dtw.minimality import check_minimal, minimal_verdict
+from dtw.parser import parse_formula
 from dtw.semantics import holds, random_formula
 
 from oracles import random_small_game
@@ -23,6 +24,17 @@ def october_attack_play():
         ActionProfile.make({"poddar": "1", "parents": "1", "university": "0"}),
         "dead",
     )
+
+
+class TestAgentsOfPhi:
+    def test_unknown_agent_inside_phi_is_refused_as_holds_refuses_it(self):
+        g = tarasoff_game()
+        phi = parse_formula("~B[university][ghost] killed")
+        with pytest.raises(UnknownAgentError):
+            holds(g, october_attack_play(), phi)
+        with pytest.raises(UnknownAgentError):
+            minimal_verdict(1, g, october_attack_play(), {"university"},
+                            {"parents"}, phi)
 
 
 class TestTarasoffMinimality:

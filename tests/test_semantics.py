@@ -335,7 +335,8 @@ class TestFuzz:
             for _ in range(50):
                 from dtw.semantics import sample_instantiation
 
-                subst = sample_instantiation(rng, schema, g)
+                subst = sample_instantiation(rng, schema, g.agents,
+                                             tuple(sorted(g.valuation)))
                 assert axioms.side_conditions_hold(schema, subst)
 
 
@@ -377,10 +378,10 @@ class TestCountermodels:
         from dtw.semantics import enumerate_games
 
         first = [
-            g for _, g in zip(range(25), enumerate_games(("a",), ("p",), self.BOUNDS))
+            m.game() for _, m in zip(range(25), enumerate_games(("a",), ("p",), self.BOUNDS))
         ]
         again = [
-            g for _, g in zip(range(25), enumerate_games(("a",), ("p",), self.BOUNDS))
+            m.game() for _, m in zip(range(25), enumerate_games(("a",), ("p",), self.BOUNDS))
         ]
         for g1, g2 in zip(first, again):
             assert g1.plays == g2.plays
@@ -405,6 +406,45 @@ class TestModelCount:
                               max_outcomes=1)
         visited = sum(1 for _ in enumerate_games(("a",), ("p",), bounds))
         assert count_models(("a",), ("p",), bounds) == visited == 50
+
+    def test_count_under_a_limit_is_exact_within_it_and_a_bound_past_it(self):
+        bounds = SearchBounds(max_agents=3, max_initial=3)
+        exact = count_models(("a",), ("p",), bounds)
+        assert count_models(("a",), ("p",), bounds, limit=exact) == exact
+        for limit in (0, 10, 10**6, exact - 1):
+            partial = count_models(("a",), ("p",), bounds, limit=limit)
+            assert limit < partial <= exact
+
+    def test_count_stops_once_past_the_limit(self, monkeypatch):
+        bell, sizes = semantics._bell, []
+        monkeypatch.setattr(semantics, "_bell",
+                            lambda n: sizes.append(n) or bell(n))
+        bounds = SearchBounds(max_agents=1000)
+        assert count_models(("a",), ("p",), bounds, limit=10**6) > 10**6
+        assert len(sizes) < 10
+
+    @pytest.mark.parametrize("text, bounds", [
+        # The exact count is a 31.7-million-bit number.
+        ("K[a]p -> K[a,b]p", SearchBounds(max_agents=7, max_actions=10)),
+        # The first term over the budget alone is 3 ** (2 ** 22).
+        ("K[" + ",".join(f"a{i}" for i in range(22)) + "]p -> p",
+         SearchBounds(max_agents=22)),
+    ])
+    def test_budget_refuses_large_bounds_without_the_exact_count(
+            self, monkeypatch, text, bounds):
+        # Refusing must build neither the count nor any number near it.
+        import tracemalloc
+
+        monkeypatch.delenv("DTW_BUDGET", raising=False)
+        f = parse_formula(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="at least"):
+                countermodel_search(f, bounds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_budget_refuses_before_building_partitions(self, monkeypatch):
         def unwanted(items):
