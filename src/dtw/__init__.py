@@ -45,7 +45,6 @@ from .game import (
     indist_state,
     load_game,
     make_game,
-    matching_plays,
     render_game_file,
     tarasoff2_game,
     tarasoff_game,

@@ -38,7 +38,8 @@ class Formula:
 
     Instances are immutable and hashable; equality is structural with
     coalitions compared as sets.  A hash is computed once at construction
-    so that deep equality checks can short-circuit.
+    so that deep equality checks can short-circuit.  Equality walks a stack
+    of node pairs, so depth is not limited by the interpreter's stack.
     """
 
     __slots__ = ()
@@ -47,17 +48,34 @@ class Formula:
         return self._hash
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if self.__class__ is not other.__class__ or self._hash != other._hash:
-            return False
-        return self._eq_fields(other)
+            return False  # the common case, decided without a walk
+        pairs = []  # pairs of right operands still to compare
+        a, b = self, other
+        while True:
+            if a is not b:
+                cls = a.__class__
+                if cls is not b.__class__ or a._hash != b._hash:
+                    return False
+                if cls is Implies:
+                    pairs.append((a.right, b.right))
+                    a, b = a.left, b.left
+                    continue
+                if cls is Prop:
+                    if a.name != b.name:
+                        return False
+                elif cls is Not or (a.knowers == b.knowers
+                                    and (cls is Know or a.actors == b.actors)):
+                    a, b = a.child, b.child
+                    continue
+                else:
+                    return False
+            if not pairs:
+                return True
+            a, b = pairs.pop()
 
     def __ne__(self, other):
         return not self.__eq__(other)
-
-    def _eq_fields(self, other):  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {render(self)!r}>"
@@ -71,9 +89,6 @@ class Prop(Formula):
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(("prop", self.name)))
 
-    def _eq_fields(self, other):
-        return self.name == other.name
-
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Not(Formula):
@@ -82,9 +97,6 @@ class Not(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(("not", self.child._hash)))
-
-    def _eq_fields(self, other):
-        return self.child == other.child
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -98,9 +110,6 @@ class Implies(Formula):
             self, "_hash", hash(("implies", self.left._hash, self.right._hash))
         )
 
-    def _eq_fields(self, other):
-        return self.left == other.left and self.right == other.right
-
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Know(Formula):
@@ -113,9 +122,6 @@ class Know(Formula):
         object.__setattr__(
             self, "_hash", hash(("know", self.knowers, self.child._hash))
         )
-
-    def _eq_fields(self, other):
-        return self.knowers == other.knowers and self.child == other.child
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -139,13 +145,6 @@ class Blame(Formula):
             self,
             "_hash",
             hash(("blame", self.knowers, self.actors, self.child._hash)),
-        )
-
-    def _eq_fields(self, other):
-        return (
-            self.knowers == other.knowers
-            and self.actors == other.actors
-            and self.child == other.child
         )
 
 
@@ -211,7 +210,6 @@ def big_conj(items) -> Formula:
 # Printing.
 # ---------------------------------------------------------------------------
 
-_LEVEL_ATOM = 5
 _LEVEL_UNARY = 4
 _LEVEL_IMPL_LEFT = 2
 _LEVEL_IMPL = 1
@@ -225,44 +223,47 @@ def render(f: Formula) -> str:
     """Canonical concrete syntax with minimal parentheses.
 
     ``parse_formula(render(f)) == f`` for every formula reachable from the
-    public grammar; coalition members print in sorted order and the falsum
-    encoding prints as ``false``.
+    public grammar whose printed text nests at most ``parser.MAX_NESTING``
+    levels; coalition members print in sorted order and the falsum
+    encoding prints as ``false``.  Iterative, so depth is not limited by the
+    interpreter's stack: text is written as soon as it is known, and what
+    comes after the leftmost path of a subformula waits on a stack.
     """
-    return _render(f, 0)
-
-
-def _render(f: Formula, min_level: int) -> str:
-    if isinstance(f, Prop):
-        return f.name
-    if f == FALSUM:
-        return "false"
-    if isinstance(f, Not):
-        text = "~" + _render(f.child, _LEVEL_UNARY)
-        level = _LEVEL_UNARY
-    elif isinstance(f, Know):
-        text = "K" + _coal_str(f.knowers) + " " + _render(f.child, _LEVEL_UNARY)
-        level = _LEVEL_UNARY
-    elif isinstance(f, Blame):
-        text = (
-            "B"
-            + _coal_str(f.knowers)
-            + _coal_str(f.actors)
-            + " "
-            + _render(f.child, _LEVEL_UNARY)
-        )
-        level = _LEVEL_UNARY
-    elif isinstance(f, Implies):
-        text = (
-            _render(f.left, _LEVEL_IMPL_LEFT)
-            + " -> "
-            + _render(f.right, _LEVEL_IMPL)
-        )
-        level = _LEVEL_IMPL
-    else:  # pragma: no cover - exhaustive match
-        raise TypeError(f"not a formula: {f!r}")
-    if level < min_level:
-        return "(" + text + ")"
-    return text
+    out = []
+    emit = out.append
+    stack = [(f, 0)]  # text, or (subformula, min_level), last one first
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            emit(item)
+            continue
+        g, min_level = item
+        while True:
+            if isinstance(g, Prop):
+                emit(g.name)
+                break
+            if isinstance(g, Implies):
+                if min_level > _LEVEL_IMPL:
+                    emit("(")
+                    stack.append(")")
+                stack.append((g.right, _LEVEL_IMPL))
+                stack.append(" -> ")
+                g, min_level = g.left, _LEVEL_IMPL_LEFT
+                continue
+            # ~, K and B bind tightest and never need parentheses.
+            if isinstance(g, Not):
+                if g == FALSUM:
+                    emit("false")
+                    break
+                emit("~")
+            elif isinstance(g, Know):
+                emit("K" + _coal_str(g.knowers) + " ")
+            elif isinstance(g, Blame):
+                emit("B" + _coal_str(g.knowers) + _coal_str(g.actors) + " ")
+            else:  # pragma: no cover - exhaustive match
+                raise TypeError(f"not a formula: {g!r}")
+            g, min_level = g.child, _LEVEL_UNARY
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

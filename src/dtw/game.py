@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import (
     EmptyInputError,
@@ -56,11 +56,6 @@ class ActionProfile:
 
     def as_dict(self) -> Dict[str, str]:
         return dict(self.assignment)
-
-    def agrees_with(self, other: "ActionProfile") -> bool:
-        """Pointwise equality on this profile's own domain."""
-        theirs = other.as_dict()
-        return all(theirs.get(agent) == act for agent, act in self.assignment)
 
     def __str__(self):
         return ",".join(f"{agent}={act}" for agent, act in self.assignment)
@@ -235,22 +230,6 @@ def indist_state(game: Game, members: Iterable[str], alpha: str, beta: str) -> b
         if index[alpha] != index[beta]:
             return False
     return True
-
-
-def matching_plays(game: Game, alpha: str, members: Iterable[str],
-                   profile: ActionProfile) -> Iterator[Play]:
-    """Plays whose initial state the coalition cannot tell from alpha and
-    whose complete profile agrees with ``profile`` on its domain, in
-    declaration order."""
-    members = coalition(members)
-    game.check_state(alpha)
-    game.check_agents(members)
-    game.check_agents(profile.domain)
-    for play in game.plays:
-        if indist_state(game, members, alpha, play.initial) and profile.agrees_with(
-            play.profile
-        ):
-            yield play
 
 
 # ---------------------------------------------------------------------------

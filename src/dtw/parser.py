@@ -18,12 +18,16 @@ not lex).  ``K``, ``Kd`` and ``B`` act as modality heads only when directly
 followed by ``[``; otherwise they are ordinary proposition names.
 ``B[knowers][actors]``: the first coalition knows, the second one acts.
 All derived connectives are desugared during parsing.
+
+The input is split into tokens by one ``findall``, and each token is its
+own kind: the parser compares token texts, and any token that is not an
+operator, bracket or ``false`` is an identifier.  An empty string ends the
+list.  Character positions are recomputed only for an error message.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import EmptyInputError, ParseError
 from .formula import (
@@ -41,159 +45,145 @@ from .formula import (
     iff,
 )
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<iff><->)"
-    r"|(?P<arrow>->)"
-    r"|(?P<punct>[~&|(),\[\]])"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
-)
+# Each match is optional whitespace and one token; the last alternative
+# takes a character that starts no token, so the matches cover the text.
+_TOKEN_RE = re.compile(r"\s*(<->|->|[~&|(),\[\]]|[A-Za-z][A-Za-z0-9_]*|\S)")
+_EOF = ""
+_SYMBOLS = frozenset({"<->", "->", "~", "&", "|", "(", ")", ",", "[", "]", "false", _EOF})
 
-KEYWORDS = frozenset({"false"})
-# Operands nested deeper than this are refused: the parser and the printer
-# recurse once per level, and deeper input would exhaust the stack.
+# Operands nested deeper than this are refused, so that parsing cannot
+# exhaust the stack: the parser recurses once per level.  Left-associated
+# chains such as ``p & p & p`` add no level and can build deeper ASTs; the
+# printer, formula equality and the tautology check walk those iteratively.
 MAX_NESTING = 100
 _MODALITY_HEADS = frozenset({"K", "Kd", "B"})
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # one of iff, arrow, punct, ident, false, eof
-    text: str
-    pos: int  # 1-based character position
-
-
-def tokenize(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[i]!r}",
-                pos=i + 1,
-                expected="an identifier, operator, bracket, or parenthesis",
-            )
-        i = m.end()
-        if m.lastgroup == "ws":
-            continue
-        value = m.group()
-        if m.lastgroup == "ident":
-            kind = "false" if value == "false" else "ident"
-        else:
-            kind = m.lastgroup if m.lastgroup != "punct" else value
-        tokens.append(Token(kind, value, m.start() + 1))
-    tokens.append(Token("eof", "", len(text) + 1))
-    return tokens
+_FORMULA_START = "a formula (identifier, 'false', '~', 'K[', 'Kd[', 'B[', or '(')"
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """``toks`` ends in ``_EOF``, and ``i`` indexes the lookahead, which never
+    moves past it.  The ``depth`` arguments count the operand's nesting
+    level."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = toks = _TOKEN_RE.findall(text)
+        toks.append(_EOF)
         self.i = 0
-        self.depth = 0
+        # Identifiers start with an ASCII letter; any other token that is
+        # not a symbol is a lone character that starts no token, and the
+        # first one is reported.
+        bad = [t for t in set(toks) - _SYMBOLS if not (t.isascii() and t[0].isalpha())]
+        if bad:
+            self.i = min(map(toks.index, bad))
+            raise self.error(f"unexpected character {toks[self.i]!r}",
+                             "an identifier, operator, bracket, or parenthesis")
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def error(self, message: str, expected: str, at: int | None = None) -> ParseError:
+        """A ParseError at token ``at``, by default the lookahead."""
+        at = self.i if at is None else at
+        starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(self.text)]
+        pos = starts[at] if at < len(starts) else len(self.text) + 1
+        return ParseError(message, pos=pos, expected=expected)
 
-    def take(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
+    def unexpected(self, expected: str, after: str = "") -> ParseError:
+        tok = self.toks[self.i]
+        if tok == _EOF:
+            return self.error("unexpected end of input", expected)
+        return self.error(f"unexpected {tok!r}{after}", expected)
+
+    def too_deep(self, at: int) -> ParseError:
+        return self.error(f"formula nested more than {MAX_NESTING} levels deep",
+                          "a less deeply nested formula", at)
+
+    def formula(self, depth: int) -> Formula:
+        out = self.impl(depth)
+        while self.toks[self.i] == "<->":
             self.i += 1
-        return tok
-
-    def expect(self, kind: str, expected: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                pos=tok.pos,
-                expected=expected,
-            )
-        return self.take()
-
-    def nested(self, tok: Token, parse) -> Formula:
-        """``parse()`` the operand of tok one nesting level deeper."""
-        if self.depth == MAX_NESTING:
-            raise ParseError(
-                f"formula nested more than {MAX_NESTING} levels deep",
-                pos=tok.pos,
-                expected="a less deeply nested formula",
-            )
-        self.depth += 1
-        try:
-            return parse()
-        finally:
-            self.depth -= 1
-
-    def formula(self) -> Formula:
-        out = self.impl()
-        while self.peek().kind == "iff":
-            self.take()
-            out = iff(out, self.impl())
+            out = iff(out, self.impl(depth))
         return out
 
-    def impl(self) -> Formula:
-        left = self.disj()
-        tok = self.peek()
-        if tok.kind == "arrow":
-            self.take()
-            return Implies(left, self.nested(tok, self.impl))
-        return left
+    def impl(self, depth: int) -> Formula:
+        """A disjunction of conjunctions, then an optional ``->`` operand."""
+        toks = self.toks
+        term = self.unary(depth)
+        left = None
+        while True:
+            tok = toks[self.i]
+            if tok == "&":
+                self.i += 1
+                term = conj(term, self.unary(depth))
+            elif tok == "|":
+                self.i += 1
+                left = term if left is None else disj(left, term)
+                term = self.unary(depth)
+            else:
+                break
+        if left is not None:
+            term = disj(left, term)
+        if tok != "->":
+            return term
+        if depth == MAX_NESTING:
+            raise self.too_deep(self.i)
+        self.i += 1
+        return Implies(term, self.impl(depth + 1))
 
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek().kind == "|":
-            self.take()
-            out = disj(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.unary()
-        while self.peek().kind == "&":
-            self.take()
-            out = conj(out, self.unary())
-        return out
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.take()
-            return Not(self.nested(tok, self.unary))
-        if tok.kind == "(":
-            self.take()
-            inner = self.nested(tok, self.formula)
-            self.expect(")", "')'")
-            return inner
-        if tok.kind == "false":
-            self.take()
+    def unary(self, depth: int) -> Formula:
+        i = self.i
+        tok = self.toks[i]
+        if tok not in _SYMBOLS:
+            self.i = i + 1
+            if tok not in _MODALITY_HEADS or self.toks[i + 1] != "[":
+                return Prop(tok)
+            knowers = self.coal()
+            actors = self.coal() if tok == "B" else None
+        elif tok == "~" or tok == "(":
+            self.i = i + 1
+        elif tok == "false":
+            self.i = i + 1
             return falsum()
-        if tok.kind == "ident":
-            if tok.text in _MODALITY_HEADS and self.peek(1).kind == "[":
-                self.take()
-                if tok.text == "K":
-                    return Know(self.coal(), self.nested(tok, self.unary))
-                if tok.text == "Kd":
-                    return dual_know(self.coal(), self.nested(tok, self.unary))
-                return Blame(self.coal(), self.coal(), self.nested(tok, self.unary))
-            self.take()
-            return Prop(tok.text)
-        raise ParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-            pos=tok.pos,
-            expected="a formula (identifier, 'false', '~', 'K[', 'Kd[', 'B[', or '(')",
-        )
+        else:
+            raise self.unexpected(_FORMULA_START)
+        if depth == MAX_NESTING:
+            raise self.too_deep(i)
+        if tok == "(":
+            inner = self.formula(depth + 1)
+            if self.toks[self.i] != ")":
+                raise self.unexpected("')'")
+            self.i += 1
+            return inner
+        child = self.unary(depth + 1)
+        if tok == "~":
+            return Not(child)
+        if tok == "K":
+            return Know(knowers, child)
+        if tok == "Kd":
+            return dual_know(knowers, child)
+        return Blame(knowers, actors, child)
 
     def coal(self):
-        self.expect("[", "'['")
+        toks = self.toks
+        if toks[self.i] != "[":
+            raise self.unexpected("'['")
+        self.i += 1
         members = set()
-        if self.peek().kind != "]":
-            members.add(self.expect("ident", "an agent identifier").text)
-            while self.peek().kind == ",":
-                self.take()
-                members.add(self.expect("ident", "an agent identifier").text)
-        self.expect("]", "']' or ','")
+        if toks[self.i] != "]":
+            while True:
+                if toks[self.i] in _SYMBOLS:
+                    raise self.unexpected("an agent identifier")
+                members.add(toks[self.i])
+                self.i += 1
+                if toks[self.i] != ",":
+                    break
+                self.i += 1
+        if toks[self.i] != "]":
+            raise self.unexpected("']' or ','")
+        self.i += 1
         return coalition(members)
+
+    def end(self, what: str) -> None:
+        if self.toks[self.i] != _EOF:
+            raise self.unexpected("end of input", f" after {what}")
 
 
 def parse_formula(text: str) -> Formula:
@@ -205,31 +195,17 @@ def parse_formula(text: str) -> Formula:
     right operand of ``->`` is one level), and :class:`EmptyInputError`
     when the input is blank.
     """
-    tokens = tokenize(text)
-    if tokens[0].kind == "eof":
+    parser = _Parser(text)
+    if parser.toks[0] == _EOF:
         raise EmptyInputError()
-    parser = _Parser(tokens)
-    out = parser.formula()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(
-            f"unexpected {trailing.text!r} after formula",
-            pos=trailing.pos,
-            expected="end of input",
-        )
+    out = parser.formula(0)
+    parser.end("formula")
     return out
 
 
 def parse_coalition_token(text: str):
     """Parse a standalone bracketed coalition such as ``[a,b]`` or ``[]``."""
-    tokens = tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(text)
     out = parser.coal()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(
-            f"unexpected {trailing.text!r} after coalition",
-            pos=trailing.pos,
-            expected="end of input",
-        )
+    parser.end("coalition")
     return out

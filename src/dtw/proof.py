@@ -35,13 +35,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from . import axioms
 from .errors import BadParamsError, ParseError, TooManyAtomsError
 from .formula import (
-    Blame,
     Coalition,
     Formula,
     Implies,
     Know,
     Not,
-    Prop,
     coalition,
     compile_masks,
     render,
@@ -161,22 +159,22 @@ def match_axiom(name: str, f: Formula) -> Optional[dict]:
     return axioms.match_schema(schema, f)
 
 
-def _collect_atoms(f: Formula, out: list, seen: set) -> None:
-    if isinstance(f, (Prop, Know, Blame)):
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    elif isinstance(f, Not):
-        _collect_atoms(f.child, out, seen)
-    else:
-        _collect_atoms(f.left, out, seen)
-        _collect_atoms(f.right, out, seen)
-
-
 def boolean_atoms(f: Formula) -> list:
-    """Maximal non-Boolean subformulas, in first-occurrence order."""
+    """Maximal non-Boolean subformulas, in first-occurrence order.
+    Iterative, so depth is not limited by the interpreter's stack."""
     out: list = []
-    _collect_atoms(f, out, set())
+    seen: set = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Not):
+            stack.append(g.child)
+        elif isinstance(g, Implies):
+            stack.append(g.right)
+            stack.append(g.left)
+        elif g not in seen:
+            seen.add(g)
+            out.append(g)
     return out
 
 

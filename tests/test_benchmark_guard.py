@@ -1,6 +1,7 @@
-"""The benchmark's own answer checks, run as a test: a smoke pass of the
-search workload compares every answer, including the first countermodel
-byte for byte, with the references under ``perfbench/``."""
+"""The benchmark's own answer checks, run as tests: smoke passes of the
+search and prove workloads compare every answer with the references under
+``perfbench/``: the first countermodel byte for byte, and the verdicts on
+correct-by-construction proof scripts and their mutants."""
 
 import json
 import subprocess
@@ -10,9 +11,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_search_smoke_run_gets_every_answer_right():
+def smoke_run(workload):
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "search", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--smoke", "--seconds", "0.5", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -20,3 +21,11 @@ def test_search_smoke_run_gets_every_answer_right():
     last = json.loads(run.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
     assert last["failed"] == 0
+
+
+def test_search_smoke_run_gets_every_answer_right():
+    smoke_run("search")
+
+
+def test_prove_smoke_run_gets_every_answer_right():
+    smoke_run("prove")

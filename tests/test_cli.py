@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, JSON round trips, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dtw.cli import main
+from dtw.lemmas import example_files
 
 PLAY = "Oct | poddar=1,parents=1,university=0 | dead"
 
@@ -148,6 +153,30 @@ class TestProve:
         assert code == 1
 
 
+class TestDeepProofLine:
+    """A left-associated chain parses to an AST about 1,200 levels deep
+    within the nesting limit; checking, comparing and printing it must
+    not recurse once per level."""
+
+    CHAIN = "(" + " & ".join(["p"] * 600) + ") -> p"
+
+    def script(self, tmp_path, justification):
+        path = tmp_path / "deep.prf"
+        path.write_text(f"goal: {self.CHAIN}\n1. {self.CHAIN}   {justification}\n",
+                        encoding="utf-8")
+        return str(path)
+
+    def test_tautology_accepted(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["prove", self.script(tmp_path, "taut")])
+        assert (code, out, err) == (0, "accepted (1 lines)\n", "")
+
+    def test_wrong_axiom_rejected_with_the_formula(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["prove", self.script(tmp_path, "axiom Truth-K")])
+        assert code == 1 and err == ""
+        assert out.startswith("rejected at line 1: axiom-mismatch (~(~(~(")
+        assert out.endswith(" -> p is not an instance of Truth-K)\n")
+
+
 class TestCountermodel:
     def test_found_prints_game_and_play(self, capsys):
         code, out, _ = run(capsys, [
@@ -260,3 +289,75 @@ class TestExample:
     def test_unknown_example(self, capsys):
         code, _, err = run(capsys, ["example", "trolley"])
         assert code == 2
+
+
+# Arbitrary text, and text close enough to the syntax to get past the parser.
+_FORMULA_PIECES = ("killed", "dead", "p", "K", "B", "Kd", "[", "]", ",", "(", ")",
+                   "university", "parents", "poddar", "~", "&", "|", "->", "<->",
+                   "false", " ", "$", "é", "_")
+_formulas = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(_FORMULA_PIECES), max_size=14).map("".join),
+    st.sampled_from(("B[university][parents] killed", "K[parents] killed -> killed",
+                     "Kd[poddar] ~killed", "B[ghost][parents] killed")),
+)
+_plays = st.one_of(
+    st.text(max_size=40),
+    st.just(PLAY),
+    st.builds(lambda a, b, c: f"{a} | {b} | {c}", st.text(max_size=8),
+              st.text(max_size=16), st.text(max_size=8)),
+)
+
+
+def _spliced(text):
+    return st.builds(lambda at, junk: text[:at] + junk + text[at:],
+                     st.integers(0, len(text)), st.text(max_size=12))
+
+
+_TARASOFF = example_files()["tarasoff.game"]
+_games = st.one_of(st.text(max_size=60), st.binary(max_size=40), st.just(_TARASOFF),
+                   _spliced(_TARASOFF))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+class TestExitCodeContract:
+    """Every input ends in exit code 0, 1 or 2 with no exception escaping:
+    2 for operational errors, argparse's usage errors included."""
+
+    @pytest.mark.filterwarnings("ignore:proposition")
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(("check", "valid", "minimal", "prove", "countermodel")),
+           game=_games, play=_plays, formula=_formulas, kind=st.integers(1, 4),
+           as_json=st.booleans())
+    def test_exit_code_is_zero_one_or_two(self, workdir, command, game, play,
+                                          formula, kind, as_json):
+        game_path = workdir / "arbitrary.game"
+        game_path.write_bytes(game if isinstance(game, bytes) else game.encode())
+        script_path = workdir / "arbitrary.prf"
+        script_path.write_bytes(
+            game if isinstance(game, bytes)
+            else f"goal: {formula}\n1. {formula}   taut\n".encode())
+        argv = {
+            "check": ["check", str(game_path), play, formula],
+            "valid": ["valid", str(game_path), formula],
+            "minimal": ["minimal", str(kind), str(game_path), play, formula,
+                        "--knowers", "university"]
+                       + ([] if kind == 4 else ["--actors", "parents"]),
+            "prove": ["prove", str(script_path)],
+            "countermodel": ["countermodel", formula, "--max-agents", "1",
+                             "--max-states", "1", "--max-actions", "1",
+                             "--max-outcomes", "1"],
+        }[command] + (["--json"] if as_json else [])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

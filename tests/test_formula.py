@@ -141,6 +141,42 @@ class TestRender:
     def test_negated_implication_parenthesized(self):
         assert render(Not(Implies(p, q))) == "~(p -> q)"
 
+    def test_depth_is_not_limited_by_the_stack(self):
+        chain = big_conj([p] * 3000)  # about 6,000 levels, left-nested
+        text = render(Implies(chain, q))
+        assert text.startswith("~(~(~(") and text.endswith(" -> ~p) -> ~p) -> q")
+
+
+class TestEquality:
+    def test_structural_and_set_valued_coalitions(self):
+        assert Blame(coalition("ab"), coalition("c"), p) == Blame(["b", "a"], ["c"], p)
+        assert Blame(coalition("ab"), coalition("c"), p) != Blame(coalition("ab"),
+                                                                    coalition("d"), p)
+        assert Know(coalition("a"), p) != Blame(coalition("a"), coalition(), p)
+        assert Implies(p, q) != Implies(q, p)
+        assert p != "p" and p != None  # noqa: E711
+
+    def test_fields_are_compared_when_hashes_collide(self):
+        a, b = coalition("a"), coalition("b")
+        for x, y in [
+            (p, Prop("q")),
+            (Not(p), Not(q)),
+            (Implies(p, q), Implies(p, r)),
+            (Implies(q, p), Implies(r, p)),
+            (Know(a, p), Know(b, p)),
+            (Blame(a, a, p), Blame(b, a, p)),
+            (Blame(a, a, p), Blame(a, b, p)),
+            (Blame(a, a, p), Blame(a, a, q)),
+        ]:
+            object.__setattr__(y, "_hash", x._hash)  # a forced collision
+            assert x != y and y != x
+
+    def test_depth_is_not_limited_by_the_stack(self):
+        left, right = big_conj([p] * 3000), big_conj([p] * 3000)
+        assert left is not right and left == right
+        assert big_conj([p] * 2999 + [q]) != right
+        assert Implies(right, big_conj([q] + [p] * 2999)) != Implies(left, left)
+
 
 coalitions = st.frozensets(st.sampled_from(["a", "b", "c", "d"]), max_size=4)
 _atoms = st.one_of(

@@ -17,14 +17,13 @@ from dtw.game import (
     Play,
     indist_state,
     load_game,
-    matching_plays,
     render_game_file,
     tarasoff2_game,
     tarasoff_game,
     validate_game,
 )
 
-from oracles import naive_indist, random_small_game
+from oracles import matching_plays, naive_indist, random_small_game
 
 MINIMAL = """
 agents: a

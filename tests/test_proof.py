@@ -33,6 +33,7 @@ from dtw.proof import (
     Tautology,
     Theorem,
     apply_deduction_theorem,
+    boolean_atoms,
     check_proof,
     is_tautology,
     match_axiom,
@@ -169,6 +170,12 @@ class TestTautology:
         f = big_disj([Prop(f"x{i}") for i in range(21)])
         with pytest.raises(TooManyAtomsError):
             is_tautology(f)
+
+    def test_depth_is_not_limited_by_the_stack(self):
+        atoms = [Prop(f"x{i % 7}") for i in range(3000)]  # about 6,000 levels
+        assert is_tautology(Implies(big_conj(atoms), Prop("x6")))
+        assert boolean_atoms(Implies(big_conj(atoms), Know(A, p))) == [
+            Prop(f"x{i}") for i in range(7)] + [Know(A, p)]
 
 
 def two_axiom_script():

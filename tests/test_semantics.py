@@ -19,7 +19,6 @@ from dtw.game import (
     ActionProfile,
     Play,
     make_game,
-    matching_plays,
     tarasoff2_game,
     tarasoff_game,
 )
@@ -38,6 +37,7 @@ from dtw.semantics import (
 )
 
 from oracles import (
+    matching_plays,
     naive_holds,
     naive_refutation,
     naive_valid,
