@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import DtwError
@@ -351,14 +352,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (_CliError, DtwError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning  # one line, no source location
+        try:
+            return args.func(args)
+        except (_CliError, DtwError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def run() -> None:  # console-script entry point

@@ -90,14 +90,24 @@ class Frame:
     """The structure that ``K`` and ``B`` read, as int masks over positions:
     the plays of a game, or the play slots of a structure in exhaustive
     search.  Each coalition's blocks and each actor coalition's action rows
-    are built on first use and kept."""
+    are built on first use and kept.
 
-    def __init__(self, states, block_index, state, actions, action):
+    Positions come in lanes, one model each: lane j is the ``shift`` bits
+    from j*(shift+1), and the bit above them is its guard bit, set in
+    ``guard``.  ``low`` sets every position of every lane.  A game is one
+    lane; exhaustive search packs many models of one structure side by side.
+    """
+
+    def __init__(self, states, block_index, state, actions, action, shift,
+                 guard=None):
         self.states = states  # initial states
         self.block_index = block_index  # agent -> state -> its block number
         self.state = state  # initial state -> its positions
         self.actions = actions  # declared action order
         self.action = action  # (agent, action) -> positions where taken
+        self.shift = shift  # positions per lane
+        self.guard = 1 << shift if guard is None else guard
+        self.low = self.guard - (self.guard >> shift)
         self._blocks: Dict[Coalition, tuple] = {}
         self._rows: Dict[Coalition, tuple] = {}
 
@@ -171,7 +181,7 @@ class Game:
         prop = {name: sum(1 << index[p] for p in members if p in index)
                 for name, members in self.valuation.items()}
         frame = Frame(self.initial_states, self._block_index, state,
-                      self.actions, action)
+                      self.actions, action, len(self.plays))
         return PlayMasks(index, (1 << len(self.plays)) - 1, prop, frame)
 
     def has_play(self, play: Play) -> bool:

@@ -144,19 +144,39 @@ class Evaluator:
 
 def _modal_mask(frame: Frame, f: Formula, full: int, body: int) -> int:
     """Where ``K`` or ``B`` node f holds among the positions of ``full``,
-    given body, the mask of its child.
+    given body, the mask of its child, lane by lane (see :class:`Frame`).
 
-    ``K[C]`` keeps the C-blocks (restricted to full) lying inside body.
-    ``B[C][D]`` keeps block & body when some joint action of D rules out
-    all of it.  Distinct blocks are disjoint, so their union is a sum.
+    ``K[C]`` keeps a C-block (restricted to full) in the lanes where it lies
+    inside body.  ``B[C][D]`` keeps block & body in the lanes where some
+    joint action of D rules out all of it.  Distinct blocks are disjoint.
     """
-    blocks = frame.blocks(f.knowers)[1]
-    if isinstance(f, Know):
-        return sum(live for live in (block & full for block in blocks)
-                   if live & body == live)
-    rows = frame.rows(f.actors)
-    return sum(live for live in (block & body for block in blocks)
-               if _first_preventing(live, rows) is not None)
+    guard, low, shift = frame.guard, frame.low, frame.shift
+    rows = None if isinstance(f, Know) else frame.rows(f.actors)
+    out = 0
+    for block in frame.blocks(f.knowers)[1]:
+        if rows is None:
+            live = block & full
+            kept = guard & ~((live & ~body) + low)
+        else:
+            live = block & body
+            kept = _prevented(live, rows, guard, low)
+        if kept:
+            out |= live if kept == guard else live & (kept - (kept >> shift))
+    return out
+
+
+def _prevented(live: int, rows: tuple, guard: int, low: int) -> int:
+    """The guard bits of the lanes where some joint action of the actors
+    rules out every position of live (``rows`` as in _first_preventing).
+    A lane's x is zero iff x + low leaves its guard bit clear."""
+    if not rows:
+        return guard & ~(live + low)
+    out = 0
+    for taken in rows[0]:
+        out |= _prevented(live & taken, rows[1:], guard, low)
+        if out == guard:
+            break
+    return out
 
 
 def _first_preventing(live: int, rows: tuple) -> Optional[tuple]:
@@ -427,6 +447,7 @@ class Structure(NamedTuple):
     width: int  # slots per cell
     props: Tuple[str, ...]
     prop_index: Dict[str, int]  # proposition -> its place in Model.prop
+    choices: tuple  # per label choice: its slots in cell 0, then each prop's
     frame: Frame  # states, partitions and actions over the slots
 
 
@@ -440,18 +461,8 @@ class Model(NamedTuple):
 
     def mask(self, program) -> int:
         """The present slots where the compiled formula holds."""
-        frame, full, prop = self.structure.frame, self.full, self.prop
-        index = self.structure.prop_index
-        nodes = program.nodes
-
-        def leaf(i, body):
-            f = nodes[i]
-            if isinstance(f, Prop):
-                slot = index.get(f.name)
-                return 0 if slot is None else prop[slot]
-            return _modal_mask(frame, f, full, body)
-
-        return run_masks(program, full, leaf)[-1]
+        s = self.structure
+        return _run_model(program, s.frame, s.prop_index, (self.full,) + self.prop)
 
     def game(self) -> Game:
         """The model as a Game: plays in slot order, outcome o<i> for slot i."""
@@ -482,6 +493,21 @@ class Model(NamedTuple):
         return game, game.plays[(self.full & below).bit_count()]
 
 
+def _run_model(program, frame: Frame, prop_index, masks: tuple) -> int:
+    """Where the compiled formula holds among the present slots masks[0],
+    given each proposition's slots in the rest of masks."""
+    nodes, full = program.nodes, masks[0]
+
+    def leaf(i, body):
+        f = nodes[i]
+        if isinstance(f, Prop):
+            slot = prop_index.get(f.name)
+            return 0 if slot is None else masks[slot + 1]
+        return _modal_mask(frame, f, full, body)
+
+    return run_masks(program, full, leaf)[-1]
+
+
 def enumerate_games(
     formula_agents: Tuple[str, ...],
     props: Tuple[str, ...],
@@ -494,6 +520,14 @@ def enumerate_games(
     Raises ResourceLimitError upfront when the implied model count exceeds
     the budget.
     """
+    for structure in _structures(formula_agents, props, bounds, model_budget):
+        for masks in _label_odometer(structure, len(structure.cells)):
+            yield Model(structure, masks[0], masks[1:])
+
+
+def _structures(formula_agents, props, bounds, model_budget) -> Iterator[Structure]:
+    """The structures of the enumeration in order, once the model count
+    is within the budget."""
     limit = budget("exhaustive-models", model_budget)
     total = count_models(formula_agents, props, bounds, limit)
     if total > limit:
@@ -510,6 +544,9 @@ def enumerate_games(
     prop_index = {name: i for i, name in enumerate(props)}
     choices = _label_choices(props, bounds.max_outcomes)
     width = max(len(choice) for choice in choices)
+    choice_masks = tuple(((1 << len(choice)) - 1,) + tuple(
+        sum(1 << i for i, label in enumerate(choice) if name in label)
+        for name in props) for choice in choices)
     for n_agents in range(min_agents, max(min_agents, bounds.max_agents) + 1):
         agents = (base + extras)[:n_agents] if base else extras[:n_agents]
         for n_initial in range(1, bounds.max_initial + 1):
@@ -521,10 +558,10 @@ def enumerate_games(
                 partitions = dict(zip(agents, combo))
                 blocks = index_blocks(partitions)
                 for actions, cells, state, action in layouts:
-                    frame = Frame(states, blocks, state, actions, action)
-                    structure = Structure(agents, states, partitions, actions,
-                                          cells, width, props, prop_index, frame)
-                    yield from _label_odometer(structure, choices)
+                    frame = Frame(states, blocks, state, actions, action,
+                                  len(cells) * width)
+                    yield Structure(agents, states, partitions, actions, cells,
+                                    width, props, prop_index, choice_masks, frame)
 
 
 def _slot_layout(agents, states, n_actions, width):
@@ -545,33 +582,24 @@ def _slot_layout(agents, states, n_actions, width):
     return actions, cells, state, action
 
 
-def _label_odometer(structure: Structure, choices) -> Iterator[Model]:
-    """The structure's models, one per assignment of a label choice to each
-    cell, in odometer order (the last cell turns fastest)."""
-    width, props = structure.width, structure.props
-    # Per choice: the slots it fills in cell 0, and where each prop holds.
-    masks = [((1 << len(choice)) - 1,
-              tuple(sum(1 << i for i, label in enumerate(choice) if name in label)
-                    for name in props))
-             for choice in choices]
+def _label_odometer(structure: Structure, n_cells: int) -> Iterator[tuple]:
+    """The present slots, then each proposition's slots, of each assignment
+    of a label choice to the first n_cells cells (the others left empty), in
+    odometer order (the last cell turns fastest)."""
+    width, choices = structure.width, structure.choices
     # Per cell and choice: the XOR that turns it into the next choice.
-    turns = [[((a_full ^ b_full) << c * width,
-               tuple((p ^ q) << c * width for p, q in zip(a_prop, b_prop)))
-              for (a_full, a_prop), (b_full, b_prop) in zip(masks, masks[1:] + masks[:1])]
-             for c in range(len(structure.cells))]
-    full = sum(masks[0][0] << c * width for c in range(len(turns)))
-    prop = tuple(sum(p << c * width for c in range(len(turns)))
-                 for p in masks[0][1])
-    digits = [0] * len(turns)
-    last = len(masks) - 1
+    turns = [[tuple((a ^ b) << c * width for a, b in zip(this, after))
+              for this, after in zip(choices, choices[1:] + choices[:1])]
+             for c in range(n_cells)]
+    masks = tuple(sum(m << c * width for c in range(n_cells)) for m in choices[0])
+    digits = [0] * n_cells
+    last = len(choices) - 1
     while True:
-        yield Model(structure, full, prop)
-        c = len(digits) - 1
+        yield masks
+        c = n_cells - 1
         while c >= 0:
             d = digits[c]
-            turn_full, turn_prop = turns[c][d]
-            full ^= turn_full
-            prop = tuple(map(int.__xor__, prop, turn_prop))
+            masks = tuple(map(int.__xor__, masks, turns[c][d]))
             if d < last:
                 digits[c] = d + 1
                 break
@@ -579,6 +607,55 @@ def _label_odometer(structure: Structure, choices) -> Iterator[Model]:
             c -= 1
         else:
             return
+
+
+# Exhaustive countermodel search evaluates many models of one structure in
+# each run of the mask program, as lanes of one wide int (see Frame).  A
+# structure's last k cells form the suffix: lane j of a batch holds the j-th
+# assignment to them in odometer order, for the largest k whose assignments
+# fit the lane budget.  The odometer turns the prefix cells, one batch per
+# prefix assignment, so batches in order and lanes in order follow the
+# enumeration, and the lowest miss is the first countermodel's.
+
+_LANE_BUDGET = 4096
+
+
+def _suffix_lanes(structure: Structure):
+    """For the structure's cell count: the number of prefix cells, the
+    replicator (bit 0 of every lane), and the present slots, then each
+    proposition's slots, of the suffix assignments, lane by lane."""
+    choices, width, c = structure.choices, structure.width, len(structure.cells)
+    stride = c * width + 1
+    table, rep, lanes = (0,) * len(choices[0]), 1, 1
+    while c > 0 and lanes * len(choices) <= _LANE_BUDGET:
+        # Cell c - 1 turns slower than the cells already in: one copy of
+        # the lanes so far per choice, with that choice in cell c - 1.
+        c -= 1
+        span = lanes * stride
+        table = tuple(sum((t | (choice[i] << c * width) * rep) << d * span
+                          for d, choice in enumerate(choices))
+                      for i, t in enumerate(table))
+        rep = sum(rep << d * span for d in range(len(choices)))
+        lanes *= len(choices)
+    return c, rep, table
+
+
+def _batches(structures) -> Iterator[Tuple[Structure, Frame, tuple]]:
+    """Each structure's models packed into lanes: per batch its structure,
+    its frame, and its present slots, then each proposition's slots."""
+    tables = {}
+    for s in structures:
+        n_cells = len(s.cells)
+        if n_cells not in tables:
+            tables[n_cells] = _suffix_lanes(s)
+        prefix, rep, table = tables[n_cells]
+        one = s.frame
+        frame = Frame(s.states, one.block_index,
+                      {key: m * rep for key, m in one.state.items()}, s.actions,
+                      {key: m * rep for key, m in one.action.items()},
+                      one.shift, rep << one.shift)
+        for masks in _label_odometer(s, prefix):
+            yield s, frame, tuple(m * rep | t for m, t in zip(masks, table))
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +669,10 @@ def countermodel_search(
 ) -> Optional[Tuple[Game, Play]]:
     """First (game, play) within bounds falsifying f, or None.
 
-    Exhaustive mode walks the documented deterministic enumeration; random
-    mode samples seeded games.  The agent universe starts from the agents
-    named in f (padded up to the bound); valuations range over the
-    propositions occurring in f.
+    Exhaustive mode walks the documented deterministic enumeration, a batch
+    of models at a time; random mode samples seeded games.  The agent
+    universe starts from the agents named in f (padded up to the bound);
+    valuations range over the propositions occurring in f.
     """
     base_agents = tuple(sorted(agents_of(f)))
     props = tuple(sorted(props_of(f)))
@@ -605,10 +682,15 @@ def countermodel_search(
         )
     if bounds.mode == "exhaustive":
         program = compile_masks(f)
-        for model in enumerate_games(base_agents, props, bounds, model_budget):
-            missed = model.full ^ model.mask(program)
+        structures = _structures(base_agents, props, bounds, model_budget)
+        for s, frame, masks in _batches(structures):
+            missed = masks[0] ^ _run_model(program, frame, s.prop_index, masks)
             if missed:
-                return model.answer(missed)
+                # The lowest miss is in the first lane that has one.
+                stride = frame.shift + 1
+                at = ((missed & -missed).bit_length() - 1) // stride * stride
+                lane = [m >> at & s.frame.low for m in masks + (missed,)]
+                return Model(s, lane[0], tuple(lane[1:-1])).answer(lane[-1])
         return None
     for game in _random_game_stream(base_agents, props, bounds):
         play = _first_play(game, game.masks.full ^ Evaluator(game).mask(f))

@@ -5,9 +5,10 @@ clauses with no caching, its own witness search in the documented order,
 and its own indistinguishability test; it deliberately shares no code with
 the package evaluator so the two can cross-check each other.  The truth
 table likewise evaluates one row at a time, independently of the
-package's bit-sliced check.  ``naive_models`` and ``naive_parse_formula``
-are earlier versions of the package's enumerator and parser, frozen so
-that their replacements can be compared with them.
+package's bit-sliced check.  ``naive_models``, ``stream_countermodel`` and
+``naive_parse_formula`` are earlier versions of the package's enumerator,
+per-model countermodel search and parser, frozen so that their
+replacements can be compared with them.
 """
 
 import itertools
@@ -22,16 +23,19 @@ from dtw.formula import (
     Know,
     Not,
     Prop,
+    agents_of,
     coalition,
+    compile_masks,
     conj,
     disj,
     dual_know,
     falsum,
     iff,
+    props_of,
 )
 from dtw.game import ActionProfile, Play, make_game
 from dtw.proof import ProofLine, ProofScript
-from dtw.semantics import SearchBounds, sample_game
+from dtw.semantics import SearchBounds, enumerate_games, sample_game
 
 
 def naive_indist(game, members, alpha, beta):
@@ -157,6 +161,19 @@ def naive_models(formula_agents, props, bounds):
                     for assignment in itertools.product(choices, repeat=len(cells)):
                         yield _game_from_labels(agents, states, partitions,
                                                 actions, cells, assignment, props)
+
+
+def stream_countermodel(f, bounds, model_budget=None):
+    """Exhaustive countermodel search one model at a time, frozen: the
+    first model of the package's stream that falsifies f, as (game, play)
+    at its lowest falsified slot, or None."""
+    program = compile_masks(f)
+    for model in enumerate_games(tuple(sorted(agents_of(f))),
+                                 tuple(sorted(props_of(f))), bounds, model_budget):
+        missed = model.full ^ model.mask(program)
+        if missed:
+            return model.answer(missed)
+    return None
 
 
 def _game_from_labels(agents, states, partitions, actions, cells, assignment,

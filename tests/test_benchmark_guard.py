@@ -1,7 +1,9 @@
 """The benchmark's own answer checks, run as tests: smoke passes of the
-search and prove workloads compare every answer with the references under
-``perfbench/``: the first countermodel byte for byte, and the verdicts on
-correct-by-construction proof scripts and their mutants."""
+search, modelcheck and prove workloads compare every answer with the
+references under ``perfbench/``: the first countermodel byte for byte, the
+verdicts, witnesses and refutations of the independent checker on games of
+hundreds of plays, and the verdicts on correct-by-construction proof
+scripts and their mutants."""
 
 import json
 import subprocess
@@ -25,6 +27,10 @@ def smoke_run(workload):
 
 def test_search_smoke_run_gets_every_answer_right():
     smoke_run("search")
+
+
+def test_modelcheck_smoke_run_gets_every_answer_right():
+    smoke_run("modelcheck")
 
 
 def test_prove_smoke_run_gets_every_answer_right():

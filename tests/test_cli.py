@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from dtw.cli import main
 from dtw.lemmas import example_files
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 PLAY = "Oct | poddar=1,parents=1,university=0 | dead"
 
 
@@ -106,6 +111,21 @@ class TestBudgetEnvironment:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "DTW_BUDGET" in err
+
+
+class TestUnvaluedProposition:
+    def test_warning_is_one_line_on_stderr(self, example_dir):
+        """The whole stderr of the command, byte for byte: no install path,
+        line number or source line; stdout is the verdict alone."""
+        run = subprocess.run(
+            [sys.executable, "-m", "dtw.cli", "valid", "tarasoff.game", "zzz -> zzz"],
+            cwd=example_dir, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert run.returncode == 0
+        assert run.stdout == b"holds\n"
+        assert run.stderr == (b"warning: proposition 'zzz' has no valuation in this "
+                              b"game; treating it as false everywhere\n")
 
 
 class TestDeepNesting:

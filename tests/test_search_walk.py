@@ -1,20 +1,26 @@
-"""The exhaustive walk against the frozen per-model enumerator.
+"""The exhaustive walk against the frozen per-model enumerator and search.
 
 ``oracles.naive_models`` builds one Game per model in the documented order.
 The walk must visit the same number of models and return the same first
 countermodel (byte for byte), the same refuting play, and, for exhaustive
 fuzzing, the same first counterexample at the same iteration.
+
+``oracles.stream_countermodel`` evaluates the model stream one model at a
+time; the batched search, which evaluates many models per run of the mask
+kernel, must return what it returns, wherever in a batch the first
+countermodel falls.
 """
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtw import axioms
+from dtw import axioms, semantics
 from dtw.errors import BadParamsError, ResourceLimitError
-from dtw.formula import agents_of, props_of, render
+from dtw.formula import agents_of, compile_masks, props_of, render
 from dtw.game import render_game_file
 from dtw.parser import parse_formula
 from dtw.semantics import (
@@ -29,7 +35,7 @@ from dtw.semantics import (
     valid_in_game,
 )
 
-from oracles import naive_holds, naive_models
+from oracles import naive_holds, naive_models, stream_countermodel
 
 # The search workload's formula templates: valid ones, then invalid ones.
 TEMPLATES = (
@@ -176,3 +182,100 @@ def test_model_budget_refuses_before_the_walk():
     with pytest.raises(ResourceLimitError):
         countermodel_search(parse_formula("K[a,b]p -> K[a]p"), TINY,
                             model_budget=10)
+
+
+# ---------------------------------------------------------------------------
+# Batched search against the frozen one-model-at-a-time search.
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def streamed(text, bounds):
+    return answer(stream_countermodel(parse_formula(text), bounds))
+
+
+def template_cases(bounds):
+    for template in TEMPLATES:
+        text = template.format(x="a", y="b", p="p")
+        if len(agents_of(parse_formula(text))) <= bounds.max_agents:
+            yield text
+
+
+def position(f, bounds):
+    """(batch, lane, lanes in the batch) of the first countermodel under
+    the current lane budget, counted along the model stream."""
+    program = compile_masks(f)
+    structure = None
+    for model in enumerate_games(*signature(f), bounds):
+        if model.structure is not structure:
+            structure, index = model.structure, 0
+        if model.full ^ model.mask(program):
+            prefix = semantics._suffix_lanes(structure)[0]
+            lanes = len(structure.choices) ** (len(structure.cells) - prefix)
+            return index // lanes, index % lanes, lanes
+        index += 1
+    return None
+
+
+# One agent, one state and up to two actions, three propositions and up to
+# three outcomes: a cell has 92 label choices, so a batch is 92 lanes and
+# the two-action structure has 8,464 models, 92 batches.  Its first
+# countermodel has every r-label in one cell and an r-free cell: the last
+# lane of the first batch, or, when the r-free cell must hold a {p} play,
+# the last lane of the second batch.
+#
+# The first lane of a later batch (suffix cells empty, a prefix cell not)
+# is out of reach at the real budget with bounds this small: relabelling
+# the actions moves the labelled prefix cell into the suffix, which gives a
+# model earlier in the order with the same verdicts.  The lane budget sweep
+# below reaches it with short suffixes.
+WIDE = SearchBounds(max_agents=1, max_initial=1, max_actions=2, max_outcomes=3)
+R_LABELS = "Kd[a](p & r & ~q) & Kd[a](q & r & ~p) & Kd[a](p & q & r)"
+AVOID_R = "K[a](r -> B[a][a]r)"
+
+
+@pytest.mark.parametrize("text, bounds, where", [
+    ("p", BOUNDS["defaults"], (0, 0, 3)),
+    ("p -> K[] p", BOUNDS["defaults"], (0, 2, 3)),
+    (f"~({R_LABELS} & {AVOID_R})", WIDE, (0, 91, 92)),
+    (f"~({R_LABELS} & Kd[a](p & ~q & ~r) & {AVOID_R})", WIDE, (1, 91, 92)),
+    ("false", BOUNDS["defaults"], (0, 0, 1)),
+    ("K[a]false -> K[b]false", BOUNDS["defaults"], None),
+    ("B[a][]p", BOUNDS["defaults"], (0, 0, 3)),
+    ("~B[a][]p -> K[a]p", BOUNDS["one-agent"], (0, 0, 3)),
+    ("p -> ~B[a][]p", BOUNDS["defaults"], None),
+], ids=["lane-0", "last-lane", "last-lane-of-92", "second-batch",
+        "no-propositions", "no-propositions-valid", "no-actors",
+        "no-actors-negated", "no-actors-valid"])
+def test_lane_edges_match_the_model_stream(text, bounds, where):
+    f = parse_formula(text)
+    assert position(f, bounds) == where
+    assert answer(countermodel_search(f, bounds)) == streamed(text, bounds)
+
+
+# Formulas whose first countermodel falls in the first lane of a later
+# batch at small lane budgets (3 lanes of 3 and 4 lanes of 4).
+LATER_BATCH = (("B[a][a] p -> B[][a] p", BOUNDS["one-agent"]),
+               ("B[a,b][a] p -> B[b][a] p", TINY))
+
+
+def test_lane_budgets_match_the_model_stream(monkeypatch):
+    """The 12 templates under the 4 bounds at the real lane budget and at
+    smaller ones.  With fewer lanes a batch, structures split into many
+    batches, so the first countermodels fall at every kind of lane: the
+    first lane of a later batch, a middle lane and the last lane."""
+    cases = [(text, bounds) for bounds in BOUNDS.values()
+             for text in template_cases(bounds)] + list(LATER_BATCH)
+    edges = set()
+    for budget in (semantics._LANE_BUDGET, 1, 2, 3, 4, 10, 100):
+        monkeypatch.setattr(semantics, "_LANE_BUDGET", budget)
+        for text, bounds in cases:
+            f = parse_formula(text)
+            assert answer(countermodel_search(f, bounds)) == \
+                streamed(text, bounds), (budget, text)
+            where = position(f, bounds) if bounds != BOUNDS["defaults"] else None
+            if where is not None and where[2] > 1:
+                batch, lane, lanes = where
+                edges.add("first of a later batch" if batch and not lane else
+                          "last" if lane == lanes - 1 else
+                          "middle" if lane else "first")
+    assert {"first of a later batch", "middle", "last"} <= edges
