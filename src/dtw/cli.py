@@ -37,7 +37,7 @@ class _CliError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -178,7 +178,7 @@ def _load_library_dir(library: Library, directory: Path) -> None:
     pending = {}
     for path in sorted(directory.glob("*.prf")):
         try:
-            pending[path.stem] = parse_script(path.read_text(encoding="utf-8"))
+            pending[path.stem] = parse_script(_read_text(path))
         except DtwError as exc:
             raise _CliError(f"library script {path.name}: {exc}") from exc
     progressing = True
@@ -266,10 +266,13 @@ def _cmd_example(args) -> int:
     if args.name != "tarasoff":
         raise _CliError(f"unknown example {args.name!r}; available: tarasoff")
     target = Path(args.dir)
-    target.mkdir(parents=True, exist_ok=True)
-    for name in sorted(files):
-        (target / name).write_text(files[name], encoding="utf-8")
-        print(f"wrote {target / name}")
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+        for name in sorted(files):
+            (target / name).write_text(files[name], encoding="utf-8")
+            print(f"wrote {target / name}")
+    except OSError as exc:
+        raise _CliError(f"cannot write to {target}: {exc}") from exc
     return 0
 
 
@@ -361,9 +364,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning  # one line, no source location
+        # A Warning is raised, not shown, when the filters say so (-W error).
         try:
             return args.func(args)
-        except (_CliError, DtwError) as exc:
+        except (_CliError, DtwError, Warning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -223,8 +223,7 @@ def render(f: Formula) -> str:
     """Canonical concrete syntax with minimal parentheses.
 
     ``parse_formula(render(f)) == f`` for every formula reachable from the
-    public grammar whose printed text nests at most ``parser.MAX_NESTING``
-    levels; coalition members print in sorted order and the falsum
+    public grammar; coalition members print in sorted order and the falsum
     encoding prints as ``false``.  Iterative, so depth is not limited by the
     interpreter's stack: text is written as soon as it is known, and what
     comes after the leftmost path of a subformula waits on a stack.

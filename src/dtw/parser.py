@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the concrete formula syntax.
+"""Operator-precedence parser for the concrete formula syntax.
 
 Grammar (whitespace-insensitive; precedence ``~`` > ``&`` > ``|`` > ``->``
 > ``<->``, modalities binding like negation)::
@@ -23,11 +23,15 @@ The input is split into tokens by one ``findall``, and each token is its
 own kind: the parser compares token texts, and any token that is not an
 operator, bracket or ``false`` is an identifier.  An empty string ends the
 list.  Character positions are recomputed only for an error message.
+Pending prefix operators, parentheses and infix operators wait on one
+explicit stack instead of in Python calls, so nesting is not limited by
+the interpreter's stack and any depth costs linear time and memory.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .errors import EmptyInputError, ParseError
 from .formula import (
@@ -51,19 +55,27 @@ _TOKEN_RE = re.compile(r"\s*(<->|->|[~&|(),\[\]]|[A-Za-z][A-Za-z0-9_]*|\S)")
 _EOF = ""
 _SYMBOLS = frozenset({"<->", "->", "~", "&", "|", "(", ")", ",", "[", "]", "false", _EOF})
 
-# Operands nested deeper than this are refused, so that parsing cannot
-# exhaust the stack: the parser recurses once per level.  Left-associated
-# chains such as ``p & p & p`` add no level and can build deeper ASTs; the
-# printer, formula equality and the tautology check walk those iteratively.
-MAX_NESTING = 100
 _MODALITY_HEADS = frozenset({"K", "Kd", "B"})
 _FORMULA_START = "a formula (identifier, 'false', '~', 'K[', 'Kd[', 'B[', or '(')"
+
+# Pending entries are ``(strength, builder, argument)``; applying one to the
+# operand that follows it gives ``builder(argument, operand)``, or
+# ``builder(operand)`` when the argument is None.  Before an infix operator
+# waits, it applies every pending entry at least as strong as its left
+# strength; it waits with its right strength.  ``->`` waits one weaker, so
+# the next ``->`` leaves it pending: it is right-associative.  A token that
+# is no infix operator applies every entry down to the innermost open
+# parenthesis, the only entry of strength 0.
+_INFIX = {"<->": (1, 1, iff), "->": (2, 1, Implies), "|": (3, 3, disj), "&": (4, 4, conj)}
+_NOT_INFIX = (1, None, None)
+_PREFIX = 5
+_NOT = (_PREFIX, Not, None)
+_OPEN = (0, None, None)
 
 
 class _Parser:
     """``toks`` ends in ``_EOF``, and ``i`` indexes the lookahead, which never
-    moves past it.  The ``depth`` arguments count the operand's nesting
-    level."""
+    moves past it."""
 
     def __init__(self, text: str):
         self.text = text
@@ -79,11 +91,10 @@ class _Parser:
             raise self.error(f"unexpected character {toks[self.i]!r}",
                              "an identifier, operator, bracket, or parenthesis")
 
-    def error(self, message: str, expected: str, at: int | None = None) -> ParseError:
-        """A ParseError at token ``at``, by default the lookahead."""
-        at = self.i if at is None else at
+    def error(self, message: str, expected: str) -> ParseError:
+        """A ParseError at the lookahead."""
         starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(self.text)]
-        pos = starts[at] if at < len(starts) else len(self.text) + 1
+        pos = starts[self.i] if self.i < len(starts) else len(self.text) + 1
         return ParseError(message, pos=pos, expected=expected)
 
     def unexpected(self, expected: str, after: str = "") -> ParseError:
@@ -92,74 +103,61 @@ class _Parser:
             return self.error("unexpected end of input", expected)
         return self.error(f"unexpected {tok!r}{after}", expected)
 
-    def too_deep(self, at: int) -> ParseError:
-        return self.error(f"formula nested more than {MAX_NESTING} levels deep",
-                          "a less deeply nested formula", at)
-
-    def formula(self, depth: int) -> Formula:
-        out = self.impl(depth)
-        while self.toks[self.i] == "<->":
-            self.i += 1
-            out = iff(out, self.impl(depth))
-        return out
-
-    def impl(self, depth: int) -> Formula:
-        """A disjunction of conjunctions, then an optional ``->`` operand."""
+    def formula(self) -> Formula:
+        """Operator-precedence parsing over one explicit stack of pending
+        entries, so that nesting costs stack entries, not Python calls."""
         toks = self.toks
-        term = self.unary(depth)
-        left = None
-        while True:
-            tok = toks[self.i]
-            if tok == "&":
-                self.i += 1
-                term = conj(term, self.unary(depth))
-            elif tok == "|":
-                self.i += 1
-                left = term if left is None else disj(left, term)
-                term = self.unary(depth)
-            else:
-                break
-        if left is not None:
-            term = disj(left, term)
-        if tok != "->":
-            return term
-        if depth == MAX_NESTING:
-            raise self.too_deep(self.i)
-        self.i += 1
-        return Implies(term, self.impl(depth + 1))
-
-    def unary(self, depth: int) -> Formula:
+        stack = []
         i = self.i
-        tok = self.toks[i]
-        if tok not in _SYMBOLS:
-            self.i = i + 1
-            if tok not in _MODALITY_HEADS or self.toks[i + 1] != "[":
-                return Prop(tok)
-            knowers = self.coal()
-            actors = self.coal() if tok == "B" else None
-        elif tok == "~" or tok == "(":
-            self.i = i + 1
-        elif tok == "false":
-            self.i = i + 1
-            return falsum()
-        else:
-            raise self.unexpected(_FORMULA_START)
-        if depth == MAX_NESTING:
-            raise self.too_deep(i)
-        if tok == "(":
-            inner = self.formula(depth + 1)
-            if self.toks[self.i] != ")":
-                raise self.unexpected("')'")
-            self.i += 1
-            return inner
-        child = self.unary(depth + 1)
-        if tok == "~":
-            return Not(child)
-        if tok == "K":
-            return Know(knowers, child)
-        if tok == "Kd":
-            return dual_know(knowers, child)
-        return Blame(knowers, actors, child)
+        while True:
+            # Operand position: prefix operators and parentheses wait on the
+            # stack until an atom comes.
+            tok = toks[i]
+            i += 1
+            if tok not in _SYMBOLS:
+                if tok not in _MODALITY_HEADS or toks[i] != "[":
+                    out = Prop(tok)
+                else:
+                    self.i = i
+                    knowers = self.coal()
+                    if tok == "B":
+                        entry = (_PREFIX, partial(Blame, knowers, self.coal()), None)
+                    else:
+                        entry = (_PREFIX, Know if tok == "K" else dual_know, knowers)
+                    stack.append(entry)
+                    i = self.i
+                    continue
+            elif tok == "~":
+                stack.append(_NOT)
+                continue
+            elif tok == "(":
+                stack.append(_OPEN)
+                continue
+            elif tok == "false":
+                out = falsum()
+            else:
+                self.i = i - 1
+                raise self.unexpected(_FORMULA_START)
+            # Operator position: apply what binds at least as tightly as the
+            # next token, then close parentheses until an infix operator.
+            while True:
+                tok = toks[i]
+                left, right, builder = _INFIX.get(tok, _NOT_INFIX)
+                while stack and stack[-1][0] >= left:
+                    _, apply, arg = stack.pop()
+                    out = apply(out) if arg is None else apply(arg, out)
+                if builder is not None:
+                    stack.append((right, builder, out))
+                    i += 1
+                    break
+                if tok == ")" and stack:
+                    stack.pop()
+                    i += 1
+                    continue
+                self.i = i
+                if stack:
+                    raise self.unexpected("')'")
+                return out
 
     def coal(self):
         toks = self.toks
@@ -190,15 +188,13 @@ def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into the core AST.
 
     Raises :class:`ParseError` with a 1-based character position and an
-    expected-token hint on malformed input or on operands nested more than
-    ``MAX_NESTING`` levels deep (each ``~``, modality, parenthesis and
-    right operand of ``->`` is one level), and :class:`EmptyInputError`
+    expected-token hint on malformed input, and :class:`EmptyInputError`
     when the input is blank.
     """
     parser = _Parser(text)
     if parser.toks[0] == _EOF:
         raise EmptyInputError()
-    out = parser.formula(0)
+    out = parser.formula()
     parser.end("formula")
     return out
 

@@ -342,11 +342,7 @@ class ScriptBuilder:
             just = line.justification
             if isinstance(just, Hypothesis):
                 raise BadParamsError("cannot embed a script that uses hypotheses")
-            if isinstance(just, ModusPonens):
-                just = ModusPonens(mapping[just.premise], mapping[just.implication])
-            elif isinstance(just, Necessitation):
-                just = Necessitation(mapping[just.source], just.knowers)
-            mapping[old_idx] = self.add(line.formula, just)
+            mapping[old_idx] = self.add(line.formula, _renumber(just, mapping))
         return mapping
 
     def build(self, goal: Optional[Formula] = None, prune: bool = True) -> ProofScript:
@@ -359,6 +355,15 @@ class ScriptBuilder:
         if prune:
             lines = _prune_lines(lines)
         return ProofScript(self.hypotheses, lines, goal)
+
+
+def _renumber(just: Justification, new: Mapping[int, int]) -> Justification:
+    """The justification with its line references mapped through ``new``."""
+    if isinstance(just, ModusPonens):
+        return ModusPonens(new[just.premise], new[just.implication])
+    if isinstance(just, Necessitation):
+        return Necessitation(new[just.source], just.knowers)
+    return just
 
 
 def _refs_of(just: Justification) -> Tuple[int, ...]:
@@ -381,16 +386,9 @@ def _prune_lines(lines: Tuple[ProofLine, ...]) -> Tuple[ProofLine, ...]:
         stack.extend(_refs_of(lines[idx - 1].justification))
     keep = sorted(needed)
     renumber = {old: new for new, old in enumerate(keep, start=1)}
-    out = []
-    for old in keep:
-        line = lines[old - 1]
-        just = line.justification
-        if isinstance(just, ModusPonens):
-            just = ModusPonens(renumber[just.premise], renumber[just.implication])
-        elif isinstance(just, Necessitation):
-            just = Necessitation(renumber[just.source], just.knowers)
-        out.append(ProofLine(line.formula, just))
-    return tuple(out)
+    return tuple(ProofLine(lines[old - 1].formula,
+                           _renumber(lines[old - 1].justification, renumber))
+                 for old in keep)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +448,7 @@ def apply_deduction_theorem(script: ProofScript,
             lifted[idx] = builder.mp(lifted[just.premise], step)
             continue
         # Hypothesis-free: copy verbatim (remapping references), then lift.
-        if isinstance(just, ModusPonens):
-            new_just: Justification = ModusPonens(copied[just.premise],
-                                                  copied[just.implication])
-        elif isinstance(just, Necessitation):
-            new_just = Necessitation(copied[just.source], just.knowers)
-        else:
-            new_just = just
-        copied[idx] = builder.add(formula, new_just)
+        copied[idx] = builder.add(formula, _renumber(just, copied))
         weaken = builder.taut(Implies(formula, Implies(chi, formula)))
         lifted[idx] = builder.mp(copied[idx], weaken)
 
@@ -483,12 +474,12 @@ def parse_script(text: str) -> ProofScript:
         if stripped.startswith("hyp:"):
             if lines:
                 raise ParseError("hypotheses must precede proof lines", line=lineno)
-            hypotheses.append(_parse_part(stripped[4:], lineno))
+            hypotheses.append(_at_line(lineno, parse_formula, stripped[4:]))
             continue
         if stripped.startswith("goal:"):
             if goal is not None:
                 raise ParseError("duplicate goal line", line=lineno)
-            goal = _parse_part(stripped[5:], lineno)
+            goal = _at_line(lineno, parse_formula, stripped[5:])
             continue
         m = _LINE_RE.match(stripped)
         if m is None:
@@ -510,9 +501,10 @@ def parse_script(text: str) -> ProofScript:
     return ProofScript(tuple(hypotheses), tuple(lines), goal)
 
 
-def _parse_part(text: str, lineno: int) -> Formula:
+def _at_line(lineno: int, parse, text: str):
+    """``parse(text)``, with a ParseError raised again carrying the line."""
     try:
-        return parse_formula(text)
+        return parse(text)
     except ParseError as exc:
         raise ParseError(exc.message, pos=exc.pos, expected=exc.expected,
                          line=lineno) from None
@@ -529,7 +521,7 @@ def _split_justification(text: str, lineno: int) -> Tuple[Formula, Justification
                                               _int_arg(args[1], lineno))
         else:
             just = Necessitation(_int_arg(args[0], lineno),
-                                 _coal_arg(args[1], lineno))
+                                 _at_line(lineno, parse_coalition_token, args[1]))
     elif len(tokens) >= 3 and tokens[-2] in ("axiom", "hyp", "thm"):
         head, arg = tokens[-2], tokens[-1]
         formula_text = text.rsplit(None, 2)[0]
@@ -549,7 +541,7 @@ def _split_justification(text: str, lineno: int) -> Tuple[Formula, Justification
             expected="axiom <name>, taut, hyp <k>, thm <id>, mp <i> <j>, "
                      "or nec <i> [<agents>]",
         )
-    return _parse_part(formula_text, lineno), just
+    return _at_line(lineno, parse_formula, formula_text), just
 
 
 def _int_arg(token: str, lineno: int) -> int:
@@ -557,14 +549,6 @@ def _int_arg(token: str, lineno: int) -> int:
         return int(token)
     except ValueError:
         raise ParseError(f"expected a line number, got {token!r}",
-                         line=lineno) from None
-
-
-def _coal_arg(token: str, lineno: int) -> Coalition:
-    try:
-        return parse_coalition_token(token)
-    except ParseError as exc:
-        raise ParseError(exc.message, pos=exc.pos, expected=exc.expected,
                          line=lineno) from None
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -127,20 +128,31 @@ class TestUnvaluedProposition:
         assert run.stderr == (b"warning: proposition 'zzz' has no valuation in this "
                               b"game; treating it as false everywhere\n")
 
+    def test_warning_made_an_error_exits_two_with_one_line(self, example_dir):
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dtw.cli", "valid", "tarasoff.game",
+             "zzz -> zzz"],
+            cwd=example_dir, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert run.returncode == 2
+        assert run.stdout == b""
+        assert run.stderr == (b"error: proposition 'zzz' has no valuation in this "
+                              b"game; treating it as false everywhere\n")
+
 
 class TestDeepNesting:
-    @pytest.mark.parametrize("text", [
-        "(" * 400 + "killed" + ")" * 400,
-        "~" * 5000 + "killed",
-    ])
-    def test_exits_two_with_one_line(self, example_dir, capsys, text):
-        code, out, err = run(capsys, [
-            "valid", str(example_dir / "tarasoff.game"), text,
-        ])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "nested more than" in err and "position 101" in err
+    @pytest.mark.parametrize("opener, code", [
+        ("~", 1), ("(", 1), ("K[parents] ", 1), ("B[university][parents] ", 1),
+        ("killed -> ", 0),
+    ], ids=["~", "(", "K", "B", "->"])
+    def test_prints_a_verdict(self, example_dir, capsys, opener, code):
+        """100,000 levels: a verdict on stdout, nothing on stderr."""
+        depth = 10**5
+        text = opener * depth + "killed" + ")" * (depth if opener == "(" else 0)
+        got, out, err = run(capsys, ["valid", str(example_dir / "tarasoff.game"), text])
+        assert (got, err) == (code, "")
+        assert out.startswith("holds\n" if code == 0 else "does not hold\nrefuted by play: ")
 
 
 class TestProve:
@@ -172,11 +184,19 @@ class TestProve:
         ])
         assert code == 1
 
+    def test_non_utf8_library_script_exits_two_with_one_line(self, example_dir,
+                                                              tmp_path, capsys):
+        (tmp_path / "bad.prf").write_bytes(b"goal: p\n1. \xff   taut\n")
+        code, out, err = run(capsys, [
+            "prove", str(example_dir / "lemma3_a_b_p.prf"), "--library", str(tmp_path),
+        ])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
 
 class TestDeepProofLine:
-    """A left-associated chain parses to an AST about 1,200 levels deep
-    within the nesting limit; checking, comparing and printing it must
-    not recurse once per level."""
+    """A left-associated chain parses to an AST about 1,200 levels deep;
+    checking, comparing and printing it must not recurse once per level."""
 
     CHAIN = "(" + " & ".join(["p"] * 600) + ") -> p"
 
@@ -310,6 +330,13 @@ class TestExample:
         code, _, err = run(capsys, ["example", "trolley"])
         assert code == 2
 
+    def test_dir_that_is_a_file_exits_two_with_one_line(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code, out, err = run(capsys, ["example", "tarasoff", "--dir", str(taken)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write to ") and err.count("\n") == 1
+
 
 # Arbitrary text, and text close enough to the syntax to get past the parser.
 _FORMULA_PIECES = ("killed", "dead", "p", "K", "B", "Kd", "[", "]", ",", "(", ")",
@@ -346,16 +373,17 @@ def workdir(tmp_path_factory):
 
 class TestExitCodeContract:
     """Every input ends in exit code 0, 1 or 2 with no exception escaping:
-    2 for operational errors, argparse's usage errors included."""
+    2 for operational errors, argparse's usage errors and warnings that the
+    filters turn into errors included."""
 
     @pytest.mark.filterwarnings("ignore:proposition")
     @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(command=st.sampled_from(("check", "valid", "minimal", "prove", "countermodel")),
            game=_games, play=_plays, formula=_formulas, kind=st.integers(1, 4),
-           as_json=st.booleans())
+           as_json=st.booleans(), warnings_are_errors=st.booleans())
     def test_exit_code_is_zero_one_or_two(self, workdir, command, game, play,
-                                          formula, kind, as_json):
+                                          formula, kind, as_json, warnings_are_errors):
         game_path = workdir / "arbitrary.game"
         game_path.write_bytes(game if isinstance(game, bytes) else game.encode())
         script_path = workdir / "arbitrary.prf"
@@ -374,7 +402,10 @@ class TestExitCodeContract:
                              "--max-outcomes", "1"],
         }[command] + (["--json"] if as_json else [])
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            if warnings_are_errors:
+                warnings.simplefilter("error")
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse's usage errors and --help

@@ -1,16 +1,28 @@
 """The formula parser against the frozen token-at-a-time parser in
-``oracles.py``: on every input, the same AST, or the same error with the
-same message, position and hint."""
+``frozen_parser.py``: on every input, the same AST, or the same error with
+the same message, position and hint.  The frozen parser's nesting limit is
+lifted, since the package parser has none, so inputs around the old limit
+are compared AST for AST."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dtw.proof
+import frozen_parser
 from dtw.errors import ParseError
-from dtw.parser import MAX_NESTING, parse_coalition_token, parse_formula
+from dtw.parser import parse_coalition_token, parse_formula
 from dtw.proof import parse_script
-from oracles import naive_parse_coalition_token, naive_parse_formula
+from frozen_parser import naive_parse_coalition_token, naive_parse_formula
+
+OLD_LIMIT = frozen_parser._NAIVE_MAX_NESTING
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _lift_the_frozen_limit():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frozen_parser, "_NAIVE_MAX_NESTING", float("inf"))
+        yield
 
 # Tokens, near-tokens and characters that start no token.
 PIECES = (
@@ -42,8 +54,9 @@ spliced = st.builds(lambda text, soup, at: text[:at] + soup + text[at:],
 @st.composite
 def deep(draw):
     """An operand at 99, 100 or 101 levels of nesting, the levels opened by
-    a repeated pattern of the constructs that count, then a tail."""
-    depth = draw(st.sampled_from((MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1)))
+    a repeated pattern of the constructs that the old limit counted, then a
+    tail."""
+    depth = draw(st.sampled_from((OLD_LIMIT - 1, OLD_LIMIT, OLD_LIMIT + 1)))
     pattern = draw(st.lists(st.sampled_from(("~", "(", "K[a]", "Kd[]", "B[a][b]", "p -> ")),
                             min_size=1, max_size=4))
     openers = (pattern * depth)[:depth]
@@ -84,7 +97,7 @@ def test_chains_match_the_frozen_parser(text):
     assert outcome(parse_formula, text) == outcome(naive_parse_formula, text)
 
 
-@pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
+@pytest.mark.parametrize("depth", [OLD_LIMIT - 1, OLD_LIMIT, OLD_LIMIT + 1])
 @pytest.mark.parametrize("opener", ["~", "(", "K[a]", "Kd[]", "B[a][b]", "p -> ", "K[", "B[a]"])
 @pytest.mark.parametrize("core", ["p", "p <-> ~q"])
 def test_nesting_limit_matches_the_frozen_parser(depth, opener, core):

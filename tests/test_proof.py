@@ -20,6 +20,7 @@ from dtw.formula import (
     falsum,
     render,
 )
+from dtw.lemmas import bundled_scripts, gen_lemma6
 from dtw.parser import parse_formula
 from dtw.proof import (
     Axiom,
@@ -335,7 +336,54 @@ class TestDeduction:
             apply_deduction_theorem(bogus)
 
 
+_small_formulas = st.recursive(
+    st.sampled_from(ATOM_POOL + [falsum()]),
+    lambda kids: st.one_of(_connectives(kids),
+                           st.builds(Know, st.frozensets(st.sampled_from("abc")), kids)),
+    max_leaves=8,
+)
+# Long conjunctions print one parenthesis deeper per term.
+_formulas = st.one_of(_small_formulas, st.builds(lambda f, n: big_conj([f] * n),
+                                                 _small_formulas, st.integers(2, 300)))
+_justifications = st.one_of(
+    st.builds(Axiom, st.sampled_from(sorted(axioms.AXIOM_SCHEMAS))),
+    st.just(Tautology()),
+    st.builds(Hypothesis, st.integers(1, 9)),
+    st.builds(Theorem, st.sampled_from(("identity", "lemma3(C=[a];D=[b];phi=p)"))),
+    st.builds(ModusPonens, st.integers(1, 9), st.integers(1, 9)),
+    st.builds(Necessitation, st.integers(1, 9), st.frozensets(st.sampled_from("abc"))),
+)
+_scripts = st.builds(
+    ProofScript,
+    st.lists(_formulas, max_size=2).map(tuple),
+    st.lists(st.builds(ProofLine, _formulas, _justifications), min_size=1,
+             max_size=4).map(tuple),
+    _formulas,
+)
+
+
+def _generated_scripts():
+    """The bundled corpus, lemma 6 for n = 2..6, and a script whose line is
+    a 600-term conjunction, which prints about 600 parentheses deep."""
+    yield from bundled_scripts().items()
+    for n in range(2, 7):
+        agents = [coalition({f"a{i}"}) for i in range(2 * n)]
+        yield f"lemma6_n{n}", gen_lemma6(agents[:n], agents[n:],
+                                         [Prop(f"x{i}") for i in range(n)])
+    chain = Implies(big_conj([p] * 600), p)
+    yield "chain", ProofScript((), (ProofLine(chain, Tautology()),), chain)
+
+
 class TestScriptFiles:
+    def test_rendered_scripts_parse_back(self):
+        for name, script in _generated_scripts():
+            assert parse_script(render_script(script)) == script, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scripts)
+    def test_rendered_random_scripts_parse_back(self, script):
+        assert parse_script(render_script(script)) == script
+
     def test_round_trip_all_justifications(self):
         lib = Library()
         lib.register("identity", parse_formula("p -> p"))
