@@ -1,198 +1,72 @@
-"""Axiom schemas: structural patterns over formula and coalition
-metavariables, with instantiation, matching, and side conditions.
+"""Axiom schemas: formulas over metavariables, with instantiation,
+matching, and side conditions.
+
+Each schema is written in the concrete syntax and parsed like any formula.
+Its propositions are the formula metavariables and its coalition members
+are the coalition metavariables: a coalition of several members, such as
+the ``[C,E]`` of ``B[C,E][D,F]``, stands for the union of their values, and
+``[]`` is the empty coalition.
 
 Matching is purely structural on the desugared core AST (no reasoning
-modulo equivalence).  Coalition metavariables bind to concrete coalitions;
-union patterns are checked against the bindings made earlier in a
-left-to-right traversal, which suffices for every schema defined here.
+modulo equivalence).  A one-member coalition binds its metavariable or
+compares with the binding; a union is checked against the bindings made
+earlier in a left-to-right traversal, which suffices for every schema
+defined here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
-from .formula import Blame, Coalition, Formula, Implies, Know, Not, coalition
+from .formula import (Blame, Coalition, Formula, Implies, Know, Not, Prop, agents_of,
+                      props_of)
+from .parser import parse_formula
 
-
-# --- pattern nodes ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class FVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class CVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class CUnion:
-    left: "CExpr"
-    right: "CExpr"
-
-
-@dataclass(frozen=True)
-class CConst:
-    members: Coalition
-
-
-CExpr = Union[CVar, CUnion, CConst]
-
-
-@dataclass(frozen=True)
-class PNot:
-    child: "Pattern"
-
-
-@dataclass(frozen=True)
-class PImplies:
-    left: "Pattern"
-    right: "Pattern"
-
-
-@dataclass(frozen=True)
-class PKnow:
-    knowers: CExpr
-    child: "Pattern"
-
-
-@dataclass(frozen=True)
-class PBlame:
-    knowers: CExpr
-    actors: CExpr
-    child: "Pattern"
-
-
-Pattern = Union[FVar, PNot, PImplies, PKnow, PBlame]
-
-
-def p_conj(a: Pattern, b: Pattern) -> Pattern:
-    return PNot(PImplies(a, PNot(b)))
-
-
-def p_disj(a: Pattern, b: Pattern) -> Pattern:
-    return PImplies(PNot(a), b)
-
-
-def p_dual_know(c: CExpr, f: Pattern) -> Pattern:
-    return PNot(PKnow(c, PNot(f)))
-
-
-# --- schemas ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Schema:
     name: str
-    pattern: Pattern
+    pattern: Formula
     formula_vars: Tuple[str, ...]
     coalition_vars: Tuple[str, ...]
     # side conditions: ("subset", small, large) or ("disjoint", a, b)
     side: Tuple[Tuple[str, str, str], ...] = ()
 
 
-_phi, _psi = FVar("phi"), FVar("psi")
-_C, _D, _E, _F = CVar("C"), CVar("D"), CVar("E"), CVar("F")
+def _schemas(*specs) -> Dict[str, Schema]:
+    """Parse ``(name, text, *side)`` specs into schemas keyed by name.  The
+    metavariables are listed in sorted order, which fixes the order in
+    which ``sample_instantiation`` draws them."""
+    out = {}
+    for name, text, *side in specs:
+        pattern = parse_formula(text)
+        out[name] = Schema(name, pattern, tuple(sorted(props_of(pattern))),
+                           tuple(sorted(agents_of(pattern))), tuple(side))
+    return out
 
-AXIOM_SCHEMAS: Dict[str, Schema] = {}
 
-
-def _schema(name, pattern, fvars, cvars, side=()):
-    AXIOM_SCHEMAS[name] = Schema(name, pattern, tuple(fvars), tuple(cvars),
-                                 tuple(side))
-
-
-_schema("Truth-K", PImplies(PKnow(_C, _phi), _phi), ("phi",), ("C",))
-_schema("Truth-B", PImplies(PBlame(_C, _D, _phi), _phi), ("phi",), ("C", "D"))
-_schema(
-    "Distributivity",
-    PImplies(
-        PKnow(_C, PImplies(_phi, _psi)),
-        PImplies(PKnow(_C, _phi), PKnow(_C, _psi)),
-    ),
-    ("phi", "psi"),
-    ("C",),
-)
-_schema(
-    "NegIntrospection",
-    PImplies(PNot(PKnow(_C, _phi)), PKnow(_C, PNot(PKnow(_C, _phi)))),
-    ("phi",),
-    ("C",),
-)
-_schema(
-    "Monotonicity-K",
-    PImplies(PKnow(_C, _phi), PKnow(_E, _phi)),
-    ("phi",),
-    ("C", "E"),
-    side=(("subset", "C", "E"),),
-)
-_schema(
-    "Monotonicity-B",
-    PImplies(PBlame(_C, _D, _phi), PBlame(_E, _F, _phi)),
-    ("phi",),
-    ("C", "D", "E", "F"),
-    side=(("subset", "C", "E"), ("subset", "D", "F")),
-)
-_schema(
-    "NoneToAct",
-    PNot(PBlame(_C, CConst(frozenset()), _phi)),
-    ("phi",),
-    ("C",),
-)
-_schema(
-    "JointResponsibility",
-    PImplies(
-        p_conj(
-            p_dual_know(_C, PBlame(_C, _D, _phi)),
-            p_dual_know(_E, PBlame(_E, _F, _psi)),
-        ),
-        PImplies(
-            p_disj(_phi, _psi),
-            PBlame(CUnion(_C, _E), CUnion(_D, _F), p_disj(_phi, _psi)),
-        ),
-    ),
-    ("phi", "psi"),
-    ("C", "D", "E", "F"),
-    side=(("disjoint", "D", "F"),),
-)
-_schema(
-    "StrictConditional",
-    PImplies(
-        PKnow(_C, PImplies(_phi, _psi)),
-        PImplies(PBlame(_C, _D, _psi), PImplies(_phi, PBlame(_C, _D, _phi))),
-    ),
-    ("phi", "psi"),
-    ("C", "D"),
-)
-_schema(
-    "IntrospectionOfBlame",
-    PImplies(
-        PBlame(_C, _D, _phi),
-        PKnow(_C, PImplies(_phi, PBlame(_C, _D, _phi))),
-    ),
-    ("phi",),
-    ("C", "D"),
+AXIOM_SCHEMAS: Dict[str, Schema] = _schemas(
+    ("Truth-K", "K[C]phi -> phi"),
+    ("Truth-B", "B[C][D]phi -> phi"),
+    ("Distributivity", "K[C](phi -> psi) -> (K[C]phi -> K[C]psi)"),
+    ("NegIntrospection", "~K[C]phi -> K[C]~K[C]phi"),
+    ("Monotonicity-K", "K[C]phi -> K[E]phi", ("subset", "C", "E")),
+    ("Monotonicity-B", "B[C][D]phi -> B[E][F]phi",
+     ("subset", "C", "E"), ("subset", "D", "F")),
+    ("NoneToAct", "~B[C][]phi"),
+    ("JointResponsibility",
+     "Kd[C]B[C][D]phi & Kd[E]B[E][F]psi -> (phi | psi -> B[C,E][D,F](phi | psi))",
+     ("disjoint", "D", "F")),
+    ("StrictConditional", "K[C](phi -> psi) -> (B[C][D]psi -> (phi -> B[C][D]phi))"),
+    ("IntrospectionOfBlame", "B[C][D]phi -> K[C](phi -> B[C][D]phi)"),
 )
 
 # Derived schemas, fuzzable alongside the axioms.
-DERIVED_SCHEMAS: Dict[str, Schema] = {
-    "Lemma2": Schema(
-        "Lemma2",
-        PImplies(PKnow(_C, _phi), PKnow(_C, PKnow(_C, _phi))),
-        ("phi",),
-        ("C",),
-    ),
-    "Lemma3": Schema(
-        "Lemma3",
-        PImplies(
-            p_dual_know(_C, PBlame(_C, _D, _phi)),
-            PImplies(_phi, PBlame(_C, _D, _phi)),
-        ),
-        ("phi",),
-        ("C", "D"),
-    ),
-}
+DERIVED_SCHEMAS: Dict[str, Schema] = _schemas(
+    ("Lemma2", "K[C]phi -> K[C]K[C]phi"),
+    ("Lemma3", "Kd[C]B[C][D]phi -> (phi -> B[C][D]phi)"),
+)
 
 ALL_SCHEMAS: Dict[str, Schema] = {**AXIOM_SCHEMAS, **DERIVED_SCHEMAS}
 
@@ -226,55 +100,38 @@ def resolve_fuzz_group(name: str) -> Tuple[str, ...]:
 
 # --- matching and instantiation --------------------------------------------
 
-def _coal_value(expr: CExpr, subst) -> Optional[Coalition]:
-    if isinstance(expr, CConst):
-        return expr.members
-    if isinstance(expr, CVar):
-        return subst.get(expr.name)
-    left = _coal_value(expr.left, subst)
-    right = _coal_value(expr.right, subst)
-    if left is None or right is None:
-        return None
-    return left | right
+def _match_coal(names: Coalition, members: Coalition, subst) -> bool:
+    if len(names) == 1:
+        (name,) = names
+        bound = subst.get(name)
+        if bound is None:
+            subst[name] = members
+            return True
+        return bound == members
+    if not all(name in subst for name in names):
+        return False
+    return frozenset().union(*[subst[name] for name in names]) == members
 
 
-def _match_coal(expr: CExpr, members: Coalition, subst) -> bool:
-    if isinstance(expr, CVar) and expr.name not in subst:
-        subst[expr.name] = members
-        return True
-    value = _coal_value(expr, subst)
-    return value is not None and value == members
-
-
-def _match(pattern: Pattern, f: Formula, subst) -> bool:
-    if isinstance(pattern, FVar):
+def _match(pattern: Formula, f: Formula, subst) -> bool:
+    cls = pattern.__class__
+    if cls is Prop:
         bound = subst.get(pattern.name)
         if bound is None:
             subst[pattern.name] = f
             return True
         return bound == f
-    if isinstance(pattern, PNot):
-        return isinstance(f, Not) and _match(pattern.child, f.child, subst)
-    if isinstance(pattern, PImplies):
-        return (
-            isinstance(f, Implies)
-            and _match(pattern.left, f.left, subst)
-            and _match(pattern.right, f.right, subst)
-        )
-    if isinstance(pattern, PKnow):
-        return (
-            isinstance(f, Know)
-            and _match_coal(pattern.knowers, f.knowers, subst)
-            and _match(pattern.child, f.child, subst)
-        )
-    if isinstance(pattern, PBlame):
-        return (
-            isinstance(f, Blame)
-            and _match_coal(pattern.knowers, f.knowers, subst)
-            and _match_coal(pattern.actors, f.actors, subst)
-            and _match(pattern.child, f.child, subst)
-        )
-    raise TypeError(f"not a pattern: {pattern!r}")
+    if cls is not f.__class__:
+        return False
+    if cls is Implies:
+        return _match(pattern.left, f.left, subst) and _match(pattern.right, f.right, subst)
+    if cls is Not:
+        return _match(pattern.child, f.child, subst)
+    if not _match_coal(pattern.knowers, f.knowers, subst):
+        return False
+    if cls is Blame and not _match_coal(pattern.actors, f.actors, subst):
+        return False
+    return _match(pattern.child, f.child, subst)
 
 
 def side_conditions_hold(schema: Schema, subst) -> bool:
@@ -299,30 +156,27 @@ def match_schema(schema: Schema, f: Formula) -> Optional[dict]:
 
 
 def instantiate(schema: Schema, subst) -> Formula:
-    """Build the concrete instance of a schema under an assignment."""
+    """Build the concrete instance of a schema under an assignment; an
+    unbound metavariable raises KeyError."""
     return _build(schema.pattern, subst)
 
 
-def _build_coal(expr: CExpr, subst) -> Coalition:
-    value = _coal_value(expr, subst)
-    if value is None:
-        raise KeyError(f"unbound coalition variable in {expr!r}")
-    return coalition(value)
+def _build_coal(names: Coalition, subst) -> Coalition:
+    if len(names) == 1:
+        (name,) = names
+        return subst[name]
+    return frozenset().union(*[subst[name] for name in names])
 
 
-def _build(pattern: Pattern, subst) -> Formula:
-    if isinstance(pattern, FVar):
+def _build(pattern: Formula, subst) -> Formula:
+    cls = pattern.__class__
+    if cls is Prop:
         return subst[pattern.name]
-    if isinstance(pattern, PNot):
+    if cls is Not:
         return Not(_build(pattern.child, subst))
-    if isinstance(pattern, PImplies):
+    if cls is Implies:
         return Implies(_build(pattern.left, subst), _build(pattern.right, subst))
-    if isinstance(pattern, PKnow):
+    if cls is Know:
         return Know(_build_coal(pattern.knowers, subst), _build(pattern.child, subst))
-    if isinstance(pattern, PBlame):
-        return Blame(
-            _build_coal(pattern.knowers, subst),
-            _build_coal(pattern.actors, subst),
-            _build(pattern.child, subst),
-        )
-    raise TypeError(f"not a pattern: {pattern!r}")
+    return Blame(_build_coal(pattern.knowers, subst), _build_coal(pattern.actors, subst),
+                 _build(pattern.child, subst))

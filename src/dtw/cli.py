@@ -63,6 +63,8 @@ def _parse_play_spec(game, spec: str) -> Play:
             agent, sep, action = chunk.strip().partition("=")
             if not sep or not agent or not action:
                 raise _CliError(f"malformed action assignment {chunk.strip()!r}")
+            if agent in mapping:
+                raise _CliError(f"play spec assigns agent {agent!r} twice")
             mapping[agent] = action
     play = Play(initial, ActionProfile.make(mapping), outcome)
     if not game.has_play(play):

@@ -80,6 +80,8 @@ class SearchBounds:
                      "max_outcomes", "max_props"):
             if getattr(self, name) < 1:
                 raise BadParamsError(f"{name} must be at least 1")
+        if self.iterations < 0:
+            raise BadParamsError(f"iterations must be at least 0, got {self.iterations}")
         if self.mode not in ("exhaustive", "random"):
             raise BadParamsError(f"mode must be exhaustive or random, got {self.mode!r}")
         if self.mode == "random" and self.seed is None:
@@ -721,21 +723,23 @@ class FuzzCounterexample:
     iteration: int
 
 
+_GAMES_POOL = 200
+_INSTANTIATIONS_PER_GAME = 3
+
+
 def soundness_fuzz(
     schema: str,
     bounds: SearchBounds,
     enforce_side_conditions: bool = True,
-    games_pool: int = 200,
-    instantiations_per_game: int = 3,
 ) -> Optional[FuzzCounterexample]:
     """Search for counterexamples to the validity of an axiom or derived
     lemma schema.  Returns the first counterexample found, or None; any
     non-None result (with side conditions enforced) is a soundness bug.
 
-    Random mode draws each iteration's game from a pool of ``games_pool``
-    sampled games and pairs it with a fresh random instantiation.
-    Exhaustive mode enumerates canonical models and tries
-    ``instantiations_per_game`` seeded instantiations on each.
+    Random mode draws each iteration's game from a pool of 200 sampled
+    games (fewer for fewer iterations) and pairs it with a fresh random
+    instantiation.  Exhaustive mode enumerates canonical models and tries
+    three seeded instantiations on each.
     """
     try:
         schema_names = axioms.resolve_fuzz_group(schema)
@@ -754,7 +758,7 @@ def soundness_fuzz(
 
     if bounds.mode == "random":
         rng = random.Random(bounds.seed)
-        pool_size = max(1, min(games_pool, bounds.iterations))
+        pool_size = max(1, min(_GAMES_POOL, bounds.iterations))
         pool = [sample_game(rng, bounds) for _ in range(pool_size)]
         for iteration in range(bounds.iterations):
             game = pool[iteration % pool_size]
@@ -769,7 +773,7 @@ def soundness_fuzz(
     props = _PROP_NAMES[: bounds.max_props]
     iteration = 0
     for model in enumerate_games((), props, bounds):
-        for _ in range(instantiations_per_game):
+        for _ in range(_INSTANTIATIONS_PER_GAME):
             name, f, subst = instance(model.structure.agents, props)
             missed = model.full ^ model.mask(compile_masks(f))
             if missed:

@@ -1,0 +1,95 @@
+"""Earlier versions of the package's exhaustive enumerator and per-model
+countermodel search, frozen so that their replacements can be compared
+with them: ``naive_models`` builds one Game per model in the documented
+order, and ``stream_countermodel`` evaluates the package's model stream
+one model at a time."""
+
+import itertools
+
+from dtw.formula import agents_of, compile_masks, props_of
+from dtw.game import ActionProfile, Play, make_game
+from dtw.semantics import enumerate_games
+
+_AGENT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
+
+
+def _set_partitions(items):
+    if not items:
+        return [()]
+    first, rest = items[0], items[1:]
+    out = []
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            grown = list(part)
+            grown[i] = part[i] | {first}
+            out.append(tuple(grown))
+        out.append(tuple(part) + (frozenset({first}),))
+    return out
+
+
+def _label_choices(props, max_outcomes):
+    labels = [frozenset(c)
+              for size in range(len(props) + 1)
+              for c in itertools.combinations(props, size)]
+    choices = []
+    for size in range(1, min(len(labels), max_outcomes) + 1):
+        choices.extend(tuple(c) for c in itertools.combinations(labels, size))
+    return choices
+
+
+def naive_models(formula_agents, props, bounds):
+    """The documented exhaustive enumeration order, one Game per model:
+    agent count, initial-state count, per-agent partitions, action count,
+    then the per-cell label assignment as an odometer (cells in row-major
+    order, label sets in (size, index) order).  No budget."""
+    base = tuple(sorted(formula_agents))
+    extras = tuple(n for n in _AGENT_NAMES if n not in base) + tuple(
+        f"z{i}" for i in range(len(base))
+    )
+    min_agents = max(1, len(base))
+    choices = _label_choices(props, bounds.max_outcomes)
+    for n_agents in range(min_agents, max(min_agents, bounds.max_agents) + 1):
+        agents = (base + extras)[:n_agents] if base else extras[:n_agents]
+        for n_initial in range(1, bounds.max_initial + 1):
+            states = [f"s{i}" for i in range(n_initial)]
+            for combo in itertools.product(_set_partitions(states), repeat=n_agents):
+                partitions = dict(zip(agents, combo))
+                for n_actions in range(1, bounds.max_actions + 1):
+                    actions = tuple(str(i) for i in range(n_actions))
+                    cells = [
+                        (alpha, ActionProfile.make(dict(zip(agents, acts))))
+                        for alpha in states
+                        for acts in itertools.product(actions, repeat=n_agents)
+                    ]
+                    for assignment in itertools.product(choices, repeat=len(cells)):
+                        yield _game_from_labels(agents, states, partitions,
+                                                actions, cells, assignment, props)
+
+
+def stream_countermodel(f, bounds, model_budget=None):
+    """Exhaustive countermodel search one model at a time, frozen: the
+    first model of the package's stream that falsifies f, as (game, play)
+    at its lowest falsified slot, or None."""
+    program = compile_masks(f)
+    for model in enumerate_games(tuple(sorted(agents_of(f))),
+                                 tuple(sorted(props_of(f))), bounds, model_budget):
+        missed = model.full ^ model.mask(program)
+        if missed:
+            return model.answer(missed)
+    return None
+
+
+def _game_from_labels(agents, states, partitions, actions, cells, assignment,
+                      props):
+    n_outcomes = max(len(labels) for labels in assignment)
+    outcomes = tuple(f"o{i}" for i in range(n_outcomes))
+    plays = []
+    valuation = {name: [] for name in props}
+    for (alpha, profile), labels in zip(cells, assignment):
+        for i, label in enumerate(labels):
+            play = Play(alpha, profile, outcomes[i])
+            plays.append(play)
+            for name in label:
+                valuation[name].append(play)
+    return make_game(agents, states, partitions, actions, outcomes, plays,
+                     valuation)

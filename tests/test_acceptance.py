@@ -82,12 +82,11 @@ def test_criterion_2_axiom_soundness_and_load_bearing_side_condition():
     start = time.perf_counter()
     failures = []
     for name in AXIOM_GROUPS:
-        found = soundness_fuzz(name, FUZZ_BOUNDS, games_pool=200)
+        found = soundness_fuzz(name, FUZZ_BOUNDS)
         if found is not None:
             failures.append(f"{name} at iteration {found.iteration}")
     broken = soundness_fuzz(
         "JointResponsibility", FUZZ_BOUNDS, enforce_side_conditions=False,
-        games_pool=200,
     )
     elapsed = time.perf_counter() - start
     ok = not failures and broken is not None and elapsed < 60.0
@@ -103,8 +102,8 @@ def test_criterion_2_axiom_soundness_and_load_bearing_side_condition():
 
 def test_criterion_3_derived_lemma_validity():
     start = time.perf_counter()
-    bad2 = soundness_fuzz("Lemma2", FUZZ_BOUNDS, games_pool=200)
-    bad3 = soundness_fuzz("Lemma3", FUZZ_BOUNDS, games_pool=200)
+    bad2 = soundness_fuzz("Lemma2", FUZZ_BOUNDS)
+    bad3 = soundness_fuzz("Lemma3", FUZZ_BOUNDS)
     elapsed = time.perf_counter() - start
     ok = bad2 is None and bad3 is None
     _report(

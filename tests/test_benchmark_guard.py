@@ -3,7 +3,10 @@ search, modelcheck and prove workloads compare every answer with the
 references under ``perfbench/``: the first countermodel byte for byte, the
 verdicts, witnesses and refutations of the independent checker on games of
 hundreds of plays, and the verdicts on correct-by-construction proof
-scripts and their mutants."""
+scripts and their mutants.  Traced smoke passes of search and prove also
+install the tracer, which fails if a function it wraps is renamed or gone
+(``axioms.instantiate``, ``axioms.match_schema``,
+``semantics.enumerate_games``, ...)."""
 
 import json
 import subprocess
@@ -13,10 +16,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def smoke_run(workload):
+def smoke_run(workload, trace=0):
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-         "--smoke", "--seconds", "0.5", "--trace", "0"],
+         "--smoke", "--seconds", "0.5", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
@@ -35,3 +38,11 @@ def test_modelcheck_smoke_run_gets_every_answer_right():
 
 def test_prove_smoke_run_gets_every_answer_right():
     smoke_run("prove")
+
+
+def test_traced_search_smoke_run_gets_every_answer_right():
+    smoke_run("search", trace=1)
+
+
+def test_traced_prove_smoke_run_gets_every_answer_right():
+    smoke_run("prove", trace=1)

@@ -64,6 +64,14 @@ class TestCheck:
         assert code == 2
         assert "no such play" in err
 
+    def test_agent_assigned_twice_exit_two(self, example_dir, capsys):
+        code, out, err = run(capsys, [
+            "check", str(example_dir / "tarasoff.game"),
+            "Oct | poddar=1,poddar=0,parents=1,university=0 | alive", "killed",
+        ])
+        assert (code, out) == (2, "")
+        assert err == "error: play spec assigns agent 'poddar' twice\n"
+
     def test_json_round_trip(self, example_dir, capsys):
         code, out, _ = run(capsys, [
             "check", str(example_dir / "tarasoff.game"), PLAY,
@@ -412,3 +420,12 @@ class TestExitCodeContract:
                 code = exc.code
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("argv, given", [
+        (["fuzz", "Truth", "--seed", "1", "--iters", "-5"], -5),
+        (["countermodel", "p", "--random", "--seed", "1", "--iters", "-3"], -3),
+    ], ids=["fuzz", "countermodel"])
+    def test_negative_iterations_exit_two_with_one_line(self, capsys, argv, given):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: iterations must be at least 0, got {given}\n"

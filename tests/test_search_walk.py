@@ -1,13 +1,13 @@
 """The exhaustive walk against the frozen per-model enumerator and search.
 
-``oracles.naive_models`` builds one Game per model in the documented order.
-The walk must visit the same number of models and return the same first
-countermodel (byte for byte), the same refuting play, and, for exhaustive
-fuzzing, the same first counterexample at the same iteration.
+``frozen_search.naive_models`` builds one Game per model in the documented
+order.  The walk must visit the same number of models and return the same
+first countermodel (byte for byte), the same refuting play, and, for
+exhaustive fuzzing, the same first counterexample at the same iteration.
 
-``oracles.stream_countermodel`` evaluates the model stream one model at a
-time; the batched search, which evaluates many models per run of the mask
-kernel, must return what it returns, wherever in a batch the first
+``frozen_search.stream_countermodel`` evaluates the model stream one model
+at a time; the batched search, which evaluates many models per run of the
+mask kernel, must return what it returns, wherever in a batch the first
 countermodel falls.
 """
 
@@ -35,7 +35,8 @@ from dtw.semantics import (
     valid_in_game,
 )
 
-from oracles import naive_holds, naive_models, stream_countermodel
+from frozen_search import naive_models, stream_countermodel
+from oracles import naive_holds
 
 # The search workload's formula templates: valid ones, then invalid ones.
 TEMPLATES = (

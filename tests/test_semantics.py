@@ -469,6 +469,11 @@ class TestSearchBounds:
         with pytest.raises(BadParamsError):
             SearchBounds(mode="sideways")
 
+    def test_iterations_must_not_be_negative(self):
+        with pytest.raises(BadParamsError):
+            SearchBounds(mode="random", seed=1, iterations=-1)
+        assert SearchBounds(mode="random", seed=1, iterations=0).iterations == 0
+
 
 class TestImmutability:
     def test_formula_nodes_frozen(self):
