@@ -67,7 +67,6 @@ from .proof import (
     render_script,
 )
 from .semantics import (
-    Evaluator,
     FuzzCounterexample,
     SearchBounds,
     Verdict,

@@ -104,7 +104,7 @@ def _cmd_valid(args) -> int:
     return _print_verdict(valid_in_game(game, formula), args.json)
 
 
-def _bounds_from(args, mode: str, seed=None, iterations=0) -> SearchBounds:
+def _bounds_from(args, mode: str) -> SearchBounds:
     return SearchBounds(
         max_agents=args.max_agents,
         max_initial=args.max_states,
@@ -112,20 +112,19 @@ def _bounds_from(args, mode: str, seed=None, iterations=0) -> SearchBounds:
         max_outcomes=args.max_outcomes,
         max_props=getattr(args, "max_props", 1),
         mode=mode,
-        seed=seed,
-        iterations=iterations,
+        seed=args.seed,
+        iterations=1000 if args.iters is None else args.iters,
     )
 
 
 def _cmd_countermodel(args) -> int:
     formula = parse_formula(args.formula)
-    if args.random:
-        if args.seed is None:
-            raise _CliError("--random requires --seed")
-        bounds = _bounds_from(args, "random", seed=args.seed, iterations=args.iters)
-    else:
-        bounds = _bounds_from(args, "exhaustive")
-    found = countermodel_search(formula, bounds)
+    if args.random and args.seed is None:
+        raise _CliError("--random requires --seed")
+    if not args.random and (args.seed is not None or args.iters is not None):
+        raise _CliError("--seed and --iters apply only with --random")
+    found = countermodel_search(
+        formula, _bounds_from(args, "random" if args.random else "exhaustive"))
     if found is None:
         if args.json:
             print(json.dumps({"found": False, "game": None, "play": None},
@@ -197,9 +196,8 @@ def _load_library_dir(library: Library, directory: Path) -> None:
 
 
 def _cmd_fuzz(args) -> int:
-    bounds = _bounds_from(args, "random", seed=args.seed, iterations=args.iters)
     found = soundness_fuzz(
-        args.schema, bounds,
+        args.schema, _bounds_from(args, "random"),
         enforce_side_conditions=not args.violate_side_conditions,
     )
     if found is None:
@@ -312,8 +310,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outcomes", type=int, default=2)
     p.add_argument("--random", action="store_true",
                    help="sample games instead of exhaustive enumeration")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--iters", type=int, default=1000)
+    p.add_argument("--seed", type=int, help="random seed (with --random)")
+    p.add_argument("--iters", type=int,
+                   help="games to sample (with --random; default 1000)")
     add_json(p)
     p.set_defaults(func=_cmd_countermodel)
 

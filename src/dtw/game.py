@@ -111,17 +111,11 @@ class Frame:
         self._blocks: Dict[Coalition, tuple] = {}
         self._rows: Dict[Coalition, tuple] = {}
 
-    def _check(self, members: Iterable[str]) -> None:
-        for agent in sorted(members):
-            if agent not in self.block_index:
-                raise UnknownAgentError(f"unknown agent {agent!r}")
-
     def blocks(self, knowers: Coalition) -> Tuple[Dict[str, int], Tuple[int, ...]]:
         """Each initial state's block (the positions whose initial state the
         knowers cannot tell from it), and the distinct blocks."""
         found = self._blocks.get(knowers)
         if found is None:
-            self._check(knowers)
             keys = {state: tuple(self.block_index[agent][state] for agent in knowers)
                     for state in self.states}
             union: Dict[tuple, int] = {}
@@ -137,7 +131,6 @@ class Frame:
         declared order."""
         found = self._rows.get(actors)
         if found is None:
-            self._check(actors)
             found = self._rows[actors] = tuple(
                 tuple(self.action.get((agent, act), 0) for act in self.actions)
                 for agent in sorted(actors))

@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import BadParamsError, ResourceLimitError
-from .formula import (Blame, Coalition, Formula, agents_of, coalition,
+from .formula import (Coalition, Formula, agents_of, coalition,
                       proper_subsets_of, subsets_of)
 from .game import Game, Play
 from .limits import budget
-from .semantics import Evaluator
+from .semantics import play_bit, preventing_profile, satisfaction
 
 
 def _iterations_needed(kind, n_knowers, n_actors, n_agents) -> int:
@@ -99,10 +99,14 @@ def minimal_verdict(
             f"budget is {limit}"
         )
 
-    ev = Evaluator(game)  # shared, so the sweep computes phi's mask once
+    bit = play_bit(game, play)
+    body = satisfaction(game, phi)[phi]
+    frame = game.masks.frame
 
     def blame(e: Coalition, f: Coalition) -> bool:
-        return ev.check(play, Blame(e, f, phi))
+        """Does B[e][f] phi hold at the play?"""
+        return bool(body >> bit & 1) and preventing_profile(
+            frame, e, f, play.initial, body) is not None
 
     if kind == 1:
         return blame(knowers_set, actors_set) and not any(

@@ -88,62 +88,6 @@ class SearchBounds:
             raise BadParamsError("random mode requires an explicit seed")
 
 
-class Evaluator:
-    """Evaluates formulas against one game as masks over its plays.  One
-    instance serves one query and memoizes the mask of every subformula,
-    keyed by formula value, so equal subformulas share results."""
-
-    def __init__(self, game: Game):
-        self.game = game
-        self._memo: Dict[Formula, int] = {}
-
-    def mask(self, f: Formula) -> int:
-        """The plays where f holds: bit i is play i of the game."""
-        memo = self._memo
-        if f not in memo:
-            program = compile_masks(f, memo)
-            nodes = program.nodes
-            values = run_masks(program, self.game.masks.full,
-                               lambda i, body: self._leaf(nodes[i], body))
-            memo.update(zip(nodes, values))
-        return memo[f]
-
-    def check(self, play: Play, f: Formula) -> bool:
-        if not self.game.has_play(play):
-            raise UnknownPlayError(f"not a play of this game: {play}")
-        return bool(self.mask(f) >> self.game.masks.index[play] & 1)
-
-    def _leaf(self, f: Formula, body: Optional[int]) -> int:
-        known = self._memo.get(f)
-        if known is not None:
-            return known
-        masks = self.game.masks
-        if isinstance(f, Prop):
-            name = f.name
-            if name not in self.game.valuation and not name.startswith(RESERVED_PREFIX):
-                warnings.warn(f"proposition {name!r} has no valuation in this game; "
-                              "treating it as false everywhere")
-            return masks.prop.get(name, 0)
-        return _modal_mask(masks.frame, f, masks.full, body)
-
-    def preventing_profile(self, f: Blame, alpha: str) -> Optional[ActionProfile]:
-        """First joint action of the actors falsifying the body on every
-        play the knowers cannot tell apart from alpha, else None."""
-        frame = self.game.masks.frame
-        live = frame.blocks(f.knowers)[0][alpha] & self.mask(f.child)
-        acts = _first_preventing(live, frame.rows(f.actors))
-        if acts is None:
-            return None
-        return ActionProfile.make(zip(sorted(f.actors),
-                                      (frame.actions[i] for i in acts)))
-
-    def refuting_play(self, f: Know, alpha: str) -> Optional[Play]:
-        """First play the knowers cannot tell apart from alpha where the
-        body fails, else None."""
-        missed = self.game.masks.frame.blocks(f.knowers)[0][alpha] & ~self.mask(f.child)
-        return _first_play(self.game, missed)
-
-
 def _modal_mask(frame: Frame, f: Formula, full: int, body: int) -> int:
     """Where ``K`` or ``B`` node f holds among the positions of ``full``,
     given body, the mask of its child, lane by lane (see :class:`Frame`).
@@ -199,6 +143,56 @@ def _first_play(game: Game, mask: int) -> Optional[Play]:
     return game.plays[(mask & -mask).bit_length() - 1] if mask else None
 
 
+def _truth(program, frame: Frame, full: int, prop) -> list:
+    """The mask of each node of the compiled formula among the positions of
+    full, in program order: a proposition holds where ``prop`` maps its
+    name, else nowhere, and ``K`` and ``B`` nodes follow _modal_mask."""
+    nodes = program.nodes
+
+    def leaf(i, body):
+        f = nodes[i]
+        if isinstance(f, Prop):
+            return prop.get(f.name, 0)
+        return _modal_mask(frame, f, full, body)
+
+    return run_masks(program, full, leaf)
+
+
+def satisfaction(game: Game, f: Formula) -> Dict[Formula, int]:
+    """The plays where each subformula of f holds, by subformula.  Warns
+    once per proposition of f without a valuation, in the order they first
+    occur in f."""
+    program = compile_masks(f)
+    for g in program.nodes:
+        if (isinstance(g, Prop) and g.name not in game.valuation
+                and not g.name.startswith(RESERVED_PREFIX)):
+            warnings.warn(f"proposition {g.name!r} has no valuation in this game; "
+                          "treating it as false everywhere")
+    masks = game.masks
+    return dict(zip(program.nodes,
+                    _truth(program, masks.frame, masks.full, masks.prop)))
+
+
+def play_bit(game: Game, play: Play) -> int:
+    """The bit of the play in the game's masks."""
+    bit = game.masks.index.get(play)
+    if bit is None:
+        raise UnknownPlayError(f"not a play of this game: {play}")
+    return bit
+
+
+def preventing_profile(frame: Frame, knowers: Coalition, actors: Coalition,
+                       alpha: str, body: int) -> Optional[ActionProfile]:
+    """First joint action of the actors under which no position of body
+    that the knowers cannot tell apart from initial state alpha happens,
+    else None."""
+    acts = _first_preventing(frame.blocks(knowers)[0][alpha] & body,
+                             frame.rows(actors))
+    if acts is None:
+        return None
+    return ActionProfile.make(zip(sorted(actors), (frame.actions[i] for i in acts)))
+
+
 def holds(game: Game, play: Play, f: Formula) -> Verdict:
     """Evaluate f at one play of the game.
 
@@ -209,14 +203,17 @@ def holds(game: Game, play: Play, f: Formula) -> Verdict:
     relation.
     """
     game.check_agents(agents_of(f))
-    ev = Evaluator(game)
-    value = ev.check(play, f)
-    witness = None
-    refutation = None
+    bit = play_bit(game, play)
+    truth = satisfaction(game, f)
+    value = bool(truth[f] >> bit & 1)
+    frame = game.masks.frame
+    witness = refutation = None
     if value and isinstance(f, Blame):
-        witness = ev.preventing_profile(f, play.initial)
+        witness = preventing_profile(frame, f.knowers, f.actors, play.initial,
+                                     truth[f.child])
     if not value and isinstance(f, Know):
-        refutation = ev.refuting_play(f, play.initial)
+        refutation = _first_play(game, frame.blocks(f.knowers)[0][play.initial]
+                                 & ~truth[f.child])
     return Verdict(value, witness=witness, refutation=refutation)
 
 
@@ -224,7 +221,7 @@ def valid_in_game(game: Game, f: Formula) -> Verdict:
     """True iff f holds at every play; else the first falsifying play in
     declaration order is reported as the refutation."""
     game.check_agents(agents_of(f))
-    refutation = _first_play(game, game.masks.full ^ Evaluator(game).mask(f))
+    refutation = _first_play(game, game.masks.full ^ satisfaction(game, f)[f])
     return Verdict(refutation is None, refutation=refutation)
 
 
@@ -448,7 +445,6 @@ class Structure(NamedTuple):
     cells: Tuple[Tuple[str, ActionProfile], ...]  # (initial state, profile)
     width: int  # slots per cell
     props: Tuple[str, ...]
-    prop_index: Dict[str, int]  # proposition -> its place in Model.prop
     choices: tuple  # per label choice: its slots in cell 0, then each prop's
     frame: Frame  # states, partitions and actions over the slots
 
@@ -460,11 +456,6 @@ class Model(NamedTuple):
     structure: Structure
     full: int  # the present slots
     prop: Tuple[int, ...]  # per proposition of the structure, its slots
-
-    def mask(self, program) -> int:
-        """The present slots where the compiled formula holds."""
-        s = self.structure
-        return _run_model(program, s.frame, s.prop_index, (self.full,) + self.prop)
 
     def game(self) -> Game:
         """The model as a Game: plays in slot order, outcome o<i> for slot i."""
@@ -493,21 +484,6 @@ class Model(NamedTuple):
         game = self.game()
         below = (missed & -missed) - 1
         return game, game.plays[(self.full & below).bit_count()]
-
-
-def _run_model(program, frame: Frame, prop_index, masks: tuple) -> int:
-    """Where the compiled formula holds among the present slots masks[0],
-    given each proposition's slots in the rest of masks."""
-    nodes, full = program.nodes, masks[0]
-
-    def leaf(i, body):
-        f = nodes[i]
-        if isinstance(f, Prop):
-            slot = prop_index.get(f.name)
-            return 0 if slot is None else masks[slot + 1]
-        return _modal_mask(frame, f, full, body)
-
-    return run_masks(program, full, leaf)[-1]
 
 
 def enumerate_games(
@@ -543,7 +519,6 @@ def _structures(formula_agents, props, bounds, model_budget) -> Iterator[Structu
     )
     min_agents = max(1, len(base))
     props = tuple(props)
-    prop_index = {name: i for i, name in enumerate(props)}
     choices = _label_choices(props, bounds.max_outcomes)
     width = max(len(choice) for choice in choices)
     choice_masks = tuple(((1 << len(choice)) - 1,) + tuple(
@@ -563,7 +538,7 @@ def _structures(formula_agents, props, bounds, model_budget) -> Iterator[Structu
                     frame = Frame(states, blocks, state, actions, action,
                                   len(cells) * width)
                     yield Structure(agents, states, partitions, actions, cells,
-                                    width, props, prop_index, choice_masks, frame)
+                                    width, props, choice_masks, frame)
 
 
 def _slot_layout(agents, states, n_actions, width):
@@ -682,11 +657,12 @@ def countermodel_search(
         raise BadParamsError(
             f"formula names {len(base_agents)} agents, bound is {bounds.max_agents}"
         )
+    program = compile_masks(f)
     if bounds.mode == "exhaustive":
-        program = compile_masks(f)
         structures = _structures(base_agents, props, bounds, model_budget)
         for s, frame, masks in _batches(structures):
-            missed = masks[0] ^ _run_model(program, frame, s.prop_index, masks)
+            prop = dict(zip(props, masks[1:]))
+            missed = masks[0] ^ _truth(program, frame, masks[0], prop)[-1]
             if missed:
                 # The lowest miss is in the first lane that has one.
                 stride = frame.shift + 1
@@ -695,9 +671,10 @@ def countermodel_search(
                 return Model(s, lane[0], tuple(lane[1:-1])).answer(lane[-1])
         return None
     for game in _random_game_stream(base_agents, props, bounds):
-        play = _first_play(game, game.masks.full ^ Evaluator(game).mask(f))
-        if play is not None:
-            return game, play
+        masks = game.masks
+        missed = masks.full ^ _truth(program, masks.frame, masks.full, masks.prop)[-1]
+        if missed:
+            return game, _first_play(game, missed)
     return None
 
 
@@ -773,9 +750,11 @@ def soundness_fuzz(
     props = _PROP_NAMES[: bounds.max_props]
     iteration = 0
     for model in enumerate_games((), props, bounds):
+        s, full = model.structure, model.full
+        prop = dict(zip(props, model.prop))
         for _ in range(_INSTANTIATIONS_PER_GAME):
-            name, f, subst = instance(model.structure.agents, props)
-            missed = model.full ^ model.mask(compile_masks(f))
+            name, f, subst = instance(s.agents, props)
+            missed = full ^ _truth(compile_masks(f), s.frame, full, prop)[-1]
             if missed:
                 game, play = model.answer(missed)
                 return FuzzCounterexample(name, game, play, f, subst, iteration)

@@ -8,7 +8,7 @@ import itertools
 
 from dtw.formula import agents_of, compile_masks, props_of
 from dtw.game import ActionProfile, Play, make_game
-from dtw.semantics import enumerate_games
+from dtw.semantics import _truth, enumerate_games
 
 _AGENT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -73,10 +73,18 @@ def stream_countermodel(f, bounds, model_budget=None):
     program = compile_masks(f)
     for model in enumerate_games(tuple(sorted(agents_of(f))),
                                  tuple(sorted(props_of(f))), bounds, model_budget):
-        missed = model.full ^ model.mask(program)
+        missed = missed_slots(model, program)
         if missed:
             return model.answer(missed)
     return None
+
+
+def missed_slots(model, program):
+    """The present slots of one model where the compiled formula fails,
+    evaluated on its structure's one-lane frame."""
+    s = model.structure
+    prop = dict(zip(s.props, model.prop))
+    return model.full ^ _truth(program, s.frame, model.full, prop)[-1]
 
 
 def _game_from_labels(agents, states, partitions, actions, cells, assignment,

@@ -3,10 +3,11 @@ search, modelcheck and prove workloads compare every answer with the
 references under ``perfbench/``: the first countermodel byte for byte, the
 verdicts, witnesses and refutations of the independent checker on games of
 hundreds of plays, and the verdicts on correct-by-construction proof
-scripts and their mutants.  Traced smoke passes of search and prove also
-install the tracer, which fails if a function it wraps is renamed or gone
-(``axioms.instantiate``, ``axioms.match_schema``,
-``semantics.enumerate_games``, ...)."""
+scripts and their mutants.  Traced smoke passes of search, modelcheck and
+prove also install the tracer, which fails if a function it wraps is renamed
+or gone (``axioms.instantiate``, ``axioms.match_schema``,
+``semantics.enumerate_games``, ``semantics.holds``,
+``minimality.minimal_verdict``, ...)."""
 
 import json
 import subprocess
@@ -42,6 +43,10 @@ def test_prove_smoke_run_gets_every_answer_right():
 
 def test_traced_search_smoke_run_gets_every_answer_right():
     smoke_run("search", trace=1)
+
+
+def test_traced_modelcheck_smoke_run_gets_every_answer_right():
+    smoke_run("modelcheck", trace=1)
 
 
 def test_traced_prove_smoke_run_gets_every_answer_right():

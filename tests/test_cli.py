@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dtw import cli
 from dtw.cli import main
 from dtw.lemmas import example_files
 
@@ -136,6 +137,21 @@ class TestUnvaluedProposition:
         assert run.stderr == (b"warning: proposition 'zzz' has no valuation in this "
                               b"game; treating it as false everywhere\n")
 
+    def test_two_unvalued_propositions_warn_in_first_occurrence_order(
+            self, example_dir):
+        run = subprocess.run(
+            [sys.executable, "-m", "dtw.cli", "valid", "tarasoff.game", "zzz -> yyy"],
+            cwd=example_dir, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert run.returncode == 0
+        assert run.stdout == b"holds\n"
+        assert run.stderr == (
+            b"warning: proposition 'zzz' has no valuation in this game; "
+            b"treating it as false everywhere\n"
+            b"warning: proposition 'yyy' has no valuation in this game; "
+            b"treating it as false everywhere\n")
+
     def test_warning_made_an_error_exits_two_with_one_line(self, example_dir):
         run = subprocess.run(
             [sys.executable, "-W", "error", "-m", "dtw.cli", "valid", "tarasoff.game",
@@ -248,6 +264,30 @@ class TestCountermodel:
         ])
         assert code == 2
         assert "seed" in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--iters", "-3"], ["--seed", "5", "--iters", "7"], ["--seed", "5"],
+        ["--iters", "1000"],
+    ])
+    def test_seed_and_iters_without_random_exit_two_with_one_line(self, capsys,
+                                                                  extra):
+        code, out, err = run(capsys, ["countermodel", "p -> p"] + extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--random" in err
+
+    @pytest.mark.parametrize("extra,iterations", [([], 1000), (["--iters", "7"], 7)])
+    def test_random_mode_samples_1000_games_unless_told(self, capsys, monkeypatch,
+                                                       extra, iterations):
+        seen = []
+        monkeypatch.setattr(cli, "countermodel_search",
+                            lambda f, bounds: seen.append(bounds))
+        code, _, _ = run(capsys, ["countermodel", "p -> p", "--random",
+                                  "--seed", "5"] + extra)
+        assert code == 0
+        assert [(b.mode, b.seed, b.iterations) for b in seen] == [
+            ("random", 5, iterations)]
 
     def test_json_output_reloads(self, capsys):
         from dtw.game import load_game

@@ -11,7 +11,7 @@ from dtw.formula import Prop, coalition, expand_minimality
 from dtw.game import ActionProfile, Play, tarasoff_game
 from dtw.minimality import check_minimal, minimal_verdict
 from dtw.parser import parse_formula
-from dtw.semantics import holds, random_formula
+from dtw.semantics import holds, random_formula, valid_in_game
 
 from oracles import random_small_game
 
@@ -35,6 +35,25 @@ class TestAgentsOfPhi:
         with pytest.raises(UnknownAgentError):
             minimal_verdict(1, g, october_attack_play(), {"university"},
                             {"parents"}, phi)
+
+    @pytest.mark.parametrize("query", [
+        lambda g, play: valid_in_game(g, parse_formula("K[ghost] killed")),
+        lambda g, play: valid_in_game(g, parse_formula("B[university][ghost] killed")),
+        lambda g, play: holds(g, play, parse_formula("killed -> B[ghost][parents] killed")),
+        lambda g, play: minimal_verdict(1, g, play, {"ghost"}, {"parents"}, KILLED),
+        lambda g, play: minimal_verdict(2, g, play, {"university", "ghost"},
+                                        {"parents"}, KILLED),
+        lambda g, play: minimal_verdict(3, g, play, {"university"}, {"ghost"}, KILLED),
+        lambda g, play: minimal_verdict(1, g, play, {"university"},
+                                        {"parents", "ghost"}, KILLED),
+        lambda g, play: minimal_verdict(4, g, play, {"university"}, None,
+                                        parse_formula("K[ghost] killed")),
+    ], ids=["valid-K", "valid-B-actors", "holds-B-knowers", "minimal-knowers",
+            "minimal-knowers-mixed", "minimal-actors", "minimal-actors-mixed",
+            "minimal-phi-K"])
+    def test_unknown_agent_is_refused(self, query):
+        with pytest.raises(UnknownAgentError, match="unknown agent 'ghost'"):
+            query(tarasoff_game(), october_attack_play())
 
 
 class TestTarasoffMinimality:

@@ -24,7 +24,6 @@ from dtw.formula import agents_of, compile_masks, props_of, render
 from dtw.game import render_game_file
 from dtw.parser import parse_formula
 from dtw.semantics import (
-    Evaluator,
     SearchBounds,
     count_models,
     countermodel_search,
@@ -35,7 +34,7 @@ from dtw.semantics import (
     valid_in_game,
 )
 
-from frozen_search import naive_models, stream_countermodel
+from frozen_search import missed_slots, naive_models, stream_countermodel
 from oracles import naive_holds
 
 # The search workload's formula templates: valid ones, then invalid ones.
@@ -77,12 +76,10 @@ def naive_first_countermodels(formulas, agents, props, bounds):
     visited = 0
     for game in naive_models(agents, props, bounds):
         visited += 1
-        ev = Evaluator(game)  # shared, so the formulas share subformulas
         for f in formulas:
             if first[f] is None:
-                missed = game.masks.full ^ ev.mask(f)
-                if missed:
-                    play = game.plays[(missed & -missed).bit_length() - 1]
+                play = valid_in_game(game, f).refutation
+                if play is not None:
                     assert not naive_holds(game, play, f)
                     first[f] = (render_game_file(game), play)
     return first, visited
@@ -209,7 +206,7 @@ def position(f, bounds):
     for model in enumerate_games(*signature(f), bounds):
         if model.structure is not structure:
             structure, index = model.structure, 0
-        if model.full ^ model.mask(program):
+        if missed_slots(model, program):
             prefix = semantics._suffix_lanes(structure)[0]
             lanes = len(structure.choices) ** (len(structure.cells) - prefix)
             return index // lanes, index % lanes, lanes

@@ -22,9 +22,9 @@ from dtw.game import (
     tarasoff2_game,
     tarasoff_game,
 )
+from dtw.minimality import minimal_verdict
 from dtw.parser import parse_formula
 from dtw.semantics import (
-    Evaluator,
     SearchBounds,
     count_models,
     countermodel_search,
@@ -120,6 +120,28 @@ class TestHolds:
         assert len(caught) == 1
         assert "'mystery' has no valuation" in str(caught[0].message)
 
+    @pytest.mark.parametrize("query", ["holds", "valid_in_game", "minimal_verdict"])
+    @pytest.mark.parametrize("text,names", [
+        ("zzz -> yyy", ["zzz", "yyy"]),
+        ("yyy -> (zzz -> K[university] yyy)", ["yyy", "zzz"]),
+    ])
+    def test_unvalued_propositions_warn_once_each_in_first_occurrence_order(
+            self, query, text, names):
+        g = tarasoff_game()
+        phi = parse_formula(text)
+        run = {
+            "holds": lambda: holds(g, october_attack_play(), phi),
+            "valid_in_game": lambda: valid_in_game(g, phi),
+            "minimal_verdict": lambda: minimal_verdict(
+                1, g, october_attack_play(), {"university"}, {"parents"}, phi),
+        }[query]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        assert [str(w.message) for w in caught] == [
+            f"proposition {name!r} has no valuation in this game; "
+            "treating it as false everywhere" for name in names]
+
     def test_deterministic_verdicts(self):
         g = tarasoff_game()
         f = parse_formula("B[university,poddar][parents,poddar] killed")
@@ -161,9 +183,8 @@ class TestAgainstNaiveOracle:
         rng = random.Random(formula_seed)
         props = tuple(sorted(g.valuation)) or ("p",)
         f = random_formula(rng, props, tuple(g.agents), depth=3)
-        ev = Evaluator(g)
         for play in g.plays:
-            assert ev.check(play, f) == naive_holds(g, play, f), render(f)
+            assert holds(g, play, f).holds == naive_holds(g, play, f), render(f)
 
     @settings(max_examples=60, deadline=None)
     @given(games_and_formulas)
@@ -177,15 +198,14 @@ class TestAgainstNaiveOracle:
         members = frozenset(x for x in g.agents if rng.random() < 0.5)
         from dtw.formula import Not, conj, disj, dual_know, falsum, iff
 
-        ev = Evaluator(g)
         for play in g.plays:
-            va, vb = ev.check(play, a), ev.check(play, b)
-            assert ev.check(play, conj(a, b)) == (va and vb)
-            assert ev.check(play, disj(a, b)) == (va or vb)
-            assert ev.check(play, iff(a, b)) == (va == vb)
-            assert ev.check(play, falsum()) is False
-            assert ev.check(play, dual_know(members, a)) == (
-                not ev.check(play, Know(members, Not(a)))
+            va, vb = holds(g, play, a).holds, holds(g, play, b).holds
+            assert holds(g, play, conj(a, b)).holds == (va and vb)
+            assert holds(g, play, disj(a, b)).holds == (va or vb)
+            assert holds(g, play, iff(a, b)).holds == (va == vb)
+            assert holds(g, play, falsum()).holds is False
+            assert holds(g, play, dual_know(members, a)).holds == (
+                not holds(g, play, Know(members, Not(a))).holds
             )
 
 
@@ -277,10 +297,9 @@ class TestSemanticInvariants:
         big_a = small_a | data.draw(
             st.frozensets(st.sampled_from(agents), max_size=2)
         )
-        ev = Evaluator(g)
         for play in g.plays:
-            if ev.check(play, Blame(small_k, small_a, body)):
-                assert ev.check(play, Blame(big_k, big_a, body))
+            if holds(g, play, Blame(small_k, small_a, body)).holds:
+                assert holds(g, play, Blame(big_k, big_a, body)).holds
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.data())
