@@ -17,6 +17,7 @@ import sys
 import warnings
 from pathlib import Path
 
+from .axioms import ALL_SCHEMAS, resolve_fuzz_group
 from .errors import DtwError
 from .formula import render
 from .game import ActionProfile, Play, load_game, render_game_file
@@ -196,6 +197,13 @@ def _load_library_dir(library: Library, directory: Path) -> None:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.violate_side_conditions:
+        try:
+            group = resolve_fuzz_group(args.schema)
+        except KeyError:
+            group = ()  # soundness_fuzz reports the unknown name
+        if group and not any(ALL_SCHEMAS[name].side for name in group):
+            raise _CliError(f"schema {args.schema!r} has no side conditions to violate")
     found = soundness_fuzz(
         args.schema, _bounds_from(args, "random"),
         enforce_side_conditions=not args.violate_side_conditions,
@@ -332,8 +340,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outcomes", type=int, default=2)
     p.add_argument("--max-props", type=int, default=3)
     p.add_argument("--violate-side-conditions", action="store_true",
-                   help="drop the schema's side conditions (expects a "
-                        "counterexample)")
+                   help="violate each side condition of the schema, by one "
+                        "random agent (expects a counterexample; a schema "
+                        "without side conditions is an error)")
     add_json(p)
     p.set_defaults(func=_cmd_fuzz)
 

@@ -36,6 +36,7 @@ from .formula import (
     compile_masks,
     props_of,
     run_masks,
+    subformulas,
 )
 from .game import ActionProfile, Frame, Game, Play, index_blocks, make_game
 from .limits import budget
@@ -88,18 +89,20 @@ class SearchBounds:
             raise BadParamsError("random mode requires an explicit seed")
 
 
-def _modal_mask(frame: Frame, f: Formula, full: int, body: int) -> int:
-    """Where ``K`` or ``B`` node f holds among the positions of ``full``,
-    given body, the mask of its child, lane by lane (see :class:`Frame`).
+def _modal_mask(frame: Frame, knowers: Coalition, actors: Optional[Coalition],
+                full: int, body: int) -> int:
+    """Where ``K[knowers]`` (actors None) or ``B[knowers][actors]`` holds
+    among the positions of ``full``, given body, the mask of its child, lane
+    by lane (see :class:`Frame`).
 
     ``K[C]`` keeps a C-block (restricted to full) in the lanes where it lies
     inside body.  ``B[C][D]`` keeps block & body in the lanes where some
     joint action of D rules out all of it.  Distinct blocks are disjoint.
     """
     guard, low, shift = frame.guard, frame.low, frame.shift
-    rows = None if isinstance(f, Know) else frame.rows(f.actors)
+    rows = None if actors is None else frame.rows(actors)
     out = 0
-    for block in frame.blocks(f.knowers)[1]:
+    for block in frame.blocks(knowers)[1]:
         if rows is None:
             live = block & full
             kept = guard & ~((live & ~body) + low)
@@ -143,19 +146,52 @@ def _first_play(game: Game, mask: int) -> Optional[Play]:
     return game.plays[(mask & -mask).bit_length() - 1] if mask else None
 
 
-def _truth(program, frame: Frame, full: int, prop) -> list:
+def _truth(program, frame: Frame, full: int, prop, subst=None) -> list:
     """The mask of each node of the compiled formula among the positions of
     full, in program order: a proposition holds where ``prop`` maps its
-    name, else nowhere, and ``K`` and ``B`` nodes follow _modal_mask."""
+    name, else nowhere, and ``K`` and ``B`` nodes follow _modal_mask.
+
+    With ``subst``, the program is a schema's pattern: its coalitions are
+    metavariables, each resolved as :func:`axioms.instantiate` does, and
+    ``prop`` maps each formula metavariable to its value's mask.
+    """
     nodes = program.nodes
+    coal = (lambda names: names) if subst is None else (
+        lambda names: axioms._build_coal(names, subst))
 
     def leaf(i, body):
         f = nodes[i]
         if isinstance(f, Prop):
             return prop.get(f.name, 0)
-        return _modal_mask(frame, f, full, body)
+        actors = coal(f.actors) if isinstance(f, Blame) else None
+        return _modal_mask(frame, coal(f.knowers), actors, full, body)
 
     return run_masks(program, full, leaf)
+
+
+def _formula_mask(frame: Frame, f: Formula, full: int, prop) -> int:
+    """The last mask _truth gives for f, by a walk of its tree: for the
+    small formulas that fuzzing substitutes, each evaluated once, this
+    costs less than compiling them."""
+    if isinstance(f, Prop):
+        return prop.get(f.name, 0)
+    if isinstance(f, Implies):
+        return ((full ^ _formula_mask(frame, f.left, full, prop))
+                | _formula_mask(frame, f.right, full, prop))
+    body = _formula_mask(frame, f.child, full, prop)
+    if isinstance(f, Not):
+        return full ^ body
+    return _modal_mask(frame, f.knowers, f.actors if isinstance(f, Blame) else None,
+                       full, body)
+
+
+def _warn_unvalued(game: Game, nodes) -> None:
+    """Warn once per proposition among nodes without a valuation in the
+    game, in the order they first occur."""
+    for name in dict.fromkeys(g.name for g in nodes if isinstance(g, Prop)):
+        if name not in game.valuation and not name.startswith(RESERVED_PREFIX):
+            warnings.warn(f"proposition {name!r} has no valuation in this game; "
+                          "treating it as false everywhere")
 
 
 def satisfaction(game: Game, f: Formula) -> Dict[Formula, int]:
@@ -163,11 +199,7 @@ def satisfaction(game: Game, f: Formula) -> Dict[Formula, int]:
     once per proposition of f without a valuation, in the order they first
     occur in f."""
     program = compile_masks(f)
-    for g in program.nodes:
-        if (isinstance(g, Prop) and g.name not in game.valuation
-                and not g.name.startswith(RESERVED_PREFIX)):
-            warnings.warn(f"proposition {g.name!r} has no valuation in this game; "
-                          "treating it as false everywhere")
+    _warn_unvalued(game, program.nodes)
     masks = game.masks
     return dict(zip(program.nodes,
                     _truth(program, masks.frame, masks.full, masks.prop)))
@@ -314,11 +346,14 @@ def sample_instantiation(
     enforce_side_conditions: bool = True,
 ) -> dict:
     """Random metavariable assignment for a schema over the given agents
-    and proposition names (``p`` when there are none).
+    and proposition names (``p`` when there are none): formula
+    metavariables first, then coalition metavariables, in sorted order.
 
     With ``enforce_side_conditions`` the assignment is adjusted to satisfy
-    the schema's side conditions; without it, disjointness conditions are
-    deliberately violated (the coalitions are forced to intersect).
+    the schema's side conditions.  Without it, each side condition is
+    deliberately violated by one agent drawn from ``agents``: ``subset(a,
+    b)`` moves it into a and out of b, and ``disjoint(a, b)`` puts it in
+    both.
     """
     props = tuple(props) or ("p",)
     agents = tuple(agents)
@@ -329,15 +364,15 @@ def sample_instantiation(
     for name in schema.coalition_vars:
         subst[name] = _random_coalition(rng, agents)
     for kind, a, b in schema.side:
-        if kind == "subset":
-            subst[b] = subst[b] | subst[a]
-        elif kind == "disjoint":
-            if enforce_side_conditions:
+        if enforce_side_conditions:
+            if kind == "subset":
+                subst[b] = subst[b] | subst[a]
+            else:
                 subst[b] = subst[b] - subst[a]
-            elif agents:
-                shared = rng.choice(agents)
-                subst[a] = subst[a] | {shared}
-                subst[b] = subst[b] | {shared}
+        elif agents:
+            agent = {rng.choice(agents)}
+            subst[a] = subst[a] | agent
+            subst[b] = subst[b] - agent if kind == "subset" else subst[b] | agent
     return subst
 
 
@@ -717,6 +752,12 @@ def soundness_fuzz(
     games (fewer for fewer iterations) and pairs it with a fresh random
     instantiation.  Exhaustive mode enumerates canonical models and tries
     three seeded instantiations on each.
+
+    Each schema's pattern is compiled once per call.  An instance is
+    evaluated from its substitution: each formula metavariable's value is
+    evaluated to a mask, and the pattern's program runs on those masks with
+    its coalitions resolved from the substitution.  Only the counterexample
+    returned is built as a formula.
     """
     try:
         schema_names = axioms.resolve_fuzz_group(schema)
@@ -726,12 +767,22 @@ def soundness_fuzz(
             f"{', '.join(sorted(axioms.FUZZ_GROUPS))}"
         ) from None
     schemas = [axioms.ALL_SCHEMAS[name] for name in schema_names]
+    programs = [compile_masks(s.pattern) for s in schemas]
 
-    def instance(agents, props):
-        picked = schemas[rng.randrange(len(schemas))]
-        subst = sample_instantiation(rng, picked, agents, props,
-                                     enforce_side_conditions)
-        return picked.name, axioms.instantiate(picked, subst), subst
+    def draw(agents, props):
+        k = rng.randrange(len(schemas))
+        return k, sample_instantiation(rng, schemas[k], agents, props,
+                                       enforce_side_conditions)
+
+    def missed(k, subst, frame, full, prop):
+        values = {name: _formula_mask(frame, subst[name], full, prop)
+                  for name in schemas[k].formula_vars}
+        return full ^ _truth(programs[k], frame, full, values, subst)[-1]
+
+    def found(k, subst, game, play, iteration):
+        picked = schemas[k]
+        return FuzzCounterexample(picked.name, game, play,
+                                  axioms.instantiate(picked, subst), subst, iteration)
 
     if bounds.mode == "random":
         rng = random.Random(bounds.seed)
@@ -739,11 +790,17 @@ def soundness_fuzz(
         pool = [sample_game(rng, bounds) for _ in range(pool_size)]
         for iteration in range(bounds.iterations):
             game = pool[iteration % pool_size]
-            name, f, subst = instance(game.agents, tuple(sorted(game.valuation)))
-            verdict = valid_in_game(game, f)
-            if not verdict.holds:
-                return FuzzCounterexample(name, game, verdict.refutation, f,
-                                          subst, iteration)
+            k, subst = draw(game.agents, tuple(sorted(game.valuation)))
+            # valid_in_game's checks of the instance, read off subst.
+            values = [subst[g.name] for g in programs[k].nodes if isinstance(g, Prop)]
+            game.check_agents(frozenset().union(
+                *(subst[name] for name in schemas[k].coalition_vars),
+                *map(agents_of, values)))
+            _warn_unvalued(game, (g for v in values for g in subformulas(v)))
+            masks = game.masks
+            miss = missed(k, subst, masks.frame, masks.full, masks.prop)
+            if miss:
+                return found(k, subst, game, _first_play(game, miss), iteration)
         return None
 
     rng = random.Random(bounds.seed if bounds.seed is not None else 0)
@@ -753,10 +810,10 @@ def soundness_fuzz(
         s, full = model.structure, model.full
         prop = dict(zip(props, model.prop))
         for _ in range(_INSTANTIATIONS_PER_GAME):
-            name, f, subst = instance(s.agents, props)
-            missed = full ^ _truth(compile_masks(f), s.frame, full, prop)[-1]
-            if missed:
-                game, play = model.answer(missed)
-                return FuzzCounterexample(name, game, play, f, subst, iteration)
+            k, subst = draw(s.agents, props)
+            miss = missed(k, subst, s.frame, full, prop)
+            if miss:
+                game, play = model.answer(miss)
+                return found(k, subst, game, play, iteration)
             iteration += 1
     return None

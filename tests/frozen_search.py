@@ -1,14 +1,18 @@
-"""Earlier versions of the package's exhaustive enumerator and per-model
-countermodel search, frozen so that their replacements can be compared
-with them: ``naive_models`` builds one Game per model in the documented
-order, and ``stream_countermodel`` evaluates the package's model stream
-one model at a time."""
+"""Earlier versions of the package's exhaustive enumerator, per-model
+countermodel search and soundness fuzzer, frozen so that their
+replacements can be compared with them: ``naive_models`` builds one Game
+per model in the documented order, ``stream_countermodel`` evaluates the
+package's model stream one model at a time, and ``stream_fuzz`` builds and
+compiles every fuzz instance."""
 
 import itertools
+import random
 
+from dtw import axioms
 from dtw.formula import agents_of, compile_masks, props_of
 from dtw.game import ActionProfile, Play, make_game
-from dtw.semantics import _truth, enumerate_games
+from dtw.semantics import (FuzzCounterexample, _truth, enumerate_games, sample_game,
+                           sample_instantiation, valid_in_game)
 
 _AGENT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -85,6 +89,50 @@ def missed_slots(model, program):
     s = model.structure
     prop = dict(zip(s.props, model.prop))
     return model.full ^ _truth(program, s.frame, model.full, prop)[-1]
+
+
+def stream_fuzz(schema, bounds, enforce_side_conditions=True):
+    """Soundness fuzzing as it was before schemas were compiled once:
+    every instance is built with ``axioms.instantiate`` and evaluated on
+    its own, by ``valid_in_game`` on each sampled game in random mode and
+    by a fresh mask program on each model in exhaustive mode.  It draws
+    from the package's ``sample_instantiation`` and ``sample_game``, so
+    both sides share one random stream."""
+    schemas = [axioms.ALL_SCHEMAS[name] for name in axioms.resolve_fuzz_group(schema)]
+
+    def instance(agents, props):
+        picked = schemas[rng.randrange(len(schemas))]
+        subst = sample_instantiation(rng, picked, agents, props,
+                                     enforce_side_conditions)
+        return picked.name, axioms.instantiate(picked, subst), subst
+
+    if bounds.mode == "random":
+        rng = random.Random(bounds.seed)
+        pool_size = max(1, min(200, bounds.iterations))
+        pool = [sample_game(rng, bounds) for _ in range(pool_size)]
+        for iteration in range(bounds.iterations):
+            game = pool[iteration % pool_size]
+            name, f, subst = instance(game.agents, tuple(sorted(game.valuation)))
+            verdict = valid_in_game(game, f)
+            if not verdict.holds:
+                return FuzzCounterexample(name, game, verdict.refutation, f,
+                                          subst, iteration)
+        return None
+
+    rng = random.Random(bounds.seed if bounds.seed is not None else 0)
+    props = ("p", "q", "r", "s", "t")[: bounds.max_props]
+    iteration = 0
+    for model in enumerate_games((), props, bounds):
+        s, full = model.structure, model.full
+        prop = dict(zip(props, model.prop))
+        for _ in range(3):
+            name, f, subst = instance(s.agents, props)
+            missed = full ^ _truth(compile_masks(f), s.frame, full, prop)[-1]
+            if missed:
+                game, play = model.answer(missed)
+                return FuzzCounterexample(name, game, play, f, subst, iteration)
+            iteration += 1
+    return None
 
 
 def _game_from_labels(agents, states, partitions, actions, cells, assignment,

@@ -18,6 +18,7 @@ from dtw.cli import main
 from dtw.lemmas import example_files
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 PLAY = "Oct | poddar=1,parents=1,university=0 | dead"
 
 
@@ -331,6 +332,38 @@ class TestFuzz:
         code, _, err = run(capsys, ["fuzz", "Bogus", "--seed", "1"])
         assert code == 2
         assert "unknown schema" in err
+
+    # Stdout bytes and exit codes, captured before schemas were compiled
+    # once per fuzz run.
+    @pytest.mark.parametrize("golden, code, argv", [
+        ("fuzz_truth_seed7.txt", 0, ["Truth", "--seed", "7"]),
+        ("fuzz_truth_seed7.json", 0, ["Truth", "--seed", "7", "--json"]),
+        ("fuzz_joint_violated_seed7.txt", 1,
+         ["JointResponsibility", "--seed", "7", "--violate-side-conditions"]),
+        ("fuzz_joint_violated_seed7.json", 1,
+         ["JointResponsibility", "--seed", "7", "--violate-side-conditions", "--json"]),
+    ])
+    def test_output_matches_golden(self, capsys, golden, code, argv):
+        assert run(capsys, ["fuzz", *argv]) == (
+            code, (GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+    @pytest.mark.parametrize("seed", ["1", "7"])
+    def test_violated_subset_condition_found(self, capsys, seed):
+        argv = ["fuzz", "Monotonicity", "--iters", "500", "--seed", seed]
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == (0, "no counterexample (500 instantiations)\n")
+        code, out, _ = run(capsys, argv + ["--violate-side-conditions", "--json"])
+        assert code == 1
+        got = json.loads(out)
+        assert got["counterexample"] is True
+        assert got["schema"] in ("Monotonicity-K", "Monotonicity-B")
+
+    @pytest.mark.parametrize("schema", ["Truth", "lemma2", "Truth-B"])
+    def test_violating_no_side_condition_exit_two(self, capsys, schema):
+        code, out, err = run(capsys, ["fuzz", schema, "--seed", "1",
+                                      "--violate-side-conditions"])
+        assert (code, out) == (2, "")
+        assert err == f"error: schema {schema!r} has no side conditions to violate\n"
 
 
 class TestMinimal:

@@ -9,8 +9,14 @@ exhaustive fuzzing, the same first counterexample at the same iteration.
 at a time; the batched search, which evaluates many models per run of the
 mask kernel, must return what it returns, wherever in a batch the first
 countermodel falls.
+
+``frozen_search.stream_fuzz`` builds and evaluates every fuzz instance on
+its own; the fuzzer, which compiles each schema once and evaluates an
+instance from its substitution, must return the same first counterexample
+at the same iteration, in both modes.
 """
 
+import collections
 import functools
 import random
 
@@ -34,7 +40,7 @@ from dtw.semantics import (
     valid_in_game,
 )
 
-from frozen_search import missed_slots, naive_models, stream_countermodel
+from frozen_search import missed_slots, naive_models, stream_countermodel, stream_fuzz
 from oracles import naive_holds
 
 # The search workload's formula templates: valid ones, then invalid ones.
@@ -169,6 +175,68 @@ def test_exhaustive_fuzz_matches_frozen_enumerator(schema, enforce, bounds):
     assert got == expected
     if schema == "JointResponsibility" and not enforce:
         assert found is not None
+
+
+# The user-facing fuzz groups; the others name one form of Truth or
+# Monotonicity.
+GROUPS = ("Truth", "Distributivity", "NegIntrospection", "Monotonicity",
+          "NoneToAct", "JointResponsibility", "StrictConditional",
+          "IntrospectionOfBlame", "Lemma2", "Lemma3")
+FUZZ_BOUNDS = {
+    "exhaustive-one-agent": SearchBounds(max_agents=1, max_initial=2, max_outcomes=1,
+                                         max_props=2, seed=5),
+    "exhaustive-three-agents": SearchBounds(max_agents=3, max_initial=1,
+                                            max_outcomes=1, seed=3),
+    "random-wide": SearchBounds(max_agents=3, max_initial=3, max_props=3,
+                                mode="random", seed=11, iterations=150),
+    "random-narrow": SearchBounds(max_agents=2, max_initial=2, max_outcomes=1,
+                                  max_props=2, mode="random", seed=4,
+                                  iterations=300),
+}
+
+
+def fuzz_answer(found):
+    return found and (found.schema, render(found.instance), found.substitution,
+                      found.iteration, render_game_file(found.game), found.play)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("enforce", [True, False])
+@pytest.mark.parametrize("bounds", FUZZ_BOUNDS.values(), ids=FUZZ_BOUNDS.keys())
+def test_fuzz_matches_frozen_stream(group, enforce, bounds):
+    expected = fuzz_answer(stream_fuzz(group, bounds, enforce))
+    assert fuzz_answer(soundness_fuzz(group, bounds, enforce)) == expected
+    if enforce:
+        assert expected is None
+
+
+@pytest.mark.parametrize("group", ["Truth", "JointResponsibility"])
+@pytest.mark.parametrize("bounds, enforce", [
+    (FUZZ_BOUNDS["exhaustive-three-agents"], True),
+    (FUZZ_BOUNDS["random-wide"], True),
+    (FUZZ_BOUNDS["random-wide"], False),
+], ids=["exhaustive", "random", "random-violated"])
+def test_fuzz_compiles_each_schema_once(monkeypatch, group, bounds, enforce):
+    """A run compiles each schema of its group at most once and builds only
+    the counterexample it returns as a formula, however many instances it
+    evaluates."""
+    calls = collections.Counter()
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(semantics, "compile_masks")
+    counted(axioms, "instantiate")
+    found = soundness_fuzz(group, bounds, enforce)
+    assert calls["compile_masks"] <= len(axioms.resolve_fuzz_group(group))
+    assert calls["instantiate"] == (found is not None)
+    assert (found is None) == (enforce or group == "Truth")
 
 
 def test_formula_agents_beyond_the_bound():
