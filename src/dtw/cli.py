@@ -4,15 +4,17 @@ Exit codes follow one convention across subcommands: 0 when the query
 holds / the proof is accepted / no counterexample exists, 1 when the query
 fails / the proof is rejected / a counterexample or countermodel is found,
 and 2 on any operational error (bad syntax, validation failure, missing
-file).  Randomized commands require an explicit ``--seed``; identical
-invocations produce byte-identical output.  ``--json`` switches every
-command to a machine-readable single-object report.
+file, or a standard output that its reader closed, which alone exits
+without a message).  Randomized commands require an explicit ``--seed``;
+identical invocations produce byte-identical output.  ``--json`` switches
+every command to a machine-readable single-object report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -376,7 +378,16 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning  # one line, no source location
         # A Warning is raised, not shown, when the filters say so (-W error).
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+            return code
+        except BrokenPipeError:
+            # The reader is gone, so nothing more can be said.  Point stdout
+            # at devnull so that the flush at shutdown prints nothing.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 2
         except (_CliError, DtwError, Warning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -26,6 +26,11 @@ list.  Character positions are recomputed only for an error message.
 Pending prefix operators, parentheses and infix operators wait on one
 explicit stack instead of in Python calls, so nesting is not limited by
 the interpreter's stack and any depth costs linear time and memory.
+
+Texts that repeat their subterms, such as the lines of one proof script,
+can be parsed with one :class:`GroupMemo`: a parenthesised group that a
+parse with the memo already read is one operand, and the parser jumps past
+its ``)``.  Without a memo each text is parsed on its own.
 """
 
 from __future__ import annotations
@@ -65,19 +70,21 @@ _FORMULA_START = "a formula (identifier, 'false', '~', 'K[', 'Kd[', 'B[', or '('
 # strength; it waits with its right strength.  ``->`` waits one weaker, so
 # the next ``->`` leaves it pending: it is right-associative.  A token that
 # is no infix operator applies every entry down to the innermost open
-# parenthesis, the only entry of strength 0.
+# parenthesis, the only entry of strength 0: ``(0, None, group)``, where
+# ``group`` is its memo id, or None.
 _INFIX = {"<->": (1, 1, iff), "->": (2, 1, Implies), "|": (3, 3, disj), "&": (4, 4, conj)}
 _NOT_INFIX = (1, None, None)
 _PREFIX = 5
 _NOT = (_PREFIX, Not, None)
-_OPEN = (0, None, None)
 
 
 class _Parser:
     """``toks`` ends in ``_EOF``, and ``i`` indexes the lookahead, which never
-    moves past it."""
+    moves past it.  With a memo, ``groups``, ``ends`` and ``whole`` are what
+    :meth:`GroupMemo.scan` finds in the tokens, and ``parsed`` is the
+    memo's; without one, ``groups`` and ``whole`` are None."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo: GroupMemo | None = None):
         self.text = text
         self.toks = toks = _TOKEN_RE.findall(text)
         toks.append(_EOF)
@@ -90,6 +97,12 @@ class _Parser:
             self.i = min(map(toks.index, bad))
             raise self.error(f"unexpected character {toks[self.i]!r}",
                              "an identifier, operator, bracket, or parenthesis")
+        if memo is None:
+            self.groups = self.whole = None
+            self.parsed = {}
+        else:
+            self.groups, self.ends, self.whole = memo.scan(toks)
+            self.parsed = memo.parsed
 
     def error(self, message: str, expected: str) -> ParseError:
         """A ParseError at the lookahead."""
@@ -105,10 +118,12 @@ class _Parser:
 
     def formula(self) -> Formula:
         """Operator-precedence parsing over one explicit stack of pending
-        entries, so that nesting costs stack entries, not Python calls."""
+        entries, so that nesting costs stack entries, not Python calls.
+        A group already in ``parsed`` is one operand, read in one step."""
         toks = self.toks
         stack = []
         i = self.i
+        groups, parsed = self.groups, self.parsed
         while True:
             # Operand position: prefix operators and parentheses wait on the
             # stack until an atom comes.
@@ -131,8 +146,12 @@ class _Parser:
                 stack.append(_NOT)
                 continue
             elif tok == "(":
-                stack.append(_OPEN)
-                continue
+                group = None if groups is None else groups[i - 1]
+                out = parsed.get(group)
+                if out is None:
+                    stack.append((0, None, group))
+                    continue
+                i = self.ends[i - 1] + 1  # past its ')'
             elif tok == "false":
                 out = falsum()
             else:
@@ -151,7 +170,9 @@ class _Parser:
                     i += 1
                     break
                 if tok == ")" and stack:
-                    stack.pop()
+                    group = stack.pop()[2]
+                    if group is not None:
+                        parsed[group] = out
                     i += 1
                     continue
                 self.i = i
@@ -184,18 +205,68 @@ class _Parser:
             raise self.unexpected("end of input", f" after {what}")
 
 
-def parse_formula(text: str) -> Formula:
+class GroupMemo:
+    """The parenthesised groups of the texts parsed with one memo: each
+    distinct group is parsed once, and all its occurrences are one formula
+    object (packrat memoization, Ford 2002, which shares subterms as
+    hash-consing does).
+
+    A group's id stands for its token sequence.  Its key is its tokens with
+    each inner group replaced by that group's id, so a key holds only the
+    group's own tokens, and scanning a text costs time and memory linear
+    in its length at any depth.  A whole text is keyed the same way, so a
+    line's formula is the same object as that text parenthesised on another
+    line.  Only groups that parsed are stored, so every error is the one a
+    parse without a memo raises.
+    """
+
+    __slots__ = ("ids", "parsed")
+
+    def __init__(self):
+        self.ids = {}     # key -> group id
+        self.parsed = {}  # group id -> formula, once a parse has closed it
+
+    def scan(self, toks):
+        """``(groups, ends, whole)`` in one stack pass: the '(' at index o
+        that has a matching ')' opens group ``groups[o]``, closed at
+        ``ends[o]``; ``whole`` is the id of the tokens before ``_EOF``."""
+        ids = self.ids
+        groups, ends = [None] * len(toks), [0] * len(toks)
+        opens, starts, key = [], [], []
+        for j, tok in enumerate(toks):
+            if tok == ")" and opens:
+                start = starts.pop()
+                group = ids.setdefault(tuple(key[start:]), len(ids))
+                del key[start - 1:]  # the group and its '('
+                key.append(group)
+                o = opens.pop()
+                groups[o], ends[o] = group, j
+            else:
+                key.append(tok)  # an unmatched parenthesis stays in the key
+                if tok == "(":
+                    opens.append(j)
+                    starts.append(len(key))
+        return groups, ends, ids.setdefault(tuple(key[:-1]), len(ids))
+
+
+def parse_formula(text: str, memo: GroupMemo | None = None) -> Formula:
     """Parse concrete syntax into the core AST.
 
     Raises :class:`ParseError` with a 1-based character position and an
     expected-token hint on malformed input, and :class:`EmptyInputError`
-    when the input is blank.
+    when the input is blank.  With a memo, a parenthesised group or whole
+    text that an earlier parse with the same memo read is not parsed
+    again: the earlier formula object is the result's subterm.
     """
-    parser = _Parser(text)
+    parser = _Parser(text, memo)
     if parser.toks[0] == _EOF:
         raise EmptyInputError()
-    out = parser.formula()
-    parser.end("formula")
+    out = parser.parsed.get(parser.whole)
+    if out is None:
+        out = parser.formula()
+        parser.end("formula")
+        if parser.whole is not None:
+            parser.parsed[parser.whole] = out
     return out
 
 

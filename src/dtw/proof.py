@@ -45,7 +45,7 @@ from .formula import (
     render,
     run_masks,
 )
-from .parser import parse_coalition_token, parse_formula
+from .parser import GroupMemo, parse_coalition_token, parse_formula
 
 MAX_TAUTOLOGY_ATOMS = 20
 
@@ -463,7 +463,14 @@ _LINE_RE = re.compile(r"^(\d+)\.\s+(.*)$")
 
 
 def parse_script(text: str) -> ProofScript:
-    """Parse the proof-script file format."""
+    """Parse the proof-script file format.
+
+    The script's formulas are read with one :class:`GroupMemo`, made for
+    this call: a parenthesised group, or a line's whole formula, is parsed
+    once per script, and every later occurrence is the same object.
+    Scripts repeat their subterms, since an ``mp`` line's implication holds
+    the text of its premise."""
+    memo = GroupMemo()
     hypotheses: List[Formula] = []
     goal: Optional[Formula] = None
     lines: List[ProofLine] = []
@@ -474,12 +481,12 @@ def parse_script(text: str) -> ProofScript:
         if stripped.startswith("hyp:"):
             if lines:
                 raise ParseError("hypotheses must precede proof lines", line=lineno)
-            hypotheses.append(_at_line(lineno, parse_formula, stripped[4:]))
+            hypotheses.append(_at_line(lineno, parse_formula, stripped[4:], memo))
             continue
         if stripped.startswith("goal:"):
             if goal is not None:
                 raise ParseError("duplicate goal line", line=lineno)
-            goal = _at_line(lineno, parse_formula, stripped[5:])
+            goal = _at_line(lineno, parse_formula, stripped[5:], memo)
             continue
         m = _LINE_RE.match(stripped)
         if m is None:
@@ -492,7 +499,7 @@ def parse_script(text: str) -> ProofScript:
             raise ParseError(
                 f"line numbered {number}, expected {len(lines) + 1}", line=lineno
             )
-        formula, just = _split_justification(m.group(2), lineno)
+        formula, just = _split_justification(m.group(2), lineno, memo)
         lines.append(ProofLine(formula, just))
     if goal is None:
         raise ParseError("missing 'goal:' line", line=1)
@@ -501,16 +508,17 @@ def parse_script(text: str) -> ProofScript:
     return ProofScript(tuple(hypotheses), tuple(lines), goal)
 
 
-def _at_line(lineno: int, parse, text: str):
-    """``parse(text)``, with a ParseError raised again carrying the line."""
+def _at_line(lineno: int, parse, *args):
+    """``parse(*args)``, with a ParseError raised again carrying the line."""
     try:
-        return parse(text)
+        return parse(*args)
     except ParseError as exc:
         raise ParseError(exc.message, pos=exc.pos, expected=exc.expected,
                          line=lineno) from None
 
 
-def _split_justification(text: str, lineno: int) -> Tuple[Formula, Justification]:
+def _split_justification(text: str, lineno: int,
+                          memo: GroupMemo) -> Tuple[Formula, Justification]:
     tokens = text.split()
     # Scan from the right for the shortest justification suffix.
     if len(tokens) >= 4 and tokens[-3] in ("mp", "nec"):
@@ -541,7 +549,7 @@ def _split_justification(text: str, lineno: int) -> Tuple[Formula, Justification
             expected="axiom <name>, taut, hyp <k>, thm <id>, mp <i> <j>, "
                      "or nec <i> [<agents>]",
         )
-    return _at_line(lineno, parse_formula, formula_text), just
+    return _at_line(lineno, parse_formula, formula_text, memo), just
 
 
 def _int_arg(token: str, lineno: int) -> int:

@@ -166,6 +166,27 @@ class TestUnvaluedProposition:
                               b"game; treating it as false everywhere\n")
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_pipe_exits_two_without_a_traceback(self, extra):
+        """The pipe's read end is closed before the child starts, so its
+        first write to stdout fails."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "dtw.cli", "fuzz", "Monotonicity", "--seed", "1",
+                 "--iters", "500", "--violate-side-conditions", *extra],
+                stdout=write, stderr=subprocess.PIPE, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+            )
+        finally:
+            os.close(write)
+        assert run.returncode == 2
+        assert b"Traceback" not in run.stderr
+        assert b"Exception ignored" not in run.stderr
+
+
 class TestDeepNesting:
     @pytest.mark.parametrize("opener, code", [
         ("~", 1), ("(", 1), ("K[parents] ", 1), ("B[university][parents] ", 1),

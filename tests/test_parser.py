@@ -110,12 +110,14 @@ def test_nesting_limit_matches_the_frozen_parser(depth, opener, core):
        st.one_of(coalitions, st.builds(str.__add__, coalitions, soups)))
 def test_script_errors_match_the_frozen_parser(goal, line, coal):
     """The script reader wraps formula and coalition errors with their line
-    number; a nec justification's coalition token has no whitespace."""
+    number; a nec justification's coalition token has no whitespace.  The
+    reader, with its per-script group memo, is compared with the frozen
+    parser, which is given each line's text and ignores the memo."""
     coal = "".join(coal.split())
     goal, line = goal.replace("\n", " "), line.replace("\n", " ")
     text = f"goal: {goal}\n# comment\n1. {line}   taut\n2. {line}   nec 1 {coal}\n"
     got = outcome(parse_script, text)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dtw.proof, "parse_formula", naive_parse_formula)
+        patch.setattr(dtw.proof, "parse_formula", lambda text, memo: naive_parse_formula(text))
         patch.setattr(dtw.proof, "parse_coalition_token", naive_parse_coalition_token)
         assert got == outcome(parse_script, text)
