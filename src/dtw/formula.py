@@ -39,7 +39,9 @@ class Formula:
     Instances are immutable and hashable; equality is structural with
     coalitions compared as sets.  A hash is computed once at construction
     so that deep equality checks can short-circuit.  Equality walks a stack
-    of node pairs, so depth is not limited by the interpreter's stack.
+    of node pairs, so depth is not limited by the interpreter's stack.  A
+    pickle holds only the constructor arguments, so a node unpickled in a
+    process with another string hash seed hashes as that process does.
     """
 
     __slots__ = ()
@@ -76,6 +78,12 @@ class Formula:
 
     def __ne__(self, other):
         return not self.__eq__(other)
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: the stored hash depends on the
+        # process's string hash seed, so it must not be pickled.
+        return self.__class__, tuple(getattr(self, name)
+                                     for name in self.__match_args__)
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {render(self)!r}>"

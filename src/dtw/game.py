@@ -45,10 +45,23 @@ class ActionProfile:
     """
 
     assignment: Tuple[Tuple[str, str], ...]  # sorted (agent, action) pairs
+    _hash = None  # not a field: set by the first __hash__
 
     @classmethod
     def make(cls, mapping) -> "ActionProfile":
         return cls(tuple(sorted(dict(mapping).items())))
+
+    def __hash__(self):
+        found = self._hash
+        if found is None:
+            found = hash(self.assignment)
+            object.__setattr__(self, "_hash", found)
+        return found
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: a string hash depends on the
+        # process's hash seed, so the cached hash must not be pickled.
+        return ActionProfile, (self.assignment,)
 
     @property
     def domain(self) -> Coalition:
@@ -68,6 +81,17 @@ class Play:
     initial: str
     profile: ActionProfile
     outcome: str
+    _hash = None  # not a field: set by the first __hash__
+
+    def __hash__(self):
+        found = self._hash
+        if found is None:
+            found = hash((self.initial, self.profile, self.outcome))
+            object.__setattr__(self, "_hash", found)
+        return found
+
+    def __reduce__(self):
+        return Play, (self.initial, self.profile, self.outcome)
 
     def __str__(self):
         return f"{self.initial} | {self.profile} | {self.outcome}"
@@ -164,18 +188,9 @@ class Game:
 
     @functools.cached_property
     def masks(self) -> PlayMasks:
-        """The game's plays as bitmasks, built on first use."""
-        index, state, action = {}, {}, {}
-        for i, play in enumerate(self.plays):
-            index.setdefault(play, i)
-            state[play.initial] = state.get(play.initial, 0) | 1 << i
-            for pair in play.profile.assignment:
-                action[pair] = action.get(pair, 0) | 1 << i
-        prop = {name: sum(1 << index[p] for p in members if p in index)
-                for name, members in self.valuation.items()}
-        frame = Frame(self.initial_states, self._block_index, state,
-                      self.actions, action, len(self.plays))
-        return PlayMasks(index, (1 << len(self.plays)) - 1, prop, frame)
+        """The game's plays as bitmasks, built on first use (and by
+        :func:`load_game`, for a loaded game)."""
+        return _play_masks(self)
 
     def has_play(self, play: Play) -> bool:
         return play in self.masks.index
@@ -188,6 +203,28 @@ class Game:
     def check_state(self, state: str) -> None:
         if state not in self.initial_states:
             raise UnknownStateError(f"unknown initial state {state!r}")
+
+
+def _play_masks(game: Game, prop: Optional[Dict[str, int]] = None) -> PlayMasks:
+    """The plays of the game as bitmasks, in one pass over them.  Each
+    (agent, action) row is the OR of the plays of each distinct profile
+    that takes it.  ``prop`` defaults to the masks of the valuation."""
+    index, state, by_profile = {}, {}, {}
+    for i, play in enumerate(game.plays):
+        bit = 1 << i
+        index.setdefault(play, i)
+        state[play.initial] = state.get(play.initial, 0) | bit
+        by_profile[play.profile] = by_profile.get(play.profile, 0) | bit
+    action = {}
+    for profile, bits in by_profile.items():
+        for pair in profile.assignment:
+            action[pair] = action.get(pair, 0) | bits
+    if prop is None:
+        prop = {name: sum(1 << index[p] for p in members if p in index)
+                for name, members in game.valuation.items()}
+    frame = Frame(game.initial_states, game._block_index, state,
+                  game.actions, action, len(game.plays))
+    return PlayMasks(index, (1 << len(game.plays)) - 1, prop, frame)
 
 
 def make_game(agents, initial_states, partitions, actions, outcomes, plays,
@@ -243,9 +280,11 @@ def validate_game(game: Game, seriality_budget: Optional[int] = None) -> list:
     """Check every structural invariant; return a sorted list of violation
     descriptions (empty iff the game is well-formed).
 
-    The seriality check enumerates every (initial state, complete profile)
-    pair and raises :class:`ResourceLimitError` when that grid exceeds the
-    budget.
+    Seriality is counted: the distinct (initial state, profile) pairs of a
+    game with no other problem lie in the grid of every initial state and
+    complete profile, so they cover it iff there are as many.  Only a game
+    that fails is enumerated, to name each missing pair.  Either way,
+    :class:`ResourceLimitError` is raised when the grid exceeds the budget.
     """
     problems = []
     states = set(game.initial_states)
@@ -297,28 +336,22 @@ def validate_game(game: Game, seriality_budget: Optional[int] = None) -> list:
     agent_set = set(game.agents)
     action_set = set(game.actions)
     outcome_set = set(game.outcomes)
+    by_profile = {}  # distinct profile -> (its problems, its initial states)
     for play in game.plays:
         if play.initial not in states:
             problems.append(f"play references unknown initial state {play.initial!r}")
         if play.outcome not in outcome_set:
             problems.append(f"play references unknown outcome {play.outcome!r}")
-        domain = play.profile.domain
-        if domain != agent_set:
-            missing = sorted(agent_set - domain)
-            extra = sorted(domain - agent_set)
-            parts = []
-            if missing:
-                parts.append(f"missing agents {missing}")
-            if extra:
-                parts.append(f"unknown agents {extra}")
-            problems.append(f"play profile is not total: {'; '.join(parts)}")
-        for _, action in play.profile.assignment:
-            if action not in action_set:
-                problems.append(f"play references unknown action {action!r}")
-    if len(set(game.plays)) != len(game.plays):
+        found = by_profile.get(play.profile)
+        if found is None:
+            found = by_profile[play.profile] = (
+                _profile_problems(play.profile, agent_set, action_set), set())
+        problems.extend(found[0])
+        found[1].add(play.initial)
+    index = game.masks.index
+    if len(index) != len(game.plays):
         problems.append("duplicate play triple")
-
-    play_set = set(game.plays)
+    play_set = set(index)
     for name, members in game.valuation.items():
         if not members <= play_set:
             problems.append(f"valuation of {name!r} is not a subset of the plays")
@@ -330,16 +363,39 @@ def validate_game(game: Game, seriality_budget: Optional[int] = None) -> list:
             raise ResourceLimitError(
                 f"seriality check needs {grid} profile checks, budget is {limit}"
             )
-        present = {(p.initial, p.profile.assignment) for p in game.plays}
-        for alpha in game.initial_states:
-            for combo in itertools.product(game.actions, repeat=len(game.agents)):
-                profile = ActionProfile.make(dict(zip(game.agents, combo)))
-                if (alpha, profile.assignment) not in present:
-                    problems.append(
-                        f"seriality violated: no outcome for initial state "
-                        f"{alpha!r} under profile {profile}"
-                    )
+        # Every play now lies in the grid, so the relation is serial iff it
+        # covers as many (initial state, profile) cells as the grid has.
+        if sum(len(initials) for _, initials in by_profile.values()) != grid:
+            present = {(p.initial, p.profile.assignment) for p in game.plays}
+            for alpha in game.initial_states:
+                for combo in itertools.product(game.actions, repeat=len(game.agents)):
+                    profile = ActionProfile.make(dict(zip(game.agents, combo)))
+                    if (alpha, profile.assignment) not in present:
+                        problems.append(
+                            f"seriality violated: no outcome for initial state "
+                            f"{alpha!r} under profile {profile}"
+                        )
     return sorted(problems)
+
+
+def _profile_problems(profile: ActionProfile, agent_set, action_set) -> list:
+    """What is wrong with one play profile: agents missing or unknown, and
+    each unknown action it takes."""
+    problems = []
+    domain = profile.domain
+    if domain != agent_set:
+        missing = sorted(agent_set - domain)
+        extra = sorted(domain - agent_set)
+        parts = []
+        if missing:
+            parts.append(f"missing agents {missing}")
+        if extra:
+            parts.append(f"unknown agents {extra}")
+        problems.append(f"play profile is not total: {'; '.join(parts)}")
+    for _, action in profile.assignment:
+        if action not in action_set:
+            problems.append(f"play references unknown action {action!r}")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +403,12 @@ def validate_game(game: Game, seriality_budget: Optional[int] = None) -> list:
 # ---------------------------------------------------------------------------
 
 def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
-    """Parse and validate a game file.
+    """Parse and validate a game file, and build the game's masks.
 
-    Raises :class:`ParseError` on malformed lines (with line/position),
-    :class:`ValidationError` listing every violated invariant, and
-    :class:`EmptyInputError` for blank input.
+    Plays with the same assignment tokens share one parsed profile, and
+    equal profiles are one object.  Raises :class:`ParseError` on malformed
+    lines (with line/position), :class:`ValidationError` listing every
+    violated invariant, and :class:`EmptyInputError` for blank input.
     """
     agents = None
     initial = None
@@ -377,6 +434,10 @@ def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
             )
         head = head.strip()
         rest = rest.strip()
+        if head == "play":  # most lines of a game file
+            plays.append((lineno, rest.split()))
+            continue
+        parts = head.split()  # the first word names the directive
         if head == "agents":
             if agents is not None:
                 raise ParseError("duplicate 'agents' line", line=lineno)
@@ -393,8 +454,7 @@ def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
             if outcomes is not None:
                 raise ParseError("duplicate 'outcomes' line", line=lineno)
             outcomes = rest.split()
-        elif head.startswith("indist"):
-            parts = head.split()
+        elif parts[:1] == ["indist"]:
             if len(parts) != 2:
                 raise ParseError(
                     "expected 'indist <agent>: {block} ...'", line=lineno
@@ -403,10 +463,7 @@ def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
             if agent in partitions:
                 raise ParseError(f"duplicate indist line for {agent!r}", line=lineno)
             partitions[agent] = _parse_blocks(rest, lineno)
-        elif head == "play":
-            plays.append((lineno, rest.split()))
-        elif head.startswith("prop"):
-            parts = head.split()
+        elif parts[:1] == ["prop"]:
             if len(parts) != 2:
                 raise ParseError("expected 'prop <name>: <indices>'", line=lineno)
             prop_lines.append((lineno, parts[1], rest.split()))
@@ -437,52 +494,61 @@ def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
             problems.append(f"partition declared for unknown agent {agent!r}")
 
     built_plays = []
+    profiles = {}  # assignment tokens -> (profile, agents they assign twice)
+    interned = {}  # assignment -> its one profile
     for lineno, tokens in plays:
         if len(tokens) < 2:
             raise ParseError(
                 "expected 'play: <initial> <agent>=<action> ... <outcome>'",
                 line=lineno,
             )
-        alpha, *assign_tokens, omega = tokens
-        mapping = {}
-        for token in assign_tokens:
-            agent, sep, action = token.partition("=")
-            if not sep or not agent or not action:
-                raise ParseError(
-                    f"malformed action assignment {token!r}", line=lineno,
-                    expected="<agent>=<action>",
-                )
-            if agent in mapping:
-                problems.append(
-                    f"play on line {lineno} assigns agent {agent!r} twice"
-                )
-            mapping[agent] = action
-        built_plays.append(Play(alpha, ActionProfile.make(mapping), omega))
+        key = tuple(tokens[1:-1])
+        found = profiles.get(key)
+        if found is None:
+            mapping, twice = {}, []
+            for token in key:
+                agent, sep, action = token.partition("=")
+                if not sep or not agent or not action:
+                    raise ParseError(
+                        f"malformed action assignment {token!r}", line=lineno,
+                        expected="<agent>=<action>",
+                    )
+                if agent in mapping:
+                    twice.append(agent)
+                mapping[agent] = action
+            profile = ActionProfile.make(mapping)
+            found = profiles[key] = (
+                interned.setdefault(profile.assignment, profile), twice)
+        for agent in found[1]:
+            problems.append(f"play on line {lineno} assigns agent {agent!r} twice")
+        built_plays.append(Play(tokens[0], found[0], tokens[-1]))
 
-    valuation = {}
+    valuation, prop = {}, {}
     for lineno, name, tokens in prop_lines:
         if name in valuation:
             problems.append(f"duplicate prop {name!r}")
-        members = set()
+        members, bits = set(), 0
         for token in tokens:
-            try:
-                index = int(token)
-            except ValueError:
+            digits = token[1:] if token[0] in "+-" else token
+            if not (digits.isascii() and digits.isdigit()):
                 raise ParseError(
                     f"prop indices must be integers, got {token!r}", line=lineno
-                ) from None
+                )
+            index = int(token)
             if not 1 <= index <= len(built_plays):
                 problems.append(
                     f"valuation of {name!r} references unknown play {index}"
                 )
             else:
                 members.add(built_plays[index - 1])
-        valuation[name] = frozenset(members)
+                bits |= 1 << index - 1
+        valuation[name], prop[name] = frozenset(members), bits
 
     game = make_game(
         agents or (), initial or (), partitions, actions or (), outcomes or (),
         built_plays, valuation,
     )
+    game.masks = _play_masks(game, prop)  # fills the cached property
     problems.extend(validate_game(game, seriality_budget))
     if problems:
         raise ValidationError(sorted(problems))

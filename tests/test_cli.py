@@ -109,6 +109,22 @@ class TestValid:
         assert got["holds"] is False
         assert got["refutation"]["outcome"] == "alive"
 
+    @pytest.mark.parametrize("line, error", [
+        ("propaganda killed: 1", "unknown directive 'propaganda killed'"),
+        ("indistinguishable poddar: {Oct Nov}",
+         "unknown directive 'indistinguishable poddar'"),
+        ("prop z: 1_0", "prop indices must be integers, got '1_0'"),
+        ("prop z: ٣", "prop indices must be integers, got '٣'"),
+    ])
+    def test_misread_lines_exit_two(self, example_dir, tmp_path, capsys, line,
+                                    error):
+        path = tmp_path / "bad.game"
+        text = (example_dir / "tarasoff.game").read_text(encoding="utf-8")
+        path.write_text(text + line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["valid", str(path), "killed"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {error} (line {text.count(chr(10)) + 1})")
+
 
 class TestBudgetEnvironment:
     def test_non_integer_budget_exits_two_with_one_line(self, example_dir,
