@@ -4,13 +4,14 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dtw import cli
@@ -500,6 +501,9 @@ class TestExitCodeContract:
     @given(command=st.sampled_from(("check", "valid", "minimal", "prove", "countermodel")),
            game=_games, play=_plays, formula=_formulas, kind=st.integers(1, 4),
            as_json=st.booleans(), warnings_are_errors=st.booleans())
+    @example(command="check", game=b"Traceback",
+             play="Oct | poddar=1,parents=1,university=0 | dead", formula="",
+             kind=1, as_json=False, warnings_are_errors=False)
     def test_exit_code_is_zero_one_or_two(self, workdir, command, game, play,
                                           formula, kind, as_json, warnings_are_errors):
         game_path = workdir / "arbitrary.game"
@@ -529,7 +533,10 @@ class TestExitCodeContract:
             except SystemExit as exc:  # argparse's usage errors and --help
                 code = exc.code
         assert code in (0, 1, 2), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        # Error messages quote the offending input, which may itself read
+        # "Traceback"; a printed traceback is a line that starts with its header.
+        assert not re.search(r"^Traceback \(most recent call last\):", err.getvalue(),
+                             re.MULTILINE), (argv, err.getvalue())
 
     @pytest.mark.parametrize("argv, given", [
         (["fuzz", "Truth", "--seed", "1", "--iters", "-5"], -5),
