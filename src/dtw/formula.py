@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import BadParamsError, UniverseTooLargeError
@@ -33,21 +33,57 @@ def coalition(members: Iterable[str] = ()) -> Coalition:
     return frozenset(members)
 
 
-class Formula:
-    """Base class of AST nodes.
-
-    Instances are immutable and hashable; equality is structural with
-    coalitions compared as sets.  A hash is computed once at construction
-    so that deep equality checks can short-circuit.  Equality walks a stack
-    of node pairs, so depth is not limited by the interpreter's stack.  A
-    pickle holds only the constructor arguments, so a node unpickled in a
-    process with another string hash seed hashes as that process does.
+class Frozen:
+    """Base of the immutable value classes: formula nodes, plays and action
+    profiles.  A subclass's ``__slots__`` are its constructor arguments, then
+    ``_hash``; its ``__init__`` writes each slot, and the hash, once with
+    :data:`write_slot`.  Immutability is kept at run time: the stored hash
+    must stay the hash of the fields, and objects are shared across threads.
+    A pickle holds only the constructor arguments, so an object unpickled
+    under another string hash seed hashes as that process's own objects do.
     """
 
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __hash__(self):
         return self._hash
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __eq__(self, other):
+        if self.__class__ is not other.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}"
+                         for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({args})"
+
+
+write_slot = object.__setattr__  # how a constructor writes past the guard
+
+
+class Formula(Frozen):
+    """Base class of AST nodes.
+
+    Equality is structural with coalitions compared as sets.  The stored
+    hash lets deep equality checks short-circuit.  Equality walks a stack
+    of node pairs, so depth is not limited by the interpreter's stack.
+    """
+
+    __slots__ = ()
+    __hash__ = Frozen.__hash__  # defining __eq__ would otherwise drop it
 
     def __eq__(self, other):
         if self.__class__ is not other.__class__ or self._hash != other._hash:
@@ -76,63 +112,44 @@ class Formula:
                 return True
             a, b = pairs.pop()
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __reduce__(self):
-        # Rebuilt through the constructor: the stored hash depends on the
-        # process's string hash seed, so it must not be pickled.
-        return self.__class__, tuple(getattr(self, name)
-                                     for name in self.__match_args__)
-
     def __repr__(self):
         return f"<{self.__class__.__name__} {render(self)!r}>"
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Prop(Formula):
-    name: str
-    _hash: int = field(init=False)
+    __slots__ = ("name", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("prop", self.name)))
+    def __init__(self, name: str):
+        write_slot(self, "name", name)
+        write_slot(self, "_hash", hash(("prop", name)))
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Not(Formula):
-    child: Formula
-    _hash: int = field(init=False)
+    __slots__ = ("child", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("not", self.child._hash)))
+    def __init__(self, child: Formula):
+        write_slot(self, "child", child)
+        write_slot(self, "_hash", hash(("not", child._hash)))
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
-    _hash: int = field(init=False)
+    __slots__ = ("left", "right", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash(("implies", self.left._hash, self.right._hash))
-        )
+    def __init__(self, left: Formula, right: Formula):
+        write_slot(self, "left", left)
+        write_slot(self, "right", right)
+        write_slot(self, "_hash", hash(("implies", left._hash, right._hash)))
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Know(Formula):
-    knowers: Coalition
-    child: Formula
-    _hash: int = field(init=False)
+    __slots__ = ("knowers", "child", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "knowers", frozenset(self.knowers))
-        object.__setattr__(
-            self, "_hash", hash(("know", self.knowers, self.child._hash))
-        )
+    def __init__(self, knowers: Iterable[str], child: Formula):
+        write_slot(self, "knowers", frozenset(knowers))
+        write_slot(self, "child", child)
+        write_slot(self, "_hash", hash(("know", self.knowers, child._hash)))
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Blame(Formula):
     """``Blame(knowers, actors, f)``: f is true and the knower coalition knew
     a joint action by which the actor coalition could have prevented f.
@@ -141,19 +158,15 @@ class Blame(Formula):
     knows, second bracket acts).
     """
 
-    knowers: Coalition
-    actors: Coalition
-    child: Formula
-    _hash: int = field(init=False)
+    __slots__ = ("knowers", "actors", "child", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "knowers", frozenset(self.knowers))
-        object.__setattr__(self, "actors", frozenset(self.actors))
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(("blame", self.knowers, self.actors, self.child._hash)),
-        )
+    def __init__(self, knowers: Iterable[str], actors: Iterable[str],
+                 child: Formula):
+        write_slot(self, "knowers", frozenset(knowers))
+        write_slot(self, "actors", frozenset(actors))
+        write_slot(self, "child", child)
+        write_slot(self, "_hash",
+                   hash(("blame", self.knowers, self.actors, child._hash)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -32,36 +32,27 @@ from .errors import (
     UnknownStateError,
     ValidationError,
 )
-from .formula import Coalition, coalition
+from .formula import Coalition, Frozen, coalition, write_slot
 from .limits import budget
 
 
-@dataclass(frozen=True)
-class ActionProfile:
+class ActionProfile(Frozen):
     """A joint action of a coalition: one action per agent in its domain.
 
     A profile over the full agent set is complete; partial profiles are
-    used to quantify over what a coalition could have done.
+    used to quantify over what a coalition could have done.  The
+    assignment is its sorted (agent, action) pairs.
     """
 
-    assignment: Tuple[Tuple[str, str], ...]  # sorted (agent, action) pairs
-    _hash = None  # not a field: set by the first __hash__
+    __slots__ = ("assignment", "_hash")
+
+    def __init__(self, assignment: Tuple[Tuple[str, str], ...]):
+        write_slot(self, "assignment", assignment)
+        write_slot(self, "_hash", hash(assignment))
 
     @classmethod
     def make(cls, mapping) -> "ActionProfile":
         return cls(tuple(sorted(dict(mapping).items())))
-
-    def __hash__(self):
-        found = self._hash
-        if found is None:
-            found = hash(self.assignment)
-            object.__setattr__(self, "_hash", found)
-        return found
-
-    def __reduce__(self):
-        # Rebuilt through the constructor: a string hash depends on the
-        # process's hash seed, so the cached hash must not be pickled.
-        return ActionProfile, (self.assignment,)
 
     @property
     def domain(self) -> Coalition:
@@ -74,24 +65,16 @@ class ActionProfile:
         return ",".join(f"{agent}={act}" for agent, act in self.assignment)
 
 
-@dataclass(frozen=True)
-class Play:
+class Play(Frozen):
     """One (initial state, complete action profile, outcome) triple."""
 
-    initial: str
-    profile: ActionProfile
-    outcome: str
-    _hash = None  # not a field: set by the first __hash__
+    __slots__ = ("initial", "profile", "outcome", "_hash")
 
-    def __hash__(self):
-        found = self._hash
-        if found is None:
-            found = hash((self.initial, self.profile, self.outcome))
-            object.__setattr__(self, "_hash", found)
-        return found
-
-    def __reduce__(self):
-        return Play, (self.initial, self.profile, self.outcome)
+    def __init__(self, initial: str, profile: ActionProfile, outcome: str):
+        write_slot(self, "initial", initial)
+        write_slot(self, "profile", profile)
+        write_slot(self, "outcome", outcome)
+        write_slot(self, "_hash", hash((initial, profile, outcome)))
 
     def __str__(self):
         return f"{self.initial} | {self.profile} | {self.outcome}"
@@ -181,10 +164,9 @@ class Game:
     outcomes: Tuple[str, ...]
     plays: Tuple[Play, ...]
     valuation: Dict[str, frozenset]  # prop -> subset of plays
-    _block_index: Dict[str, Dict[str, int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self._block_index = index_blocks(self.partitions)
+        self._block_index = index_blocks(self.partitions)  # not a field
 
     @functools.cached_property
     def masks(self) -> PlayMasks:
@@ -609,23 +591,14 @@ def _tarasoff_outcome(initial: str, attacker: str, vacation: str) -> str:
     return "dead" if attacker == "1" and vacation != peak_action else "alive"
 
 
-def tarasoff_game() -> Game:
-    """Three-agent variant: the observer agent ``university`` can tell the
-    initial states apart but its action never affects the outcome."""
-    agents = ("poddar", "parents", "university")
+def _tarasoff(agents: Tuple[str, ...]) -> Game:
+    """The Tarasoff game over agents that start with the attacker and the
+    protectors; every agent chooses action 0 or 1."""
     plays = []
     for initial in ("Oct", "Nov"):
-        for attacker in ("0", "1"):
-            for vacation in ("0", "1"):
-                for observer in ("0", "1"):
-                    profile = ActionProfile.make(
-                        {"poddar": attacker, "parents": vacation,
-                         "university": observer}
-                    )
-                    plays.append(
-                        Play(initial, profile,
-                             _tarasoff_outcome(initial, attacker, vacation))
-                    )
+        for combo in itertools.product(("0", "1"), repeat=len(agents)):
+            plays.append(Play(initial, ActionProfile.make(zip(agents, combo)),
+                              _tarasoff_outcome(initial, *combo[:2])))
     return make_game(
         agents=agents,
         initial_states=("Oct", "Nov"),
@@ -637,25 +610,12 @@ def tarasoff_game() -> Game:
     )
 
 
+def tarasoff_game() -> Game:
+    """Three-agent variant: the observer agent ``university`` can tell the
+    initial states apart but its action never affects the outcome."""
+    return _tarasoff(("poddar", "parents", "university"))
+
+
 def tarasoff2_game() -> Game:
     """Two-agent projection (attacker and protectors only), 8 plays."""
-    plays = []
-    for initial in ("Oct", "Nov"):
-        for attacker in ("0", "1"):
-            for vacation in ("0", "1"):
-                profile = ActionProfile.make(
-                    {"poddar": attacker, "parents": vacation}
-                )
-                plays.append(
-                    Play(initial, profile,
-                         _tarasoff_outcome(initial, attacker, vacation))
-                )
-    return make_game(
-        agents=("poddar", "parents"),
-        initial_states=("Oct", "Nov"),
-        partitions={"parents": (frozenset({"Oct", "Nov"}),)},
-        actions=("0", "1"),
-        outcomes=("alive", "dead"),
-        plays=plays,
-        valuation={"killed": [p for p in plays if p.outcome == "dead"]},
-    )
+    return _tarasoff(("poddar", "parents"))

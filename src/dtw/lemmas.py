@@ -203,23 +203,13 @@ class _JointDerivation:
         ]
         self._memo: Dict[Tuple[int, int], int] = {}
 
-    def knowers_union(self, lo, hi) -> Coalition:
-        out: frozenset = frozenset()
-        for i in range(lo, hi + 1):
-            out |= self.knowers[i]
-        return out
-
-    def actors_union(self, lo, hi) -> Coalition:
-        out: frozenset = frozenset()
-        for i in range(lo, hi + 1):
-            out |= self.actors[i]
-        return out
-
     def disjunction(self, lo, hi) -> Formula:
         return big_disj(self.chis[lo:hi + 1])
 
     def blame(self, lo, hi, body) -> Formula:
-        return Blame(self.knowers_union(lo, hi), self.actors_union(lo, hi), body)
+        """B[E_lo u..u E_hi][F_lo u..u F_hi] body."""
+        return Blame(frozenset().union(*self.knowers[lo:hi + 1]),
+                     frozenset().union(*self.actors[lo:hi + 1]), body)
 
     def guarded(self, lo, hi) -> Formula:
         dx = self.disjunction(lo, hi)
@@ -252,19 +242,18 @@ class _JointDerivation:
     def _derive_composite(self, lo: int, hi: int) -> int:
         b = self.b
         dx = self.disjunction(lo, hi)
-        target = Implies(dx, self.blame(lo, hi, dx))
+        whole = self.blame(lo, hi, dx)
+        target = Implies(dx, whole)
 
         # Part 1: attach the last disjunct to the prefix.
         g1 = self.derive(lo, hi - 1)
         d1 = self.disjunction(lo, hi - 1)
         b1 = self.blame(lo, hi - 1, d1)
-        lift1 = _emit_truth_dual(b, self.knowers_union(lo, hi - 1), b1)
+        lift1 = _emit_truth_dual(b, b1.knowers, b1)
         jr1 = b.axiom(
             "JointResponsibility",
-            self._jr_instance(
-                self.knowers_union(lo, hi - 1), self.actors_union(lo, hi - 1),
-                d1, self.knowers[hi], self.actors[hi], self.chis[hi],
-            ),
+            self._jr_instance(b1.knowers, b1.actors, d1, self.knowers[hi],
+                              self.actors[hi], self.chis[hi]),
         )
         p1_goal = _guard_chain(self.kbars, lo, hi, Implies(d1, target))
         mega1 = b.taut(
@@ -283,21 +272,16 @@ class _JointDerivation:
         g2 = self.derive(lo + 1, hi)
         d2 = self.disjunction(lo + 1, hi)
         b2 = self.blame(lo + 1, hi, d2)
-        lift2 = _emit_truth_dual(b, self.knowers_union(lo + 1, hi), b2)
+        lift2 = _emit_truth_dual(b, b2.knowers, b2)
         w = disj(self.chis[lo], d2)
         jr2 = b.axiom(
             "JointResponsibility",
-            self._jr_instance(
-                self.knowers[lo], self.actors[lo], self.chis[lo],
-                self.knowers_union(lo + 1, hi), self.actors_union(lo + 1, hi),
-                d2,
-            ),
+            self._jr_instance(self.knowers[lo], self.actors[lo], self.chis[lo],
+                              b2.knowers, b2.actors, d2),
         )
         rebracket = b.taut(iff(w, dx))
-        cong = _emit_blame_congruence(
-            b, w, dx, self.knowers_union(lo, hi), self.actors_union(lo, hi),
-            rebracket,
-        )
+        cong = _emit_blame_congruence(b, w, dx, whole.knowers, whole.actors,
+                                      rebracket)
         p2_goal = _guard_chain(self.kbars, lo, hi, Implies(d2, target))
         mega2 = b.taut(
             Implies(

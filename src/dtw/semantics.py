@@ -265,6 +265,14 @@ _AGENT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 _PROP_NAMES = ("p", "q", "r", "s", "t")
 
 
+def _check_pool(what: str, bound: int, names) -> None:
+    """Refuse a bound past the pool of names it draws from, which would
+    otherwise cap the search at the pool's size without a word."""
+    if bound > len(names):
+        raise BadParamsError(f"max_{what} is {bound}, but only {len(names)} "
+                             f"{what[:-1]} names are available")
+
+
 def _random_partition(rng: random.Random, items: List[str]) -> Tuple[Coalition, ...]:
     labels = [rng.randrange(len(items)) for _ in items]
     blocks: Dict[int, set] = {}
@@ -282,6 +290,7 @@ def sample_game(
     """One random game within the bounds: random partitions, a random serial
     play relation (occasionally nondeterministic), and a random valuation."""
     if agents is None:
+        _check_pool("agents", bounds.max_agents, _AGENT_NAMES)
         agents = _AGENT_NAMES[: rng.randint(1, bounds.max_agents)]
     n_initial = rng.randint(1, bounds.max_initial)
     states = [f"s{i}" for i in range(n_initial)]
@@ -290,6 +299,7 @@ def sample_game(
     n_outcomes = rng.randint(1, bounds.max_outcomes)
     outcomes = tuple(f"o{i}" for i in range(n_outcomes))
     if prop_names is None:
+        _check_pool("props", bounds.max_props, _PROP_NAMES)
         prop_names = _PROP_NAMES[: rng.randint(1, bounds.max_props)]
     plays = []
     for alpha in states:
@@ -539,8 +549,13 @@ def enumerate_games(
 
 
 def _structures(formula_agents, props, bounds, model_budget) -> Iterator[Structure]:
-    """The structures of the enumeration in order, once the model count
-    is within the budget."""
+    """The structures of the enumeration in order, once the bounds fit the
+    pool of agent names and the model count is within the budget."""
+    base = tuple(sorted(formula_agents))
+    extras = tuple(n for n in _AGENT_NAMES if n not in base) + tuple(
+        f"z{i}" for i in range(len(base))
+    )
+    _check_pool("agents", bounds.max_agents, base + extras)
     limit = budget("exhaustive-models", model_budget)
     total = count_models(formula_agents, props, bounds, limit)
     if total > limit:
@@ -548,10 +563,6 @@ def _structures(formula_agents, props, bounds, model_budget) -> Iterator[Structu
             f"exhaustive search would enumerate at least {total} models, "
             f"budget is {limit}"
         )
-    base = tuple(sorted(formula_agents))
-    extras = tuple(n for n in _AGENT_NAMES if n not in base) + tuple(
-        f"z{i}" for i in range(len(base))
-    )
     min_agents = max(1, len(base))
     props = tuple(props)
     choices = _label_choices(props, bounds.max_outcomes)
@@ -716,6 +727,7 @@ def countermodel_search(
 def _random_game_stream(base_agents, props, bounds) -> Iterator[Game]:
     rng = random.Random(bounds.seed)
     names = base_agents + tuple(n for n in _AGENT_NAMES if n not in base_agents)
+    _check_pool("agents", bounds.max_agents, names)
     for _ in range(bounds.iterations):
         n_agents = rng.randint(max(1, len(base_agents)), bounds.max_agents)
         yield sample_game(rng, bounds, agents=names[:n_agents],
@@ -803,6 +815,7 @@ def soundness_fuzz(
                 return found(k, subst, game, _first_play(game, miss), iteration)
         return None
 
+    _check_pool("props", bounds.max_props, _PROP_NAMES)
     rng = random.Random(bounds.seed if bounds.seed is not None else 0)
     props = _PROP_NAMES[: bounds.max_props]
     iteration = 0

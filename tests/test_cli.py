@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON round trips, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -404,6 +405,24 @@ class TestFuzz:
         assert err == f"error: schema {schema!r} has no side conditions to violate\n"
 
 
+class TestNamePools:
+    @pytest.mark.parametrize("argv, message", [
+        (["fuzz", "Truth", "--seed", "1", "--iters", "5", "--max-agents", "40",
+          "--max-props", "40"], "max_agents is 40, but only 8 agent names"),
+        (["fuzz", "Truth", "--seed", "1", "--iters", "5", "--max-props", "6"],
+         "max_props is 6, but only 5 prop names"),
+        (["countermodel", "p", "--max-agents", "9"],
+         "max_agents is 9, but only 8 agent names"),
+        (["countermodel", "p", "--random", "--seed", "1", "--max-agents", "9"],
+         "max_agents is 9, but only 8 agent names"),
+    ])
+    def test_bounds_past_the_pools_exit_two_with_one_line(self, capsys, argv,
+                                                          message):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} are available\n"
+
+
 class TestMinimal:
     def test_kind_one(self, example_dir, capsys):
         code, out, _ = run(capsys, [
@@ -444,6 +463,44 @@ class TestExample:
         g3 = load_game((example_dir / "tarasoff.game").read_text())
         g2 = load_game((example_dir / "tarasoff2.game").read_text())
         assert len(g3.plays) == 16 and len(g2.plays) == 8
+
+    # sha256 of each file as written before the value classes were
+    # hand-written and the Tarasoff games were built by one helper.
+    GOLDEN_SHA256 = {
+        "lemma1_n2.prf":
+            "02b6f0686202cf15ea51a7a0f86a70fd876ff336b4f70370fb6c227b75cc4ea6",
+        "lemma1_n3.prf":
+            "f7052eb7b569be44f05a742ae57a806275aae08fc3aa819b9fdacdc56828722a",
+        "lemma2_a_p.prf":
+            "42b02271d60b66bfa954ba45429aea66e4409c56d273c1c4cf6f974b3bb6626a",
+        "lemma3_a_b_p.prf":
+            "57fc8ee2eaf34bad9f9ea04302958845e629563b7a61abb92a581cb56cbf20d5",
+        "lemma4_and_comm.prf":
+            "b113796c2e0e567ef9829a675b2bae4cce204738dfff5341e9169f2f068989af",
+        "lemma5_a_p.prf":
+            "5fc4d75ee49ea918cff93763816e7f8f1e264aee0a758174097a61ffb4c0ac39",
+        "lemma6_n0.prf":
+            "e155d34b7524652e0ba163dcb87b89fbabcb367a0b220af5f6b82c318c2af534",
+        "lemma6_n1.prf":
+            "bc495bced9cabde277eae573c8861ecf1973464d2ce6758501676cb798c986d5",
+        "lemma6_n1_thm.prf":
+            "b581a58f50275833bfeaa17439e04407817b794ffea1c9185564d77e4928c748",
+        "lemma6_n2.prf":
+            "428adb5e99d2a22ee4ab8eeb6f36b9989f523ff68fd433264d81538669490bf0",
+        "lemma6_n3.prf":
+            "f47d3260e201ec60fb910f9845fbd948d94af0689bd17e691170369fd6d212e1",
+        "lemma7_n2.prf":
+            "ea24d5b0c5e96aeeeda447c8c724c4a57eff99ae90df9dc4795cdcb973b05f1a",
+        "tarasoff.game":
+            "0be500a63bfd9da0259a940db2461f18ce42d20a7dd6cee589cf75477ed8f6e0",
+        "tarasoff2.game":
+            "7e44f7255b0f02b70a6ca7a6d75d06320d2f5d0f00e1b001298eb7f3a5574db4",
+    }
+
+    def test_files_match_golden_digests(self, example_dir):
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in example_dir.iterdir()}
+        assert got == self.GOLDEN_SHA256
 
     def test_unknown_example(self, capsys):
         code, _, err = run(capsys, ["example", "trolley"])

@@ -494,6 +494,63 @@ class TestSearchBounds:
         assert SearchBounds(mode="random", seed=1, iterations=0).iterations == 0
 
 
+class TestNamePools:
+    """Bounds past the 8 agent names or the 5 proposition names are refused
+    before any model is enumerated or any game is built."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        def unwanted(*args, **kwargs):
+            raise AssertionError("a model or a game was built")
+
+        monkeypatch.setattr(semantics, "_set_partitions", unwanted)
+        monkeypatch.setattr(semantics, "make_game", unwanted)
+
+    def test_enumeration(self):
+        bounds = SearchBounds(max_agents=10, max_initial=1, max_actions=1,
+                              max_outcomes=1)
+        with pytest.raises(BadParamsError, match="only 8 agent names"):
+            next(enumerate_games((), ("p",), bounds))
+
+    @pytest.mark.parametrize("text, bounds, message", [
+        ("p", SearchBounds(max_agents=9), "only 8 agent names"),
+        # Agents named by the formula are padded with z0, z1, ...
+        ("K[a,x]p", SearchBounds(max_agents=12), "only 11 agent names"),
+        ("p", SearchBounds(max_agents=9, mode="random", seed=1), "only 8 agent"),
+        ("K[x]p", SearchBounds(max_agents=10, mode="random", seed=1),
+         "only 9 agent names"),
+        ("false", SearchBounds(max_props=6, mode="random", seed=1),
+         "only 5 prop names"),
+    ])
+    def test_countermodel_search(self, text, bounds, message):
+        with pytest.raises(BadParamsError, match=message):
+            countermodel_search(parse_formula(text), bounds)
+
+    @pytest.mark.parametrize("bounds, message", [
+        (SearchBounds(max_agents=9), "only 8 agent names"),
+        (SearchBounds(max_props=6), "only 5 prop names"),
+        (SearchBounds(max_agents=40, max_props=40, mode="random", seed=1,
+                      iterations=5), "only 8 agent names"),
+        (SearchBounds(max_props=6, mode="random", seed=1, iterations=5),
+         "only 5 prop names"),
+    ])
+    def test_soundness_fuzz(self, bounds, message):
+        with pytest.raises(BadParamsError, match=message):
+            soundness_fuzz("Truth", bounds)
+
+
+def test_bounds_that_fill_the_pools_reach_them():
+    bounds = SearchBounds(max_agents=8, max_initial=1, max_actions=1,
+                          max_outcomes=1)
+    sizes = {len(m.structure.agents) for m in enumerate_games((), ("p",), bounds)}
+    assert sizes == set(range(1, 9))
+    rng = random.Random(1)
+    full = SearchBounds(max_agents=8, max_initial=1, max_actions=1, max_props=5)
+    games = [sample_game(rng, full) for _ in range(100)]
+    assert max(len(g.agents) for g in games) == 8
+    assert max(len(g.valuation) for g in games) == 5
+
+
 class TestImmutability:
     def test_formula_nodes_frozen(self):
         import dataclasses
