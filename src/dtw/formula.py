@@ -227,6 +227,14 @@ def big_conj(items) -> Formula:
     return out
 
 
+def big_implies(antecedents, consequent: Formula) -> Formula:
+    """Right-nested a1 -> (a2 -> ... -> (an -> consequent))."""
+    out = consequent
+    for item in reversed(list(antecedents)):
+        out = Implies(item, out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Printing.
 # ---------------------------------------------------------------------------
@@ -399,14 +407,10 @@ def agents_of(f: Formula) -> Coalition:
     return frozenset(out)
 
 
-def props_of(f: Formula, include_reserved: bool = False) -> frozenset:
-    """All proposition names in f; reserved names excluded by default."""
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, Prop):
-            if include_reserved or not g.name.startswith(RESERVED_PREFIX):
-                out.add(g.name)
-    return frozenset(out)
+def props_of(f: Formula) -> frozenset:
+    """All proposition names in f but the reserved ones."""
+    return frozenset(g.name for g in subformulas(f)
+                     if isinstance(g, Prop) and not g.name.startswith(RESERVED_PREFIX))
 
 
 def subsets_of(members: Iterable[str]) -> list:

@@ -384,6 +384,9 @@ def _profile_problems(profile: ActionProfile, agent_set, action_set) -> list:
 # File format.
 # ---------------------------------------------------------------------------
 
+_HEADERS = ("agents", "initial", "actions", "outcomes")
+
+
 def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
     """Parse and validate a game file, and build the game's masks.
 
@@ -392,10 +395,7 @@ def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
     lines (with line/position), :class:`ValidationError` listing every
     violated invariant, and :class:`EmptyInputError` for blank input.
     """
-    agents = None
-    initial = None
-    actions = None
-    outcomes = None
+    headers = {}  # header name -> the names on its line
     partitions = {}
     plays = []
     prop_lines = []
@@ -420,22 +420,10 @@ def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
             plays.append((lineno, rest.split()))
             continue
         parts = head.split()  # the first word names the directive
-        if head == "agents":
-            if agents is not None:
-                raise ParseError("duplicate 'agents' line", line=lineno)
-            agents = rest.split()
-        elif head == "initial":
-            if initial is not None:
-                raise ParseError("duplicate 'initial' line", line=lineno)
-            initial = rest.split()
-        elif head == "actions":
-            if actions is not None:
-                raise ParseError("duplicate 'actions' line", line=lineno)
-            actions = rest.split()
-        elif head == "outcomes":
-            if outcomes is not None:
-                raise ParseError("duplicate 'outcomes' line", line=lineno)
-            outcomes = rest.split()
+        if head in _HEADERS:
+            if head in headers:
+                raise ParseError(f"duplicate {head!r} line", line=lineno)
+            headers[head] = rest.split()
         elif parts[:1] == ["indist"]:
             if len(parts) != 2:
                 raise ParseError(
@@ -459,20 +447,13 @@ def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
     if not seen_any:
         raise EmptyInputError("empty game file")
 
-    problems = []
-    for name, value in (
-        ("agents", agents),
-        ("initial", initial),
-        ("actions", actions),
-        ("outcomes", outcomes),
-    ):
-        if value is None:
-            problems.append(f"missing '{name}' line")
+    problems = [f"missing {name!r} line" for name in _HEADERS if name not in headers]
     if problems:
         raise ValidationError(sorted(problems))
+    agents, initial, actions, outcomes = (headers[name] for name in _HEADERS)
 
     for agent in partitions:
-        if agent not in (agents or ()):
+        if agent not in agents:
             problems.append(f"partition declared for unknown agent {agent!r}")
 
     built_plays = []
@@ -526,10 +507,8 @@ def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
                 bits |= 1 << index - 1
         valuation[name], prop[name] = frozenset(members), bits
 
-    game = make_game(
-        agents or (), initial or (), partitions, actions or (), outcomes or (),
-        built_plays, valuation,
-    )
+    game = make_game(agents, initial, partitions, actions, outcomes,
+                     built_plays, valuation)
     game.masks = _play_masks(game, prop)  # fills the cached property
     problems.extend(validate_game(game, seriality_budget))
     if problems:

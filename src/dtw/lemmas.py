@@ -39,6 +39,7 @@ from .formula import (
     Not,
     Prop,
     big_disj,
+    big_implies,
     coalition,
     conj,
     disj,
@@ -50,7 +51,6 @@ from .game import tarasoff2_game, tarasoff_game, render_game_file
 from .proof import (
     ProofScript,
     ScriptBuilder,
-    Theorem,
     apply_deduction_theorem,
     check_proof,
     render_script,
@@ -64,10 +64,7 @@ from .proof import (
 def _emit_truth_dual(b: ScriptBuilder, knowers: Coalition, f: Formula) -> int:
     """Emit lines proving f -> ~K[C]~f; return the final line index."""
     ax = b.axiom("Truth-K", Implies(Know(knowers, Not(f)), Not(f)))
-    flip = b.taut(
-        Implies(b.formula_at(ax), Implies(f, Not(Know(knowers, Not(f)))))
-    )
-    return b.mp(ax, flip)
+    return b.conclude([ax], Implies(f, dual_know(knowers, f)))
 
 
 def _emit_lemma3_body(b: ScriptBuilder, knowers: Coalition, actors: Coalition,
@@ -76,33 +73,13 @@ def _emit_lemma3_body(b: ScriptBuilder, knowers: Coalition, actors: Coalition,
     blame = Blame(knowers, actors, phi)
     intro = Know(knowers, Implies(phi, blame))
     ax_intro = b.axiom("IntrospectionOfBlame", Implies(blame, intro))
-    contra = b.taut(
-        Implies(b.formula_at(ax_intro), Implies(Not(intro), Not(blame)))
-    )
-    step = b.mp(ax_intro, contra)
-    necced = b.nec(step, knowers)
-    k_not_intro = Know(knowers, Not(intro))
-    k_not_blame = Know(knowers, Not(blame))
-    dist = b.axiom(
-        "Distributivity",
-        Implies(b.formula_at(necced), Implies(k_not_intro, k_not_blame)),
-    )
-    carried = b.mp(necced, dist)
-    neg_intro = b.axiom("NegIntrospection", Implies(Not(intro), k_not_intro))
+    step = b.conclude([ax_intro], Implies(Not(intro), Not(blame)))
+    carried = b.distribute(b.nec(step, knowers))
+    neg_intro = b.axiom("NegIntrospection",
+                        Implies(Not(intro), Know(knowers, Not(intro))))
     truth = b.axiom("Truth-K", Implies(intro, Implies(phi, blame)))
-    goal = Implies(Not(k_not_blame), Implies(phi, blame))
-    combine = b.taut(
-        Implies(
-            b.formula_at(neg_intro),
-            Implies(
-                b.formula_at(carried),
-                Implies(b.formula_at(truth), goal),
-            ),
-        )
-    )
-    out = b.mp(neg_intro, combine)
-    out = b.mp(carried, out)
-    return b.mp(truth, out)
+    goal = Implies(dual_know(knowers, blame), Implies(phi, blame))
+    return b.conclude([neg_intro, carried, truth], goal)
 
 
 def _emit_lemma2_body(b: ScriptBuilder, knowers: Coalition, phi: Formula) -> int:
@@ -112,29 +89,12 @@ def _emit_lemma2_body(b: ScriptBuilder, knowers: Coalition, phi: Formula) -> int
     x3 = Know(knowers, Not(x2))
     x4 = Know(knowers, x1)
     truth = b.axiom("Truth-K", Implies(x2, Not(x1)))
-    flip1 = b.taut(Implies(b.formula_at(truth), Implies(x1, Not(x2))))
-    up = b.mp(truth, flip1)
+    up = b.conclude([truth], Implies(x1, Not(x2)))
     ni_outer = b.axiom("NegIntrospection", Implies(Not(x2), x3))
     ni_inner = b.axiom("NegIntrospection", Implies(Not(x1), x2))
-    flip2 = b.taut(Implies(b.formula_at(ni_inner), Implies(Not(x2), x1)))
-    back = b.mp(ni_inner, flip2)
-    necced = b.nec(back, knowers)
-    dist = b.axiom(
-        "Distributivity", Implies(b.formula_at(necced), Implies(x3, x4))
-    )
-    push = b.mp(necced, dist)
-    chain = b.taut(
-        Implies(
-            b.formula_at(up),
-            Implies(
-                b.formula_at(ni_outer),
-                Implies(b.formula_at(push), Implies(x1, x4)),
-            ),
-        )
-    )
-    out = b.mp(up, chain)
-    out = b.mp(ni_outer, out)
-    return b.mp(push, out)
+    back = b.conclude([ni_inner], Implies(Not(x2), x1))
+    push = b.distribute(b.nec(back, knowers))
+    return b.conclude([up, ni_outer, push], Implies(x1, x4))
 
 
 def _emit_blame_congruence(b: ScriptBuilder, src: Formula, dst: Formula,
@@ -143,9 +103,7 @@ def _emit_blame_congruence(b: ScriptBuilder, src: Formula, dst: Formula,
     """Given a line proving src <-> dst, emit B[C][D]src -> B[C][D]dst."""
     blame_src = Blame(knowers, actors, src)
     blame_dst = Blame(knowers, actors, dst)
-    equi = b.formula_at(iff_idx)
-    back_t = b.taut(Implies(equi, Implies(dst, src)))
-    back = b.mp(iff_idx, back_t)
+    back = b.conclude([iff_idx], Implies(dst, src))
     necced = b.nec(back, knowers)
     sc = b.axiom(
         "StrictConditional",
@@ -153,33 +111,14 @@ def _emit_blame_congruence(b: ScriptBuilder, src: Formula, dst: Formula,
                 Implies(blame_src, Implies(dst, blame_dst))),
     )
     half = b.mp(necced, sc)
-    fwd_t = b.taut(Implies(equi, Implies(src, dst)))
-    fwd = b.mp(iff_idx, fwd_t)
+    fwd = b.conclude([iff_idx], Implies(src, dst))
     truth = b.axiom("Truth-B", Implies(blame_src, src))
-    combine = b.taut(
-        Implies(
-            b.formula_at(half),
-            Implies(
-                b.formula_at(truth),
-                Implies(b.formula_at(fwd), Implies(blame_src, blame_dst)),
-            ),
-        )
-    )
-    out = b.mp(half, combine)
-    out = b.mp(truth, out)
-    return b.mp(fwd, out)
+    return b.conclude([half, truth, fwd], Implies(blame_src, blame_dst))
 
 
 # ---------------------------------------------------------------------------
 # Guarded joint-responsibility machinery (lemma 6 induction, unrolled).
 # ---------------------------------------------------------------------------
-
-def _guard_chain(kbars: Sequence[Formula], lo: int, hi: int, body: Formula) -> Formula:
-    out = body
-    for i in range(hi, lo - 1, -1):
-        out = Implies(kbars[i], out)
-    return out
-
 
 class _JointDerivation:
     """Derives, per contiguous disjunct range, the guarded implication
@@ -211,9 +150,13 @@ class _JointDerivation:
         return Blame(frozenset().union(*self.knowers[lo:hi + 1]),
                      frozenset().union(*self.actors[lo:hi + 1]), body)
 
+    def guard(self, lo, hi, body) -> Formula:
+        """kbar_lo -> (... -> (kbar_hi -> body))."""
+        return big_implies(self.kbars[lo:hi + 1], body)
+
     def guarded(self, lo, hi) -> Formula:
         dx = self.disjunction(lo, hi)
-        return _guard_chain(self.kbars, lo, hi, Implies(dx, self.blame(lo, hi, dx)))
+        return self.guard(lo, hi, Implies(dx, self.blame(lo, hi, dx)))
 
     def derive(self, lo: int, hi: int) -> int:
         key = (lo, hi)
@@ -255,17 +198,7 @@ class _JointDerivation:
             self._jr_instance(b1.knowers, b1.actors, d1, self.knowers[hi],
                               self.actors[hi], self.chis[hi]),
         )
-        p1_goal = _guard_chain(self.kbars, lo, hi, Implies(d1, target))
-        mega1 = b.taut(
-            Implies(
-                b.formula_at(g1),
-                Implies(b.formula_at(lift1),
-                        Implies(b.formula_at(jr1), p1_goal)),
-            )
-        )
-        p1 = b.mp(g1, mega1)
-        p1 = b.mp(lift1, p1)
-        p1 = b.mp(jr1, p1)
+        p1 = b.conclude([g1, lift1, jr1], self.guard(lo, hi, Implies(d1, target)))
 
         # Part 2: attach the first disjunct to the suffix; the disjunction
         # associates differently, so push it through blame congruence.
@@ -282,29 +215,11 @@ class _JointDerivation:
         rebracket = b.taut(iff(w, dx))
         cong = _emit_blame_congruence(b, w, dx, whole.knowers, whole.actors,
                                       rebracket)
-        p2_goal = _guard_chain(self.kbars, lo, hi, Implies(d2, target))
-        mega2 = b.taut(
-            Implies(
-                b.formula_at(g2),
-                Implies(
-                    b.formula_at(lift2),
-                    Implies(b.formula_at(jr2),
-                            Implies(b.formula_at(cong), p2_goal)),
-                ),
-            )
-        )
-        p2 = b.mp(g2, mega2)
-        p2 = b.mp(lift2, p2)
-        p2 = b.mp(jr2, p2)
-        p2 = b.mp(cong, p2)
+        p2 = b.conclude([g2, lift2, jr2, cong],
+                        self.guard(lo, hi, Implies(d2, target)))
 
         # Case split on which side of the disjunction holds.
-        final = b.taut(
-            Implies(b.formula_at(p1),
-                    Implies(b.formula_at(p2), self.guarded(lo, hi)))
-        )
-        out = b.mp(p1, final)
-        return b.mp(p2, out)
+        return b.conclude([p1, p2], self.guarded(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +254,10 @@ def gen_lemma1(knowers: Iterable[str], premises: ProofScript) -> ProofScript:
     b = ScriptBuilder([Know(members, h) for h in premises.hypotheses])
     mapping = b.embed(worked)
     chain = b.nec(mapping[len(worked.lines)], members)
-    rest = worked.goal
     for i in range(n):
-        assert isinstance(rest, Implies)
-        dist = b.axiom(
-            "Distributivity",
-            Implies(
-                Know(members, rest),
-                Implies(Know(members, rest.left), Know(members, rest.right)),
-            ),
-        )
-        opened = b.mp(chain, dist)
+        opened = b.distribute(chain)
         have = b.hyp(i)
         chain = b.mp(have, opened)
-        rest = rest.right
     return b.build(goal=Know(members, premises.goal))
 
 
@@ -422,9 +327,7 @@ def gen_lemma6(knowers: Sequence[Iterable[str]],
         bottom = falsum()
         goal = Blame(frozenset(), frozenset(), bottom)
         b = ScriptBuilder([bottom])
-        have = b.hyp(0)
-        step = b.taut(Implies(bottom, goal))
-        b.mp(have, step)
+        b.conclude([b.hyp(0)], goal)
         return b.build()
     b = ScriptBuilder()
     machine = _JointDerivation(b, knower_sets, actor_sets, list(disjuncts))
@@ -475,41 +378,18 @@ def gen_lemma7(knowers: Iterable[str], actors: Iterable[str],
     blame_phi = Blame(big_c, big_d, phi)
 
     mono = b.axiom("Monotonicity-B", Implies(wide, narrowed))
-    lifted_goal = _guard_chain(machine.kbars, 0, n - 1, Implies(dx, narrowed))
-    lift = b.taut(
-        Implies(b.formula_at(guarded),
-                Implies(b.formula_at(mono), lifted_goal))
-    )
-    step = b.mp(guarded, lift)
-    step = b.mp(mono, step)
+    step = b.conclude([guarded, mono],
+                      machine.guard(0, n - 1, Implies(dx, narrowed)))
 
     sc = b.axiom(
         "StrictConditional",
         Implies(known, Implies(narrowed, Implies(phi, blame_phi))),
     )
     truth = b.axiom("Truth-K", Implies(known, Implies(phi, dx)))
-    core = _guard_chain(machine.kbars, 0, n - 1,
-                        Implies(known, Implies(phi, blame_phi)))
-    fold = b.taut(
-        Implies(
-            b.formula_at(step),
-            Implies(b.formula_at(sc), Implies(b.formula_at(truth), core)),
-        )
-    )
-    inner = b.mp(step, fold)
-    inner = b.mp(sc, inner)
-    inner = b.mp(truth, inner)
-
-    wrapped = b.nec(inner, big_c)
-    rest = core
+    core = machine.guard(0, n - 1, Implies(known, Implies(phi, blame_phi)))
+    wrapped = b.nec(b.conclude([step, sc, truth], core), big_c)
     for i in range(n):
-        assert isinstance(rest, Implies)
-        dist = b.axiom(
-            "Distributivity",
-            Implies(Know(big_c, rest),
-                    Implies(Know(big_c, rest.left), Know(big_c, rest.right))),
-        )
-        opened = b.mp(wrapped, dist)
+        opened = b.distribute(wrapped)
         ni = b.axiom(
             "NegIntrospection",
             Implies(machine.kbars[i], Know(knower_sets[i], machine.kbars[i])),
@@ -523,14 +403,8 @@ def gen_lemma7(knowers: Iterable[str], actors: Iterable[str],
         inside = b.mp(have, ni)
         inside = b.mp(inside, mono_k)
         wrapped = b.mp(inside, opened)
-        rest = rest.right
 
-    dist_last = b.axiom(
-        "Distributivity",
-        Implies(Know(big_c, rest),
-                Implies(Know(big_c, known), Know(big_c, rest.right))),
-    )
-    opened = b.mp(wrapped, dist_last)
+    opened = b.distribute(wrapped)
     pos = _emit_lemma2_body(b, big_c, Implies(phi, dx))
     have = b.hyp(n)
     doubled = b.mp(have, pos)

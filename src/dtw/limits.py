@@ -2,7 +2,8 @@
 
 Every budget can be overridden globally through the ``DTW_BUDGET``
 environment variable (a single integer applied to all kinds), or per call
-via the explicit argument that each budgeted operation accepts.
+via the explicit argument of each budgeted operation that takes one
+(random sampling takes none).
 """
 
 import os
@@ -12,7 +13,8 @@ from .errors import BadParamsError
 DEFAULT_BUDGETS = {
     # node budget for subcoalition expansion
     "expand-nodes": 10**6,
-    # (initial state, complete profile) pairs enumerated by the validator
+    # (initial state, complete profile) pairs enumerated by the validator,
+    # and the largest such grid that random sampling may build per game
     "seriality-checks": 10**7,
     # candidate models enumerated by exhaustive searches
     "exhaustive-models": 10**6,

@@ -30,7 +30,8 @@ import functools
 import re
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from . import axioms
 from .errors import BadParamsError, ParseError, TooManyAtomsError
@@ -40,6 +41,7 @@ from .formula import (
     Implies,
     Know,
     Not,
+    big_implies,
     coalition,
     compile_masks,
     render,
@@ -293,7 +295,10 @@ class ScriptBuilder:
     """Incremental script assembly with shape checks on each step.
 
     ``mp``/``nec`` compute the derived formula themselves, so generator
-    code cannot silently emit ill-formed inferences.
+    code cannot silently emit ill-formed inferences.  ``conclude`` and
+    ``distribute`` are the two derived steps the generators repeat: a
+    propositional step from earlier lines, and Distributivity with its
+    modus ponens.
     """
 
     def __init__(self, hypotheses: Iterable[Formula] = ()):
@@ -328,6 +333,26 @@ class ScriptBuilder:
             "generator bug: modus ponens shape mismatch"
         )
         return self.add(impl.right, ModusPonens(premise, implication))
+
+    def conclude(self, premises: Sequence[int], goal: Formula) -> int:
+        """Derive goal from the premise lines by propositional reasoning: the
+        tautology P1 -> (P2 -> ... -> (Pn -> goal)) over their formulas, then
+        modus ponens on each premise in order."""
+        out = self.taut(big_implies(map(self.formula_at, premises), goal))
+        for premise in premises:
+            out = self.mp(premise, out)
+        return out
+
+    def distribute(self, line: int) -> int:
+        """From K[C](A -> B) at ``line``, derive K[C]A -> K[C]B by the
+        Distributivity axiom and modus ponens."""
+        boxed = self.formula_at(line)
+        assert isinstance(boxed, Know) and isinstance(boxed.child, Implies), (
+            "generator bug: distributivity needs K[C](A -> B)"
+        )
+        knowers, inner = boxed.knowers, boxed.child
+        spread = Implies(Know(knowers, inner.left), Know(knowers, inner.right))
+        return self.mp(line, self.axiom("Distributivity", Implies(boxed, spread)))
 
     def nec(self, source: int, knowers: Iterable[str]) -> int:
         members = coalition(knowers)
@@ -430,27 +455,19 @@ def apply_deduction_theorem(script: ProofScript,
                 lifted[idx] = builder.taut(Implies(chi, chi))
             else:
                 kept = builder.hyp(just.index - 1)
-                weaken = builder.taut(Implies(formula, Implies(chi, formula)))
-                lifted[idx] = builder.mp(kept, weaken)
+                lifted[idx] = builder.conclude([kept], Implies(chi, formula))
             continue
         if isinstance(just, ModusPonens):
             depends[idx] = depends[just.premise] or depends[just.implication]
         if depends[idx]:
             # Only modus ponens can combine hypothesis-dependent lines.
-            premise_f = script.lines[just.premise - 1].formula
-            dist = builder.taut(
-                Implies(
-                    Implies(chi, Implies(premise_f, formula)),
-                    Implies(Implies(chi, premise_f), Implies(chi, formula)),
-                )
-            )
-            step = builder.mp(lifted[just.implication], dist)
-            lifted[idx] = builder.mp(lifted[just.premise], step)
+            lifted[idx] = builder.conclude(
+                [lifted[just.implication], lifted[just.premise]],
+                Implies(chi, formula))
             continue
         # Hypothesis-free: copy verbatim (remapping references), then lift.
         copied[idx] = builder.add(formula, _renumber(just, copied))
-        weaken = builder.taut(Implies(formula, Implies(chi, formula)))
-        lifted[idx] = builder.mp(copied[idx], weaken)
+        lifted[idx] = builder.conclude([copied[idx]], Implies(chi, formula))
 
     return builder.build(goal=Implies(chi, script.goal))
 

@@ -288,10 +288,20 @@ def sample_game(
     prop_names: Optional[Tuple[str, ...]] = None,
 ) -> Game:
     """One random game within the bounds: random partitions, a random serial
-    play relation (occasionally nondeterministic), and a random valuation."""
+    play relation (occasionally nondeterministic), and a random valuation.
+
+    Raises ResourceLimitError when the largest grid of (initial state,
+    profile) cells that the bounds allow exceeds the seriality budget."""
     if agents is None:
         _check_pool("agents", bounds.max_agents, _AGENT_NAMES)
         agents = _AGENT_NAMES[: rng.randint(1, bounds.max_agents)]
+    limit = budget("seriality-checks")
+    grid = bounds.max_initial * _power(bounds.max_actions, bounds.max_agents, limit)
+    if grid > limit:
+        raise ResourceLimitError(
+            f"random sampling could build at least {grid} (initial state, "
+            f"profile) cells per game, budget is {limit}"
+        )
     n_initial = rng.randint(1, bounds.max_initial)
     states = [f"s{i}" for i in range(n_initial)]
     partitions = {agent: _random_partition(rng, states) for agent in agents}

@@ -423,6 +423,22 @@ class TestNamePools:
         assert err == f"error: {message} are available\n"
 
 
+class TestSamplingBudget:
+    @pytest.mark.parametrize("env, argv", [
+        ({}, ["fuzz", "Truth", "--seed", "1", "--iters", "50"]),
+        ({"DTW_BUDGET": "1000"}, ["countermodel", "p -> p", "--random", "--seed", "1"]),
+    ])
+    def test_large_sampling_bounds_exit_two_with_one_line(self, capsys, monkeypatch,
+                                                          env, argv):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, argv + ["--max-agents", "8", "--max-actions",
+                                             "8", "--max-states", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: random sampling could build at least ")
+        assert err.count("\n") == 1
+
+
 class TestMinimal:
     def test_kind_one(self, example_dir, capsys):
         code, out, _ = run(capsys, [

@@ -1,5 +1,7 @@
 """Generated lemma scripts: acceptance, structure, and soundness bridge."""
 
+import hashlib
+
 import pytest
 
 from dtw.errors import BadParamsError
@@ -34,6 +36,7 @@ from dtw.proof import (
     Theorem,
     apply_deduction_theorem,
     check_proof,
+    render_script,
 )
 from dtw.semantics import SearchBounds, valid_in_game
 
@@ -215,3 +218,58 @@ class TestSoundnessBridge:
                     verdict = valid_in_game(game, goal)
                     assert verdict.holds, f"seed {seed}: {goal}"
                     assert naive_valid(game, goal)
+
+
+def _lemma6(n):
+    return gen_lemma_script("lemma6", knowers=[{f"a{i}"} for i in range(n)],
+                            actors=[{f"b{i}"} for i in range(n)],
+                            disjuncts=[Prop(f"x{i}") for i in range(n)])
+
+
+def _lemma7(n):
+    return gen_lemma_script("lemma7", knowers={"c"} | {f"a{i}" for i in range(n)},
+                            actors={"d"} | {f"b{i}" for i in range(n)},
+                            sub_knowers=[{f"a{i}"} for i in range(n)],
+                            sub_actors=[{f"b{i}"} for i in range(n)],
+                            disjuncts=[Prop(f"x{i}") for i in range(n)], phi=p)
+
+
+def _digest(script):
+    return hashlib.sha256(render_script(script).encode("utf-8")).hexdigest()
+
+
+class TestGeneratedDigests:
+    """Byte-identical output of the generators beyond the bundled files:
+    lemma 6 for n = 1..6 (and each with its last hypothesis discharged by
+    the deduction theorem) and lemma 7 for n = 0..3."""
+
+    LEMMA6 = {
+        1: ("0d3750bee78520aed99f39b5df98550f25a2a3704732d8980c2f756201420f33",
+            "1c9aaec7d024215895a64aedfb4affea5d0218ab33e7e8cbda5abe110bb7facf"),
+        2: ("ecc989f308325f3ccf4077814fa03b41968358f798677f5c76d5775132cd27f4",
+            "fd2ac583490d47dd0cffc3bc44d3999904a58f10a560ea2181d389d558430115"),
+        3: ("f5db80f57970551fc4dc857074c8a1f72b29bc9bbf510b4f718bab9f5b8d6be2",
+            "24c00f00756f97427780f81d984bc9d19d85fdf82031ab1ff35b76a068f435f8"),
+        4: ("19b028f867186b83d51f041acc5919e1b8b3446c3647d8e9dd6e4e0c29496355",
+            "9c74b26a7ce8c999b0c483f5ff11f574efa6181bbf8a7136a12c35745738385c"),
+        5: ("9772fe4a2d357f5c40cb013a9553ca90f720d6dc3a96f60f34a65b624e1dac17",
+            "34a99a961581b8e5b7f410bff8c5f4cd8db9b1fff3c16db787ac2e6a5d1d193d"),
+        6: ("a38a0745c9b7f68a46b5093d50a5a59b04b9c3d91c115b389f3488ac0509de71",
+            "b72012c6210bf6800be8f3c10ca50c776733e44d56751c4c3b8731afbd19ea34"),
+    }
+    LEMMA7 = {
+        0: "ab390e429e21a064612e45e3673dc4853b23cf3fbae9372ee591ec6a45ed6ca1",
+        1: "2b2b394870a037e1cd589a258c1d3c218ad9d7a12c8c416ab5789955be34f0c5",
+        2: "fc068949ba1d5055197110d70603682c50cff39e5a0de1fe47036766a822619a",
+        3: "b7c4aff9ec3af8901aedfa1050a5b05523c3407a84b8e40fc3e312e4ad70e2e3",
+    }
+
+    @pytest.mark.parametrize("n", sorted(LEMMA6))
+    def test_lemma6_and_its_deduction(self, n):
+        script = _lemma6(n)
+        assert (_digest(script), _digest(apply_deduction_theorem(script))) \
+            == self.LEMMA6[n]
+
+    @pytest.mark.parametrize("n", sorted(LEMMA7))
+    def test_lemma7(self, n):
+        assert _digest(_lemma7(n)) == self.LEMMA7[n]

@@ -282,6 +282,41 @@ class TestCheckProof:
         assert not res.accepted and res.line == 1
 
 
+class TestDerivedSteps:
+    s = Prop("s")
+
+    @pytest.mark.parametrize("hyps, goal", [
+        ((), Implies(p, p)),
+        ((p,), big_disj([p, q])),
+        ((p, Implies(p, q), Implies(q, r), Implies(r, s)), s),
+    ])
+    def test_conclude_adds_premises_plus_one_lines(self, hyps, goal):
+        b = ScriptBuilder(hyps)
+        premises = [b.hyp(i) for i in range(len(hyps))]
+        out = b.conclude(premises, goal)
+        assert out == len(b.lines) == 2 * len(hyps) + 1
+        assert isinstance(b.lines[len(hyps)].justification, Tautology)
+        assert b.formula_at(out) == goal
+        assert check_proof(b.build(prune=False)).accepted
+
+    def test_distribute_opens_a_known_implication(self):
+        b = ScriptBuilder()
+        boxed = b.nec(b.taut(Implies(p, p)), {"a"})
+        out = b.distribute(boxed)
+        assert out == boxed + 2
+        assert b.lines[boxed].justification == Axiom("Distributivity")
+        assert b.formula_at(out) == Implies(Know(A, p), Know(A, p))
+        assert check_proof(b.build()).accepted
+
+    @pytest.mark.parametrize("f", [Know(A, p), Implies(p, q), Know(A, Not(p))])
+    def test_distribute_refuses_other_shapes(self, f):
+        b = ScriptBuilder([f])
+        line = b.hyp(0)
+        with pytest.raises(AssertionError, match=r"K\[C\]\(A -> B\)"):
+            b.distribute(line)
+        assert len(b.lines) == 1
+
+
 class TestDeduction:
     def test_single_hypothesis_identity(self):
         b = ScriptBuilder([p])

@@ -539,6 +539,41 @@ class TestNamePools:
             soundness_fuzz("Truth", bounds)
 
 
+class TestSamplingBudget:
+    """Random mode refuses bounds whose largest game grid, max_initial *
+    max_actions ** max_agents cells, exceeds the seriality budget, before
+    any game is built."""
+
+    BIG = SearchBounds(max_agents=8, max_initial=2, max_actions=8, mode="random",
+                       seed=1, iterations=50)
+    SMALL = SearchBounds(max_agents=3, max_initial=2, max_actions=2,
+                         mode="random", seed=1, iterations=5)
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        def unwanted(*args, **kwargs):
+            raise AssertionError("a game was built")
+
+        monkeypatch.setattr(semantics, "make_game", unwanted)
+
+    def test_default_budget(self):
+        with pytest.raises(ResourceLimitError, match="budget is 10000000"):
+            soundness_fuzz("Truth", self.BIG)
+        with pytest.raises(ResourceLimitError, match="budget is 10000000"):
+            countermodel_search(parse_formula("p -> p"), self.BIG)
+
+    def test_env_budget(self, monkeypatch):
+        # 2 * 2**3 = 16 cells: refused under a budget of 15, whatever the
+        # number of agents each draw would pick.
+        monkeypatch.setenv("DTW_BUDGET", "15")
+        with pytest.raises(ResourceLimitError, match="at least 16 .* budget is 15"):
+            soundness_fuzz("Truth", self.SMALL)
+        with pytest.raises(ResourceLimitError, match="budget is 15"):
+            countermodel_search(parse_formula("p -> p"), self.SMALL)
+        with pytest.raises(ResourceLimitError, match="budget is 15"):
+            sample_game(random.Random(0), self.SMALL, agents=("a",))
+
+
 def test_bounds_that_fill_the_pools_reach_them():
     bounds = SearchBounds(max_agents=8, max_initial=1, max_actions=1,
                           max_outcomes=1)
