@@ -38,7 +38,8 @@ from .formula import (
     run_masks,
     subformulas,
 )
-from .game import ActionProfile, Frame, Game, Play, index_blocks, make_game
+from .game import (ActionProfile, Frame, Game, Play, check_known_agents, index_blocks,
+                   make_game)
 from .limits import budget
 
 
@@ -185,11 +186,11 @@ def _formula_mask(frame: Frame, f: Formula, full: int, prop) -> int:
                        full, body)
 
 
-def _warn_unvalued(game: Game, nodes) -> None:
-    """Warn once per proposition among nodes without a valuation in the
-    game, in the order they first occur."""
+def _warn_unvalued(valued, nodes) -> None:
+    """Warn once per proposition among nodes that is not among the valued
+    names, in the order they first occur."""
     for name in dict.fromkeys(g.name for g in nodes if isinstance(g, Prop)):
-        if name not in game.valuation and not name.startswith(RESERVED_PREFIX):
+        if name not in valued and not name.startswith(RESERVED_PREFIX):
             warnings.warn(f"proposition {name!r} has no valuation in this game; "
                           "treating it as false everywhere")
 
@@ -199,7 +200,7 @@ def satisfaction(game: Game, f: Formula) -> Dict[Formula, int]:
     once per proposition of f without a valuation, in the order they first
     occur in f."""
     program = compile_masks(f)
-    _warn_unvalued(game, program.nodes)
+    _warn_unvalued(game.valuation, program.nodes)
     masks = game.masks
     return dict(zip(program.nodes,
                     _truth(program, masks.frame, masks.full, masks.prop)))
@@ -273,7 +274,7 @@ def _check_pool(what: str, bound: int, names) -> None:
                              f"{what[:-1]} names are available")
 
 
-def _random_partition(rng: random.Random, items: List[str]) -> Tuple[Coalition, ...]:
+def _random_partition(rng: random.Random, items) -> Tuple[Coalition, ...]:
     labels = [rng.randrange(len(items)) for _ in items]
     blocks: Dict[int, set] = {}
     for item, label in zip(items, labels):
@@ -292,9 +293,18 @@ def sample_game(
 
     Raises ResourceLimitError when the largest grid of (initial state,
     profile) cells that the bounds allow exceeds the seriality budget."""
-    if agents is None:
-        _check_pool("agents", bounds.max_agents, _AGENT_NAMES)
-        agents = _AGENT_NAMES[: rng.randint(1, bounds.max_agents)]
+    _check_sampling(bounds, _AGENT_NAMES if agents is None else None,
+                    prop_names is None)
+    return _sample(rng, bounds, agents, prop_names).game()
+
+
+def _check_sampling(bounds: SearchBounds, agent_pool, draw_props: bool) -> None:
+    """Refuse bounds that sampling cannot honour, in this order: more agents
+    than the names of agent_pool (unless None), a largest grid of (initial
+    state, profile) cells over the seriality budget, and, when the
+    propositions are drawn, more of them than there are names."""
+    if agent_pool is not None:
+        _check_pool("agents", bounds.max_agents, agent_pool)
     limit = budget("seriality-checks")
     grid = bounds.max_initial * _power(bounds.max_actions, bounds.max_agents, limit)
     if grid > limit:
@@ -302,28 +312,87 @@ def sample_game(
             f"random sampling could build at least {grid} (initial state, "
             f"profile) cells per game, budget is {limit}"
         )
-    n_initial = rng.randint(1, bounds.max_initial)
-    states = [f"s{i}" for i in range(n_initial)]
+    if draw_props:
+        _check_pool("props", bounds.max_props, _PROP_NAMES)
+
+
+class Sample(NamedTuple):
+    """One sampled game as the evaluator reads it: play i is bit i, the
+    plays of each cell (initial state, profile), in row-major order,
+    following those of the cell before."""
+
+    agents: Tuple[str, ...]
+    states: Tuple[str, ...]
+    partitions: Dict[str, Tuple[Coalition, ...]]
+    actions: Tuple[str, ...]
+    outcomes: Tuple[str, ...]
+    picked: List[List[str]]  # per cell, the outcomes of its plays
+    full: int  # every play
+    prop: Dict[str, int]  # proposition -> plays in its valuation
+    frame: Frame  # initial states, partitions and actions over the plays
+
+    def game(self) -> Game:
+        """The sample as a Game, with the same plays in the same order."""
+        profiles = [ActionProfile.make(zip(self.agents, combo)) for combo
+                    in itertools.product(self.actions, repeat=len(self.agents))]
+        plays = [Play(alpha, profile, omega) for (alpha, profile), drawn
+                 in zip(itertools.product(self.states, profiles), self.picked)
+                 for omega in drawn]
+        valuation = {name: [p for i, p in enumerate(plays) if bits >> i & 1]
+                     for name, bits in self.prop.items()}
+        return make_game(self.agents, self.states, self.partitions, self.actions,
+                         self.outcomes, plays, valuation)
+
+    def answer(self, missed: int) -> Tuple[Game, Play]:
+        """The game of this sample and its play at the lowest bit of missed."""
+        game = self.game()
+        return game, _first_play(game, missed)
+
+
+def _sample(rng: random.Random, bounds: SearchBounds,
+            agents: Optional[Tuple[str, ...]] = None,
+            prop_names: Optional[Tuple[str, ...]] = None) -> Sample:
+    """The game sample_game draws, without its checks, as masks.
+
+    Per cell, in row-major order, a second outcome is drawn with
+    probability 0.2 when there is more than one; each proposition then
+    holds at each play with probability 1/2.  An initial state's plays are
+    one run of bits, and each (agent, action) row is the OR of the plays
+    of the profiles that take it."""
+    if agents is None:
+        agents = _AGENT_NAMES[: rng.randint(1, bounds.max_agents)]
+    states = tuple(f"s{i}" for i in range(rng.randint(1, bounds.max_initial)))
     partitions = {agent: _random_partition(rng, states) for agent in agents}
     actions = tuple(str(i) for i in range(rng.randint(1, bounds.max_actions)))
     n_outcomes = rng.randint(1, bounds.max_outcomes)
     outcomes = tuple(f"o{i}" for i in range(n_outcomes))
     if prop_names is None:
-        _check_pool("props", bounds.max_props, _PROP_NAMES)
         prop_names = _PROP_NAMES[: rng.randint(1, bounds.max_props)]
-    plays = []
+    draw, pick = rng.random, rng.sample
+    n_profiles = len(actions) ** len(agents)
+    picked, state, by_profile, bit = [], {}, [0] * n_profiles, 0
     for alpha in states:
-        for combo in itertools.product(actions, repeat=len(agents)):
-            profile = ActionProfile.make(dict(zip(agents, combo)))
-            count = 2 if n_outcomes > 1 and rng.random() < 0.2 else 1
-            picked = rng.sample(outcomes, count)
-            for omega in picked:
-                plays.append(Play(alpha, profile, omega))
-    valuation = {
-        name: [p for p in plays if rng.random() < 0.5] for name in prop_names
-    }
-    return make_game(agents, states, partitions, actions, outcomes, plays,
-                     valuation)
+        start = bit
+        for j in range(n_profiles):
+            count = 2 if n_outcomes > 1 and draw() < 0.2 else 1
+            picked.append(pick(outcomes, count))
+            by_profile[j] |= ((1 << count) - 1) << bit
+            bit += count
+        state[alpha] = (1 << bit) - (1 << start)
+    prop = {name: sum(1 << i for i in range(bit) if draw() < 0.5)
+            for name in prop_names}
+    # Profile j gives the k-th agent the action numbered by the k-th digit,
+    # most significant first, of j in base |actions|.
+    action = {}
+    stride = n_profiles
+    for agent in agents:
+        stride //= len(actions)
+        for j, bits in enumerate(by_profile):
+            key = (agent, actions[j // stride % len(actions)])
+            action[key] = action.get(key, 0) | bits
+    frame = Frame(states, index_blocks(partitions), state, actions, action, bit)
+    return Sample(agents, states, partitions, actions, outcomes, picked,
+                  (1 << bit) - 1, prop, frame)
 
 
 def random_formula(
@@ -726,22 +795,17 @@ def countermodel_search(
                 lane = [m >> at & s.frame.low for m in masks + (missed,)]
                 return Model(s, lane[0], tuple(lane[1:-1])).answer(lane[-1])
         return None
-    for game in _random_game_stream(base_agents, props, bounds):
-        masks = game.masks
-        missed = masks.full ^ _truth(program, masks.frame, masks.full, masks.prop)[-1]
-        if missed:
-            return game, _first_play(game, missed)
-    return None
-
-
-def _random_game_stream(base_agents, props, bounds) -> Iterator[Game]:
     rng = random.Random(bounds.seed)
     names = base_agents + tuple(n for n in _AGENT_NAMES if n not in base_agents)
-    _check_pool("agents", bounds.max_agents, names)
+    _check_sampling(bounds, names, not props)
     for _ in range(bounds.iterations):
         n_agents = rng.randint(max(1, len(base_agents)), bounds.max_agents)
-        yield sample_game(rng, bounds, agents=names[:n_agents],
-                          prop_names=props or None)
+        sample = _sample(rng, bounds, names[:n_agents], props or None)
+        missed = sample.full ^ _truth(program, sample.frame, sample.full,
+                                      sample.prop)[-1]
+        if missed:
+            return sample.answer(missed)
+    return None
 
 
 @dataclass
@@ -807,22 +871,22 @@ def soundness_fuzz(
                                   axioms.instantiate(picked, subst), subst, iteration)
 
     if bounds.mode == "random":
+        _check_sampling(bounds, _AGENT_NAMES, True)
         rng = random.Random(bounds.seed)
         pool_size = max(1, min(_GAMES_POOL, bounds.iterations))
-        pool = [sample_game(rng, bounds) for _ in range(pool_size)]
+        pool = [_sample(rng, bounds) for _ in range(pool_size)]
         for iteration in range(bounds.iterations):
-            game = pool[iteration % pool_size]
-            k, subst = draw(game.agents, tuple(sorted(game.valuation)))
+            sample = pool[iteration % pool_size]
+            k, subst = draw(sample.agents, tuple(sorted(sample.prop)))
             # valid_in_game's checks of the instance, read off subst.
             values = [subst[g.name] for g in programs[k].nodes if isinstance(g, Prop)]
-            game.check_agents(frozenset().union(
+            check_known_agents(sample.partitions, frozenset().union(
                 *(subst[name] for name in schemas[k].coalition_vars),
                 *map(agents_of, values)))
-            _warn_unvalued(game, (g for v in values for g in subformulas(v)))
-            masks = game.masks
-            miss = missed(k, subst, masks.frame, masks.full, masks.prop)
+            _warn_unvalued(sample.prop, (g for v in values for g in subformulas(v)))
+            miss = missed(k, subst, sample.frame, sample.full, sample.prop)
             if miss:
-                return found(k, subst, game, _first_play(game, miss), iteration)
+                return found(k, subst, *sample.answer(miss), iteration)
         return None
 
     _check_pool("props", bounds.max_props, _PROP_NAMES)

@@ -1,20 +1,88 @@
 """Earlier versions of the package's exhaustive enumerator, per-model
-countermodel search and soundness fuzzer, frozen so that their
-replacements can be compared with them: ``naive_models`` builds one Game
-per model in the documented order, ``stream_countermodel`` evaluates the
-package's model stream one model at a time, and ``stream_fuzz`` builds and
-compiles every fuzz instance."""
+countermodel search, soundness fuzzer and game sampler, frozen so that
+their replacements can be compared with them: ``naive_models`` builds one
+Game per model in the documented order, ``stream_countermodel`` evaluates
+the package's model stream one model at a time, ``frozen_sample_game``
+builds every sampled game play by play, ``stream_fuzz`` builds and
+compiles every fuzz instance on those games, and
+``stream_random_countermodel`` runs ``valid_in_game`` on each of them."""
 
 import itertools
 import random
 
 from dtw import axioms
+from dtw.errors import BadParamsError, ResourceLimitError
 from dtw.formula import agents_of, compile_masks, props_of
 from dtw.game import ActionProfile, Play, make_game
-from dtw.semantics import (FuzzCounterexample, _truth, enumerate_games, sample_game,
+from dtw.limits import budget
+from dtw.semantics import (FuzzCounterexample, _truth, enumerate_games,
                            sample_instantiation, valid_in_game)
 
 _AGENT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
+_PROP_NAMES = ("p", "q", "r", "s", "t")
+
+
+def _check_pool(what, bound, names):
+    if bound > len(names):
+        raise BadParamsError(f"max_{what} is {bound}, but only {len(names)} "
+                             f"{what[:-1]} names are available")
+
+
+def _power(base, exponent, cap):
+    if base < 2:
+        return base ** exponent
+    out = 1
+    for _ in range(exponent):
+        out *= base
+        if out > cap:
+            break
+    return out
+
+
+def _random_partition(rng, items):
+    labels = [rng.randrange(len(items)) for _ in items]
+    blocks = {}
+    for item, label in zip(items, labels):
+        blocks.setdefault(label, set()).add(item)
+    return tuple(frozenset(b) for _, b in sorted(blocks.items()))
+
+
+def frozen_sample_game(rng, bounds, agents=None, prop_names=None):
+    """The package's game sampler as it was when it built every game play
+    by play: the same draws from rng, in the same order, and the same
+    refusals (agent pool, then seriality budget, then prop pool)."""
+    if agents is None:
+        _check_pool("agents", bounds.max_agents, _AGENT_NAMES)
+        agents = _AGENT_NAMES[: rng.randint(1, bounds.max_agents)]
+    limit = budget("seriality-checks")
+    grid = bounds.max_initial * _power(bounds.max_actions, bounds.max_agents, limit)
+    if grid > limit:
+        raise ResourceLimitError(
+            f"random sampling could build at least {grid} (initial state, "
+            f"profile) cells per game, budget is {limit}"
+        )
+    n_initial = rng.randint(1, bounds.max_initial)
+    states = [f"s{i}" for i in range(n_initial)]
+    partitions = {agent: _random_partition(rng, states) for agent in agents}
+    actions = tuple(str(i) for i in range(rng.randint(1, bounds.max_actions)))
+    n_outcomes = rng.randint(1, bounds.max_outcomes)
+    outcomes = tuple(f"o{i}" for i in range(n_outcomes))
+    if prop_names is None:
+        _check_pool("props", bounds.max_props, _PROP_NAMES)
+        prop_names = _PROP_NAMES[: rng.randint(1, bounds.max_props)]
+    plays = []
+    for alpha in states:
+        for combo in itertools.product(actions, repeat=len(agents)):
+            profile = ActionProfile.make(dict(zip(agents, combo)))
+            count = 2 if n_outcomes > 1 and rng.random() < 0.2 else 1
+            picked = rng.sample(outcomes, count)
+            for omega in picked:
+                plays.append(Play(alpha, profile, omega))
+    valuation = {
+        name: [p for p in plays if rng.random() < 0.5] for name in prop_names
+    }
+    return make_game(agents, states, partitions, actions, outcomes, plays,
+                     valuation)
 
 
 def _set_partitions(items):
@@ -94,10 +162,10 @@ def missed_slots(model, program):
 def stream_fuzz(schema, bounds, enforce_side_conditions=True):
     """Soundness fuzzing as it was before schemas were compiled once:
     every instance is built with ``axioms.instantiate`` and evaluated on
-    its own, by ``valid_in_game`` on each sampled game in random mode and
-    by a fresh mask program on each model in exhaustive mode.  It draws
-    from the package's ``sample_instantiation`` and ``sample_game``, so
-    both sides share one random stream."""
+    its own, by ``valid_in_game`` on each game of ``frozen_sample_game`` in
+    random mode and by a fresh mask program on each model in exhaustive
+    mode.  It draws from the package's ``sample_instantiation``, so both
+    sides share one random stream."""
     schemas = [axioms.ALL_SCHEMAS[name] for name in axioms.resolve_fuzz_group(schema)]
 
     def instance(agents, props):
@@ -109,7 +177,7 @@ def stream_fuzz(schema, bounds, enforce_side_conditions=True):
     if bounds.mode == "random":
         rng = random.Random(bounds.seed)
         pool_size = max(1, min(200, bounds.iterations))
-        pool = [sample_game(rng, bounds) for _ in range(pool_size)]
+        pool = [frozen_sample_game(rng, bounds) for _ in range(pool_size)]
         for iteration in range(bounds.iterations):
             game = pool[iteration % pool_size]
             name, f, subst = instance(game.agents, tuple(sorted(game.valuation)))
@@ -132,6 +200,24 @@ def stream_fuzz(schema, bounds, enforce_side_conditions=True):
                 game, play = model.answer(missed)
                 return FuzzCounterexample(name, game, play, f, subst, iteration)
             iteration += 1
+    return None
+
+
+def stream_random_countermodel(f, bounds):
+    """Random countermodel search one game at a time, frozen: the first
+    game of ``frozen_sample_game``'s stream where f is not valid, with its
+    first falsifying play, or None."""
+    base = tuple(sorted(agents_of(f)))
+    props = tuple(sorted(props_of(f)))
+    rng = random.Random(bounds.seed)
+    names = base + tuple(n for n in _AGENT_NAMES if n not in base)
+    for _ in range(bounds.iterations):
+        n_agents = rng.randint(max(1, len(base)), bounds.max_agents)
+        game = frozen_sample_game(rng, bounds, agents=names[:n_agents],
+                                  prop_names=props or None)
+        verdict = valid_in_game(game, f)
+        if not verdict.holds:
+            return game, verdict.refutation
     return None
 
 

@@ -8,8 +8,6 @@ bound is stated inline.
 import random
 import time
 
-import pytest
-
 from dtw.errors import ParseError
 from dtw.formula import expand_minimality, render
 from dtw.game import ActionProfile, Play, load_game, render_game_file, tarasoff_game

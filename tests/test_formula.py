@@ -20,7 +20,6 @@ from dtw.formula import (
     compile_masks,
     conj,
     disj,
-    dual_know,
     expand_minimality,
     falsum,
     iff,

@@ -1,4 +1,5 @@
-"""Source hygiene of the package, checked on its syntax trees."""
+"""Source hygiene of the package and its tests, checked on their syntax
+trees."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import dtw
 
 MODULES = sorted(p for p in Path(dtw.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -33,6 +35,6 @@ def test_the_check_sees_unused_and_used_names():
     assert unused_imports(source) == [(3, "regex"), (4, "List")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -14,10 +14,17 @@ countermodel falls.
 its own; the fuzzer, which compiles each schema once and evaluates an
 instance from its substitution, must return the same first counterexample
 at the same iteration, in both modes.
+
+``frozen_search.frozen_sample_game`` builds every sampled game play by
+play; the sampler, which draws the same stream straight into masks, must
+give that game's masks, and random countermodel search must return what
+``frozen_search.stream_random_countermodel`` returns, building a game only
+for its answer.
 """
 
 import collections
 import functools
+import itertools
 import random
 
 import pytest
@@ -27,7 +34,7 @@ from hypothesis import strategies as st
 from dtw import axioms, semantics
 from dtw.errors import BadParamsError, ResourceLimitError
 from dtw.formula import agents_of, compile_masks, props_of, render
-from dtw.game import render_game_file
+from dtw.game import Play, render_game_file
 from dtw.parser import parse_formula
 from dtw.semantics import (
     SearchBounds,
@@ -35,12 +42,14 @@ from dtw.semantics import (
     countermodel_search,
     enumerate_games,
     random_formula,
+    sample_game,
     sample_instantiation,
     soundness_fuzz,
     valid_in_game,
 )
 
-from frozen_search import missed_slots, naive_models, stream_countermodel, stream_fuzz
+from frozen_search import (frozen_sample_game, missed_slots, naive_models,
+                           stream_countermodel, stream_fuzz, stream_random_countermodel)
 from oracles import naive_holds
 
 # The search workload's formula templates: valid ones, then invalid ones.
@@ -345,3 +354,104 @@ def test_lane_budgets_match_the_model_stream(monkeypatch):
                           "last" if lane == lanes - 1 else
                           "middle" if lane else "first")
     assert {"first of a later batch", "middle", "last"} <= edges
+
+
+# ---------------------------------------------------------------------------
+# Sampled masks against the frozen play-by-play sampler.
+# ---------------------------------------------------------------------------
+
+def sampling_case(seed):
+    """Bounds that vary with the seed (1-4 agents, 1-3 initial states,
+    actions and outcomes, 1-5 propositions) and, for every third seed,
+    agents given out of sorted order and given propositions."""
+    bounds = SearchBounds(max_agents=seed % 4 + 1, max_initial=seed // 4 % 3 + 1,
+                          max_actions=seed // 12 % 3 + 1,
+                          max_outcomes=seed // 36 % 3 + 1,
+                          max_props=seed % 5 + 1, mode="random", seed=seed)
+    given = {"agents": ("x", "a", "b")[: seed // 3 % 3 + 1],
+             "prop_names": ("q", "p")}
+    return bounds, given if seed % 3 == 0 else {}
+
+
+def test_sampled_masks_match_the_frozen_sampler():
+    """Over 10^3 seeded draws, the sampler's masks are those of the game
+    that the frozen sampler builds from the same stream, it takes as many
+    draws, and sample_game renders that game byte for byte."""
+    for seed in range(1000):
+        bounds, given = sampling_case(seed)
+        rngs = [random.Random(seed) for _ in range(3)]
+        sample = semantics._sample(rngs[0], bounds, **given)
+        game = frozen_sample_game(rngs[1], bounds, **given)
+        masks = game.masks
+        assert (sample.full, sample.prop) == (masks.full, masks.prop), seed
+        assert sample.frame.state == masks.frame.state, seed
+        assert sample.frame.action == masks.frame.action, seed
+        for size in range(len(game.agents) + 1):
+            for knowers in map(frozenset, itertools.combinations(game.agents, size)):
+                assert sample.frame.blocks(knowers) == masks.frame.blocks(knowers)
+        assert render_game_file(sample_game(rngs[2], bounds, **given)) == \
+            render_game_file(game), seed
+        assert len({rng.random() for rng in rngs}) == 1, seed
+
+
+RANDOM_BOUNDS = {
+    "two-agents": SearchBounds(max_agents=2, max_initial=2, max_props=2,
+                               mode="random", seed=3, iterations=60),
+    "three-agents": SearchBounds(max_agents=3, max_initial=3, max_outcomes=3,
+                                 mode="random", seed=8, iterations=40),
+}
+
+
+@pytest.mark.parametrize("bounds", RANDOM_BOUNDS.values(), ids=RANDOM_BOUNDS.keys())
+def test_random_countermodel_matches_the_frozen_stream(bounds):
+    """The templates over agents a, b and over c, x (padded with a, b, ...
+    out of sorted order), formulas without propositions, and seeded random
+    formulas: the same countermodel, byte for byte, and play, or None."""
+    rng = random.Random(bounds.seed)
+    texts = [t.format(x=x, y=y, p="p") for t in TEMPLATES
+             for x, y in (("a", "b"), ("c", "x"))]
+    texts += ["false", "K[a]false -> K[b]false"]
+    formulas = [parse_formula(text) for text in texts] + [
+        random_formula(rng, ("p", "q"), agents, depth=3)
+        for agents in (("a", "b"), ("c", "x")) for _ in range(30)]
+    kinds = set()
+    for f in formulas:
+        expected = answer(stream_random_countermodel(f, bounds))
+        assert answer(countermodel_search(f, bounds)) == expected, render(f)
+        kinds.add(expected is None)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("search, game_of", [
+    (lambda: soundness_fuzz("Truth", FUZZ_BOUNDS["random-wide"]), None),
+    (lambda: soundness_fuzz("JointResponsibility", FUZZ_BOUNDS["random-wide"],
+                            enforce_side_conditions=False),
+     lambda found: found.game),
+    (lambda: countermodel_search(parse_formula("K[a]p -> p"),
+                                 RANDOM_BOUNDS["three-agents"]), None),
+    (lambda: countermodel_search(parse_formula("K[a]p -> K[b]p"),
+                                 RANDOM_BOUNDS["three-agents"]),
+     lambda found: found[0]),
+], ids=["fuzz-none", "fuzz-found", "countermodel-none", "countermodel-found"])
+def test_random_search_builds_only_the_answer(monkeypatch, search, game_of):
+    """Random fuzzing and countermodel search build no Game and no Play for
+    the games they sample, and one Game, with its plays, for an answer."""
+    built = collections.Counter()
+    make_game, play_init = semantics.make_game, Play.__init__
+
+    def counted_game(*args, **kwargs):
+        built["Game"] += 1
+        return make_game(*args, **kwargs)
+
+    def counted_play(self, *args):
+        built["Play"] += 1
+        play_init(self, *args)
+
+    monkeypatch.setattr(semantics, "make_game", counted_game)
+    monkeypatch.setattr(Play, "__init__", counted_play)
+    found = search()
+    if game_of is None:
+        assert found is None
+        assert built == {}
+    else:
+        assert built == {"Game": 1, "Play": len(game_of(found).plays)}

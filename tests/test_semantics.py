@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from dtw.game import (
     tarasoff2_game,
     tarasoff_game,
 )
+from dtw.limits import budget
 from dtw.minimality import minimal_verdict
 from dtw.parser import parse_formula
 from dtw.semantics import (
@@ -570,8 +572,31 @@ class TestSamplingBudget:
             soundness_fuzz("Truth", self.SMALL)
         with pytest.raises(ResourceLimitError, match="budget is 15"):
             countermodel_search(parse_formula("p -> p"), self.SMALL)
+        # The refusal depends on the bounds alone, even with no iterations.
+        idle = replace(self.SMALL, iterations=0)
+        with pytest.raises(ResourceLimitError, match="budget is 15"):
+            soundness_fuzz("Truth", idle)
+        with pytest.raises(ResourceLimitError, match="budget is 15"):
+            countermodel_search(parse_formula("p -> p"), idle)
         with pytest.raises(ResourceLimitError, match="budget is 15"):
             sample_game(random.Random(0), self.SMALL, agents=("a",))
+
+    def test_budget_resolved_once_per_call(self, monkeypatch):
+        """Random fuzzing and countermodel search look the budget up once
+        per call, not once per sampled game."""
+        lookups = []
+
+        def counted(kind, explicit=None):
+            lookups.append(kind)
+            return budget(kind, explicit)
+
+        monkeypatch.setattr(semantics, "budget", counted)
+        assert soundness_fuzz("Truth", replace(self.SMALL, iterations=150)) is None
+        assert lookups == ["seriality-checks"]
+        lookups.clear()
+        assert countermodel_search(parse_formula("K[a]p -> p"),
+                                   replace(self.SMALL, iterations=50)) is None
+        assert lookups == ["seriality-checks"]
 
 
 def test_bounds_that_fill_the_pools_reach_them():
