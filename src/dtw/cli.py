@@ -176,9 +176,13 @@ def _cmd_prove(args) -> int:
 def _load_library_dir(library: Library, directory: Path) -> None:
     """Check every .prf file in the directory, registering the goal of each
     accepted hypothesis-free script under its file stem; iterate until no
-    further script can be verified (citation order independent)."""
-    if not directory.is_dir():
+    further script can be verified (citation order independent).  Only a
+    citation of a theorem not yet registered can pass in a later round: the
+    library only grows, so a script rejected for anything else is dropped."""
+    if not directory.exists():
         raise _CliError(f"library directory not found: {directory}")
+    if not directory.is_dir():
+        raise _CliError(f"library path is not a directory: {directory}")
     pending = {}
     for path in sorted(directory.glob("*.prf")):
         try:
@@ -192,10 +196,12 @@ def _load_library_dir(library: Library, directory: Path) -> None:
             if script.hypotheses:
                 del pending[stem]
                 continue
-            if check_proof(script, library).accepted:
+            result = check_proof(script, library)
+            if result.accepted:
                 library.register(stem, script.goal)
-                del pending[stem]
                 progressing = True
+            if result.code != "unknown-theorem":
+                del pending[stem]
 
 
 def _cmd_fuzz(args) -> int:
@@ -272,9 +278,9 @@ def _cmd_minimal(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    files = example_files()
     if args.name != "tarasoff":
         raise _CliError(f"unknown example {args.name!r}; available: tarasoff")
+    files = example_files()
     target = Path(args.dir)
     try:
         target.mkdir(parents=True, exist_ok=True)

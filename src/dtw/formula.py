@@ -257,41 +257,121 @@ def render(f: Formula) -> str:
     interpreter's stack: text is written as soon as it is known, and what
     comes after the leftmost path of a subformula waits on a stack.
     """
-    out = []
-    emit = out.append
-    stack = [(f, 0)]  # text, or (subformula, min_level), last one first
+    return _render((f,), ())[0]
+
+
+def render_shared(formulas: Iterable[Formula]) -> list:
+    """``[render(f) for f in formulas]``, with each node that the formulas
+    reach more than once (the same object, not an equal one) rendered once.
+
+    A first walk, which does not enter a node it has seen, marks the nodes
+    it reaches twice.  The printer then keeps the text of a marked node from
+    its first occurrence and copies it at the later ones, in parentheses
+    where the context needs them.  The texts are kept for this call only.
+    """
+    formulas = tuple(formulas)
+    return _render(formulas, _shared_nodes(formulas))
+
+
+def _shared_nodes(roots) -> set:
+    """The stored hashes of the nodes, propositions aside, that a walk from
+    the roots reaches more than once; the walk does not enter a node whose
+    hash it has seen.  The hash is an int the node already holds, so the
+    walk allocates nothing per node.  Distinct objects with one hash (equal
+    nodes, mostly) are marked too, and the second is not entered: the
+    printer keeps texts by identity, so that costs some sharing, never a
+    wrong text."""
+    seen = set()
+    shared = set()
+    stack = list(roots)
+    push = stack.append
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            emit(item)
-            continue
-        g, min_level = item
+        g = stack.pop()
         while True:
-            if isinstance(g, Prop):
-                emit(g.name)
+            cls = g.__class__
+            if cls is Prop:
                 break
-            if isinstance(g, Implies):
-                if min_level > _LEVEL_IMPL:
+            key = g._hash
+            if key in seen:
+                shared.add(key)
+                break
+            seen.add(key)
+            if cls is not Implies:
+                g = g.child
+            elif g.left.__class__ is Prop:
+                g = g.right
+            else:
+                push(g.right)
+                g = g.left
+    return shared
+
+
+def _render(roots, shared) -> list:
+    """The text of each root.  A node whose stored hash is in ``shared`` is
+    written out once: its first occurrence records where its text starts in
+    the output and joins that span when the node ends, and later
+    occurrences of the same object copy the joined text.  Other nodes cost
+    one set lookup, and none when nothing is shared."""
+    texts = {}  # id -> text, of the shared nodes written so far
+    rendered = []
+    for root in roots:
+        out = []
+        emit = out.append
+        opened = []  # (id, start in out) of the shared nodes being written
+        # Texts, None (the innermost opened node ends) and the right
+        # operands of implications, last one first.
+        stack = []
+        g, min_level = root, 0
+        while True:
+            while True:  # down the leftmost path of g
+                cls = g.__class__
+                if cls is Prop:
+                    emit(g.name)
+                    break
+                if cls is Implies and min_level > _LEVEL_IMPL:
                     emit("(")
                     stack.append(")")
-                stack.append((g.right, _LEVEL_IMPL))
-                stack.append(" -> ")
-                g, min_level = g.left, _LEVEL_IMPL_LEFT
-                continue
-            # ~, K and B bind tightest and never need parentheses.
-            if isinstance(g, Not):
-                if g == FALSUM:
-                    emit("false")
+                if shared and g._hash in shared:
+                    text = texts.get(id(g))
+                    if text is not None:
+                        emit(text)
+                        break
+                    opened.append((id(g), len(out)))
+                    stack.append(None)
+                if cls is Implies:
+                    stack.append(g.right)
+                    g, min_level = g.left, _LEVEL_IMPL_LEFT
+                    continue
+                # ~, K and B bind tightest and never need parentheses.
+                if cls is Not:
+                    # The stored hash rules out most nodes without a call.
+                    if g._hash == FALSUM._hash and g == FALSUM:
+                        emit("false")
+                        break
+                    emit("~")
+                elif cls is Know:
+                    emit("K" + _coal_str(g.knowers) + " ")
+                elif cls is Blame:
+                    emit("B" + _coal_str(g.knowers) + _coal_str(g.actors) + " ")
+                else:  # pragma: no cover - exhaustive match
+                    raise TypeError(f"not a formula: {g!r}")
+                g, min_level = g.child, _LEVEL_UNARY
+            while stack:  # up to the next right operand
+                item = stack.pop()
+                if item.__class__ is str:
+                    emit(item)
+                elif item is None:
+                    key, start = opened.pop()
+                    text = texts[key] = "".join(out[start:])
+                    out[start:] = (text,)
+                else:
                     break
-                emit("~")
-            elif isinstance(g, Know):
-                emit("K" + _coal_str(g.knowers) + " ")
-            elif isinstance(g, Blame):
-                emit("B" + _coal_str(g.knowers) + _coal_str(g.actors) + " ")
-            else:  # pragma: no cover - exhaustive match
-                raise TypeError(f"not a formula: {g!r}")
-            g, min_level = g.child, _LEVEL_UNARY
-    return "".join(out)
+            else:
+                break
+            emit(" -> ")
+            g, min_level = item, _LEVEL_IMPL
+        rendered.append("".join(out))
+    return rendered
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .formula import (
     coalition,
     compile_masks,
     render,
+    render_shared,
     run_masks,
 )
 from .parser import GroupMemo, parse_coalition_token, parse_formula
@@ -592,9 +593,19 @@ def _just_str(just: Justification) -> str:
 
 
 def render_script(script: ProofScript) -> str:
-    """Emit the file format (inverse of :func:`parse_script`)."""
-    out = [f"hyp: {render(h)}" for h in script.hypotheses]
-    out.append(f"goal: {render(script.goal)}")
-    for idx, line in enumerate(script.lines, start=1):
-        out.append(f"{idx}. {render(line.formula)}   {_just_str(line.justification)}")
+    """Emit the file format (inverse of :func:`parse_script`).
+
+    The formulas are printed with one memo per call
+    (:func:`~dtw.formula.render_shared`): a node that the hypotheses, the
+    goal and the lines reach more than once, such as a premise held again
+    inside the next ``mp`` implication, is rendered once and its text
+    copied at its later occurrences.
+    """
+    hyps = len(script.hypotheses)
+    texts = render_shared((*script.hypotheses, script.goal,
+                           *(line.formula for line in script.lines)))
+    out = [f"hyp: {text}" for text in texts[:hyps]]
+    out.append(f"goal: {texts[hyps]}")
+    for idx, (line, text) in enumerate(zip(script.lines, texts[hyps + 1:]), start=1):
+        out.append(f"{idx}. {text}   {_just_str(line.justification)}")
     return "\n".join(out) + "\n"

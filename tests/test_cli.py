@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 from dtw import cli
 from dtw.cli import main
+from dtw.formula import render
 from dtw.lemmas import example_files
+from dtw.proof import Library
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -256,6 +259,52 @@ class TestProve:
         ])
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+    def test_missing_library_exits_two_with_one_line(self, example_dir, tmp_path,
+                                                     capsys):
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, [
+            "prove", str(example_dir / "lemma3_a_b_p.prf"), "--library", str(missing),
+        ])
+        assert (code, out, err) == (2, "", f"error: library directory not found: {missing}\n")
+
+    def test_library_that_is_a_file_exits_two_with_one_line(self, example_dir, capsys):
+        script = example_dir / "lemma3_a_b_p.prf"
+        code, out, err = run(capsys, ["prove", str(script), "--library", str(script)])
+        assert (code, out, err) == (
+            2, "", f"error: library path is not a directory: {script}\n")
+
+    def test_library_checks_a_broken_script_once(self, tmp_path, monkeypatch, capsys):
+        """t1 cites t2, which cites t3, so the library takes three rounds to
+        fill; the broken script fails for a reason that does not depend on
+        the library, so it is checked in the first round only."""
+        library = tmp_path / "library"
+        library.mkdir()
+        for name, text in {
+            "a_broken": "goal: q\n1. q   taut\n",
+            "t1": "goal: K[b] K[a] (p -> p)\n1. K[a] (p -> p)   thm t2\n"
+                  "2. K[b] K[a] (p -> p)   nec 1 [b]\n",
+            "t2": "goal: K[a] (p -> p)\n1. p -> p   thm t3\n2. K[a] (p -> p)   nec 1 [a]\n",
+            "t3": "goal: p -> p\n1. p -> p   taut\n",
+        }.items():
+            (library / f"{name}.prf").write_text(text, encoding="utf-8")
+        main_script = tmp_path / "main.prf"
+        main_script.write_text("goal: K[b] K[a] (p -> p)\n1. K[b] K[a] (p -> p)   thm t1\n",
+                               encoding="utf-8")
+        checked = Counter()
+        check_proof = cli.check_proof
+
+        def counted(script, library=None):
+            checked[render(script.goal)] += 1
+            return check_proof(script, library)
+
+        monkeypatch.setattr(cli, "check_proof", counted)
+        registry = Library()
+        cli._load_library_dir(registry, library)
+        assert sorted(registry.as_dict()) == ["t1", "t2", "t3"]
+        assert checked == {"q": 1, "K[b] K[a] (p -> p)": 3, "K[a] (p -> p)": 2, "p -> p": 1}
+        code, out, err = run(capsys, ["prove", str(main_script), "--library", str(library)])
+        assert (code, out, err) == (0, "accepted (1 lines)\n", "")
 
 
 class TestDeepProofLine:
@@ -518,9 +567,14 @@ class TestExample:
                for p in example_dir.iterdir()}
         assert got == self.GOLDEN_SHA256
 
-    def test_unknown_example(self, capsys):
-        code, _, err = run(capsys, ["example", "trolley"])
-        assert code == 2
+    def test_unknown_example(self, tmp_path, monkeypatch, capsys):
+        """The name is refused before any file is rendered or written."""
+        monkeypatch.setattr(cli, "example_files", lambda: pytest.fail("rendered"))
+        target = tmp_path / "out"
+        code, out, err = run(capsys, ["example", "trolley", "--dir", str(target)])
+        assert (code, out) == (2, "")
+        assert err == "error: unknown example 'trolley'; available: tarasoff\n"
+        assert not target.exists()
 
     def test_dir_that_is_a_file_exits_two_with_one_line(self, tmp_path, capsys):
         taken = tmp_path / "taken"
