@@ -36,7 +36,6 @@ from .formula import (
     compile_masks,
     props_of,
     run_masks,
-    subformulas,
 )
 from .game import (ActionProfile, Frame, Game, Play, check_known_agents, index_blocks,
                    make_game)
@@ -170,26 +169,10 @@ def _truth(program, frame: Frame, full: int, prop, subst=None) -> list:
     return run_masks(program, full, leaf)
 
 
-def _formula_mask(frame: Frame, f: Formula, full: int, prop) -> int:
-    """The last mask _truth gives for f, by a walk of its tree: for the
-    small formulas that fuzzing substitutes, each evaluated once, this
-    costs less than compiling them."""
-    if isinstance(f, Prop):
-        return prop.get(f.name, 0)
-    if isinstance(f, Implies):
-        return ((full ^ _formula_mask(frame, f.left, full, prop))
-                | _formula_mask(frame, f.right, full, prop))
-    body = _formula_mask(frame, f.child, full, prop)
-    if isinstance(f, Not):
-        return full ^ body
-    return _modal_mask(frame, f.knowers, f.actors if isinstance(f, Blame) else None,
-                       full, body)
-
-
-def _warn_unvalued(valued, nodes) -> None:
-    """Warn once per proposition among nodes that is not among the valued
-    names, in the order they first occur."""
-    for name in dict.fromkeys(g.name for g in nodes if isinstance(g, Prop)):
+def _warn_unvalued(valued, names) -> None:
+    """Warn once per proposition name that is not among the valued names,
+    in the order they first occur."""
+    for name in dict.fromkeys(names):
         if name not in valued and not name.startswith(RESERVED_PREFIX):
             warnings.warn(f"proposition {name!r} has no valuation in this game; "
                           "treating it as false everywhere")
@@ -200,7 +183,7 @@ def satisfaction(game: Game, f: Formula) -> Dict[Formula, int]:
     once per proposition of f without a valuation, in the order they first
     occur in f."""
     program = compile_masks(f)
-    _warn_unvalued(game.valuation, program.nodes)
+    _warn_unvalued(game.valuation, (g.name for g in program.nodes if isinstance(g, Prop)))
     masks = game.masks
     return dict(zip(program.nodes,
                     _truth(program, masks.frame, masks.full, masks.prop)))
@@ -264,6 +247,7 @@ def valid_in_game(game: Game, f: Formula) -> Verdict:
 
 _AGENT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 _PROP_NAMES = ("p", "q", "r", "s", "t")
+_NODES = (Prop, Not, Implies, Know, Blame)  # random_formula's constructors
 
 
 def _check_pool(what: str, bound: int, names) -> None:
@@ -400,27 +384,35 @@ def random_formula(
     props: Tuple[str, ...],
     agents: Tuple[str, ...],
     depth: int = 3,
-) -> Formula:
+    make: tuple = _NODES,
+):
     """Random formula of modal depth at most ``depth`` over the given
-    propositions and agents."""
+    propositions and agents, built with ``make``'s constructors for a
+    proposition, ``~``, ``->``, ``K`` and ``B`` (see _mask_algebra)."""
     if depth <= 0 or rng.random() < 0.3:
-        return Prop(rng.choice(props))
+        return make[0](rng.choice(props))
     pick = rng.randrange(4)
+    depth -= 1
     if pick == 0:
-        return Not(random_formula(rng, props, agents, depth - 1))
+        return make[1](random_formula(rng, props, agents, depth, make))
     if pick == 1:
-        return Implies(
-            random_formula(rng, props, agents, depth - 1),
-            random_formula(rng, props, agents, depth - 1),
-        )
+        return make[2](random_formula(rng, props, agents, depth, make),
+                       random_formula(rng, props, agents, depth, make))
     if pick == 2:
-        return Know(_random_coalition(rng, agents),
-                    random_formula(rng, props, agents, depth - 1))
-    return Blame(
-        _random_coalition(rng, agents),
-        _random_coalition(rng, agents),
-        random_formula(rng, props, agents, depth - 1),
-    )
+        return make[3](_random_coalition(rng, agents),
+                       random_formula(rng, props, agents, depth, make))
+    return make[4](_random_coalition(rng, agents), _random_coalition(rng, agents),
+                   random_formula(rng, props, agents, depth, make))
+
+
+def _mask_algebra(frame: Frame, full: int, prop) -> tuple:
+    """random_formula's constructors over masks: a formula drawn with them
+    is the mask _truth gives it among the positions of full."""
+    return (lambda name: prop.get(name, 0), lambda child: full ^ child,
+            lambda left, right: (full ^ left) | right,
+            lambda knowers, child: _modal_mask(frame, knowers, None, full, child),
+            lambda knowers, actors, child: _modal_mask(frame, knowers, actors,
+                                                       full, child))
 
 
 def _random_coalition(rng: random.Random, agents: Tuple[str, ...]) -> Coalition:
@@ -433,6 +425,7 @@ def sample_instantiation(
     agents: Tuple[str, ...],
     props: Tuple[str, ...],
     enforce_side_conditions: bool = True,
+    make: tuple = _NODES,
 ) -> dict:
     """Random metavariable assignment for a schema over the given agents
     and proposition names (``p`` when there are none): formula
@@ -442,14 +435,12 @@ def sample_instantiation(
     the schema's side conditions.  Without it, each side condition is
     deliberately violated by one agent drawn from ``agents``: ``subset(a,
     b)`` moves it into a and out of b, and ``disjoint(a, b)`` puts it in
-    both.
+    both.  Formula values are built with ``make``, as random_formula's.
     """
     props = tuple(props) or ("p",)
     agents = tuple(agents)
-    subst = {
-        name: random_formula(rng, props, agents, depth=3)
-        for name in schema.formula_vars
-    }
+    subst = {name: random_formula(rng, props, agents, 3, make)
+             for name in schema.formula_vars}
     for name in schema.coalition_vars:
         subst[name] = _random_coalition(rng, agents)
     for kind, a, b in schema.side:
@@ -839,11 +830,12 @@ def soundness_fuzz(
     instantiation.  Exhaustive mode enumerates canonical models and tries
     three seeded instantiations on each.
 
-    Each schema's pattern is compiled once per call.  An instance is
-    evaluated from its substitution: each formula metavariable's value is
-    evaluated to a mask, and the pattern's program runs on those masks with
-    its coalitions resolved from the substitution.  Only the counterexample
-    returned is built as a formula.
+    Each schema's pattern is compiled once per call.  Each formula
+    metavariable's value is drawn straight into its mask, with the calls to
+    rng that drawing it as a formula makes, and the pattern's program runs
+    on those masks with its coalitions read from the substitution.  Only
+    the counterexample returned is built as a formula: its draws are
+    replayed from the generator's state before the first of them.
     """
     try:
         schema_names = axioms.resolve_fuzz_group(schema)
@@ -855,17 +847,23 @@ def soundness_fuzz(
     schemas = [axioms.ALL_SCHEMAS[name] for name in schema_names]
     programs = [compile_masks(s.pattern) for s in schemas]
 
-    def draw(agents, props):
+    def draw(agents, props, make=_NODES):
         k = rng.randrange(len(schemas))
         return k, sample_instantiation(rng, schemas[k], agents, props,
-                                       enforce_side_conditions)
+                                       enforce_side_conditions, make)
 
-    def missed(k, subst, frame, full, prop):
-        values = {name: _formula_mask(frame, subst[name], full, prop)
-                  for name in schemas[k].formula_vars}
-        return full ^ _truth(programs[k], frame, full, values, subst)[-1]
+    def missed(agents, props, frame, full, algebra):
+        k, values = draw(agents, props, algebra)
+        return full ^ _truth(programs[k], frame, full, values, values)[-1]
 
-    def found(k, subst, game, play, iteration):
+    def found(slots, iteration, game, play):
+        """The counterexample at iteration, its draws replayed as formula
+        nodes from the saved state; slots gives each iteration's agents and
+        propositions."""
+        rng.setstate(state)
+        for agents, props in itertools.islice(slots, iteration):
+            draw(agents, props)
+        k, subst = draw(*next(slots))
         picked = schemas[k]
         return FuzzCounterexample(picked.name, game, play,
                                   axioms.instantiate(picked, subst), subst, iteration)
@@ -875,32 +873,34 @@ def soundness_fuzz(
         rng = random.Random(bounds.seed)
         pool_size = max(1, min(_GAMES_POOL, bounds.iterations))
         pool = [_sample(rng, bounds) for _ in range(pool_size)]
+        state = rng.getstate()
+        slots = [(sample.agents, tuple(sorted(sample.prop))) for sample in pool]
+        for sample, (agents, props) in zip(pool[:bounds.iterations], slots):
+            # valid_in_game's checks, on every name an instance can draw.
+            check_known_agents(sample.partitions, frozenset(agents))
+            _warn_unvalued(sample.prop, props)
         for iteration in range(bounds.iterations):
             sample = pool[iteration % pool_size]
-            k, subst = draw(sample.agents, tuple(sorted(sample.prop)))
-            # valid_in_game's checks of the instance, read off subst.
-            values = [subst[g.name] for g in programs[k].nodes if isinstance(g, Prop)]
-            check_known_agents(sample.partitions, frozenset().union(
-                *(subst[name] for name in schemas[k].coalition_vars),
-                *map(agents_of, values)))
-            _warn_unvalued(sample.prop, (g for v in values for g in subformulas(v)))
-            miss = missed(k, subst, sample.frame, sample.full, sample.prop)
+            miss = missed(*slots[iteration % pool_size], sample.frame, sample.full,
+                          _mask_algebra(sample.frame, sample.full, sample.prop))
             if miss:
-                return found(k, subst, *sample.answer(miss), iteration)
+                return found(itertools.cycle(slots), iteration, *sample.answer(miss))
         return None
 
     _check_pool("props", bounds.max_props, _PROP_NAMES)
     rng = random.Random(bounds.seed if bounds.seed is not None else 0)
+    state = rng.getstate()
     props = _PROP_NAMES[: bounds.max_props]
     iteration = 0
     for model in enumerate_games((), props, bounds):
         s, full = model.structure, model.full
-        prop = dict(zip(props, model.prop))
+        algebra = _mask_algebra(s.frame, full, dict(zip(props, model.prop)))
         for _ in range(_INSTANTIATIONS_PER_GAME):
-            k, subst = draw(s.agents, props)
-            miss = missed(k, subst, s.frame, full, prop)
+            miss = missed(s.agents, props, s.frame, full, algebra)
             if miss:
-                game, play = model.answer(miss)
-                return found(k, subst, game, play, iteration)
+                slots = ((m.structure.agents, props)
+                         for m in enumerate_games((), props, bounds)
+                         for _ in range(_INSTANTIATIONS_PER_GAME))
+                return found(slots, iteration, *model.answer(miss))
             iteration += 1
     return None

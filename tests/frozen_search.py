@@ -1,10 +1,11 @@
 """Earlier versions of the package's exhaustive enumerator, per-model
-countermodel search, soundness fuzzer and game sampler, frozen so that
-their replacements can be compared with them: ``naive_models`` builds one
-Game per model in the documented order, ``stream_countermodel`` evaluates
-the package's model stream one model at a time, ``frozen_sample_game``
-builds every sampled game play by play, ``stream_fuzz`` builds and
-compiles every fuzz instance on those games, and
+countermodel search, soundness fuzzer, game sampler and instance drawer,
+frozen so that their replacements can be compared with them:
+``naive_models`` builds one Game per model in the documented order,
+``stream_countermodel`` evaluates the package's model stream one model at a
+time, ``frozen_sample_game`` builds every sampled game play by play,
+``sample_instantiation`` draws every metavariable value as a formula,
+``stream_fuzz`` builds and compiles every fuzz instance on those games, and
 ``stream_random_countermodel`` runs ``valid_in_game`` on each of them."""
 
 import itertools
@@ -12,11 +13,11 @@ import random
 
 from dtw import axioms
 from dtw.errors import BadParamsError, ResourceLimitError
-from dtw.formula import agents_of, compile_masks, props_of
+from dtw.formula import (Blame, Implies, Know, Not, Prop, agents_of, compile_masks,
+                         props_of)
 from dtw.game import ActionProfile, Play, make_game
 from dtw.limits import budget
-from dtw.semantics import (FuzzCounterexample, _truth, enumerate_games,
-                           sample_instantiation, valid_in_game)
+from dtw.semantics import FuzzCounterexample, _truth, enumerate_games, valid_in_game
 
 _AGENT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 _PROP_NAMES = ("p", "q", "r", "s", "t")
@@ -159,20 +160,69 @@ def missed_slots(model, program):
     return model.full ^ _truth(program, s.frame, model.full, prop)[-1]
 
 
-def stream_fuzz(schema, bounds, enforce_side_conditions=True):
-    """Soundness fuzzing as it was before schemas were compiled once:
-    every instance is built with ``axioms.instantiate`` and evaluated on
-    its own, by ``valid_in_game`` on each game of ``frozen_sample_game`` in
-    random mode and by a fresh mask program on each model in exhaustive
-    mode.  It draws from the package's ``sample_instantiation``, so both
-    sides share one random stream."""
+def random_formula(rng, props, agents, depth=3):
+    """Random formula of modal depth at most ``depth``, built node by node."""
+    if depth <= 0 or rng.random() < 0.3:
+        return Prop(rng.choice(props))
+    pick = rng.randrange(4)
+    if pick == 0:
+        return Not(random_formula(rng, props, agents, depth - 1))
+    if pick == 1:
+        return Implies(
+            random_formula(rng, props, agents, depth - 1),
+            random_formula(rng, props, agents, depth - 1),
+        )
+    if pick == 2:
+        return Know(_random_coalition(rng, agents),
+                    random_formula(rng, props, agents, depth - 1))
+    return Blame(
+        _random_coalition(rng, agents),
+        _random_coalition(rng, agents),
+        random_formula(rng, props, agents, depth - 1),
+    )
+
+
+def _random_coalition(rng, agents):
+    return frozenset(agent for agent in agents if rng.random() < 0.5)
+
+
+def sample_instantiation(rng, schema, agents, props, enforce_side_conditions=True):
+    """The package's metavariable assignment as it was when it drew every
+    formula value as nodes: formula metavariables, then coalition
+    metavariables, in sorted order, then the side conditions enforced, or
+    each violated by one agent drawn from ``agents``."""
+    props = tuple(props) or ("p",)
+    agents = tuple(agents)
+    subst = {
+        name: random_formula(rng, props, agents, depth=3)
+        for name in schema.formula_vars
+    }
+    for name in schema.coalition_vars:
+        subst[name] = _random_coalition(rng, agents)
+    for kind, a, b in schema.side:
+        if enforce_side_conditions:
+            if kind == "subset":
+                subst[b] = subst[b] | subst[a]
+            else:
+                subst[b] = subst[b] - subst[a]
+        elif agents:
+            agent = {rng.choice(agents)}
+            subst[a] = subst[a] | agent
+            subst[b] = subst[b] - agent if kind == "subset" else subst[b] | agent
+    return subst
+
+
+def fuzz_draws(schema, bounds, enforce_side_conditions=True):
+    """What each iteration of soundness fuzzing draws, frozen: its game (a
+    Game of ``frozen_sample_game`` in random mode, a Model of the package's
+    stream in exhaustive mode), its schema and its substitution, drawn by
+    the frozen ``sample_instantiation``."""
     schemas = [axioms.ALL_SCHEMAS[name] for name in axioms.resolve_fuzz_group(schema)]
 
     def instance(agents, props):
         picked = schemas[rng.randrange(len(schemas))]
-        subst = sample_instantiation(rng, picked, agents, props,
-                                     enforce_side_conditions)
-        return picked.name, axioms.instantiate(picked, subst), subst
+        return picked, sample_instantiation(rng, picked, agents, props,
+                                            enforce_side_conditions)
 
     if bounds.mode == "random":
         rng = random.Random(bounds.seed)
@@ -180,26 +230,30 @@ def stream_fuzz(schema, bounds, enforce_side_conditions=True):
         pool = [frozen_sample_game(rng, bounds) for _ in range(pool_size)]
         for iteration in range(bounds.iterations):
             game = pool[iteration % pool_size]
-            name, f, subst = instance(game.agents, tuple(sorted(game.valuation)))
-            verdict = valid_in_game(game, f)
-            if not verdict.holds:
-                return FuzzCounterexample(name, game, verdict.refutation, f,
-                                          subst, iteration)
-        return None
-
+            yield (game, *instance(game.agents, tuple(sorted(game.valuation))))
+        return
     rng = random.Random(bounds.seed if bounds.seed is not None else 0)
     props = ("p", "q", "r", "s", "t")[: bounds.max_props]
-    iteration = 0
     for model in enumerate_games((), props, bounds):
-        s, full = model.structure, model.full
-        prop = dict(zip(props, model.prop))
         for _ in range(3):
-            name, f, subst = instance(s.agents, props)
-            missed = full ^ _truth(compile_masks(f), s.frame, full, prop)[-1]
-            if missed:
-                game, play = model.answer(missed)
-                return FuzzCounterexample(name, game, play, f, subst, iteration)
-            iteration += 1
+            yield (model, *instance(model.structure.agents, props))
+
+
+def stream_fuzz(schema, bounds, enforce_side_conditions=True):
+    """Soundness fuzzing as it was before schemas were compiled once: every
+    instance of ``fuzz_draws`` is built with ``axioms.instantiate`` and
+    evaluated on its own, by ``valid_in_game`` on its game in random mode
+    and by a fresh mask program on its model in exhaustive mode."""
+    draws = fuzz_draws(schema, bounds, enforce_side_conditions)
+    for iteration, (where, picked, subst) in enumerate(draws):
+        f = axioms.instantiate(picked, subst)
+        if bounds.mode == "random":
+            game, play = where, valid_in_game(where, f).refutation
+        else:
+            missed = missed_slots(where, compile_masks(f))
+            game, play = where.answer(missed) if missed else (None, None)
+        if play is not None:
+            return FuzzCounterexample(picked.name, game, play, f, subst, iteration)
     return None
 
 

@@ -2,14 +2,15 @@
 trees."""
 
 import ast
+import collections
 from pathlib import Path
 
 import pytest
 
 import dtw
 
-MODULES = sorted(p for p in Path(dtw.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")  # __init__ imports to re-export
+PACKAGE = sorted(Path(dtw.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]  # __init__ re-exports
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
@@ -38,3 +39,38 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private(sources: dict) -> list:
+    """(module, name) of each module-level private function or class that
+    no code reads outside its own definition, in any of the sources."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = collections.Counter()  # name -> top-level statements reading it
+    for tree in trees.values():
+        for statement in tree.body:
+            read.update({node.id if isinstance(node, ast.Name) else node.attr
+                         for node in ast.walk(statement)
+                         if isinstance(node, (ast.Name, ast.Attribute))})
+    unread = []
+    for module, tree in trees.items():
+        for statement in tree.body:
+            name = getattr(statement, "name", "")
+            if (isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                    and name.startswith("_") and not name.startswith("__")):
+                own = any(isinstance(node, ast.Name) and node.id == name
+                          for node in ast.walk(statement))
+                if read[name] == own:
+                    unread.append((module, name))
+    return unread
+
+
+def test_the_reference_check_sees_orphans_and_recursion():
+    sources = {"a": "def _used(): pass\ndef _alone(): return _alone()\n"
+                    "class _Kept: pass\nclass _Dropped: pass\n",
+               "b": "from a import _Kept\nx = _Kept, a._used\n"}
+    assert unreferenced_private(sources) == [("a", "_alone"), ("a", "_Dropped")]
+
+
+def test_private_functions_and_classes_are_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_private(sources) == []

@@ -10,10 +10,11 @@ at a time; the batched search, which evaluates many models per run of the
 mask kernel, must return what it returns, wherever in a batch the first
 countermodel falls.
 
-``frozen_search.stream_fuzz`` builds and evaluates every fuzz instance on
-its own; the fuzzer, which compiles each schema once and evaluates an
-instance from its substitution, must return the same first counterexample
-at the same iteration, in both modes.
+``frozen_search.stream_fuzz`` draws every fuzz instance as a formula and
+evaluates it on its own; the fuzzer, which compiles each schema once,
+draws each value straight into its mask and replays the draws only for the
+counterexample, must return the same first counterexample at the same
+iteration, in both modes.
 
 ``frozen_search.frozen_sample_game`` builds every sampled game play by
 play; the sampler, which draws the same stream straight into masks, must
@@ -33,7 +34,8 @@ from hypothesis import strategies as st
 
 from dtw import axioms, semantics
 from dtw.errors import BadParamsError, ResourceLimitError
-from dtw.formula import agents_of, compile_masks, props_of, render
+from dtw.formula import (Blame, Implies, Know, Not, Prop, agents_of, compile_masks,
+                         node_count, props_of, render)
 from dtw.game import Play, render_game_file
 from dtw.parser import parse_formula
 from dtw.semantics import (
@@ -43,13 +45,13 @@ from dtw.semantics import (
     enumerate_games,
     random_formula,
     sample_game,
-    sample_instantiation,
     soundness_fuzz,
     valid_in_game,
 )
 
-from frozen_search import (frozen_sample_game, missed_slots, naive_models,
-                           stream_countermodel, stream_fuzz, stream_random_countermodel)
+from frozen_search import (frozen_sample_game, fuzz_draws, missed_slots, naive_models,
+                           sample_instantiation, stream_countermodel, stream_fuzz,
+                           stream_random_countermodel)
 from oracles import naive_holds
 
 # The search workload's formula templates: valid ones, then invalid ones.
@@ -219,16 +221,42 @@ def test_fuzz_matches_frozen_stream(group, enforce, bounds):
         assert expected is None
 
 
+# Violated side conditions whose first counterexample lies past the first
+# structure (one agent) or, in random mode, past the pool of 200 games.
+REPLAY_BOUNDS = {
+    "exhaustive-third-agent": SearchBounds(max_agents=3, max_initial=1,
+                                           max_outcomes=1, seed=5),
+    "random-wrapped": SearchBounds(max_agents=3, max_initial=3, max_props=3,
+                                   mode="random", seed=22, iterations=1000),
+}
+
+
+@pytest.mark.parametrize("bounds", REPLAY_BOUNDS.values(), ids=REPLAY_BOUNDS.keys())
+def test_replayed_counterexample_matches_frozen_stream(bounds):
+    """The counterexample's substitution is replayed from the generator's
+    state with each earlier iteration's agents and propositions: those of
+    earlier, smaller structures, or of the pool's games, round again."""
+    found = soundness_fuzz("JointResponsibility", bounds, False)
+    assert fuzz_answer(found) == fuzz_answer(
+        stream_fuzz("JointResponsibility", bounds, False))
+    if bounds.mode == "random":
+        assert found.iteration >= 200
+    else:
+        assert len(found.game.agents) == 3
+
+
 @pytest.mark.parametrize("group", ["Truth", "JointResponsibility"])
 @pytest.mark.parametrize("bounds, enforce", [
     (FUZZ_BOUNDS["exhaustive-three-agents"], True),
+    (REPLAY_BOUNDS["exhaustive-third-agent"], False),
     (FUZZ_BOUNDS["random-wide"], True),
     (FUZZ_BOUNDS["random-wide"], False),
-], ids=["exhaustive", "random", "random-violated"])
+], ids=["exhaustive", "exhaustive-violated", "random", "random-violated"])
 def test_fuzz_compiles_each_schema_once(monkeypatch, group, bounds, enforce):
-    """A run compiles each schema of its group at most once and builds only
-    the counterexample it returns as a formula, however many instances it
-    evaluates."""
+    """A run compiles each schema of its group at most once, however many
+    instances it evaluates.  It builds no formula node unless it finds a
+    counterexample, and then only the nodes of the values drawn up to it,
+    replayed, and those of its instance."""
     calls = collections.Counter()
 
     def counted(module, name):
@@ -242,10 +270,30 @@ def test_fuzz_compiles_each_schema_once(monkeypatch, group, bounds, enforce):
 
     counted(semantics, "compile_masks")
     counted(axioms, "instantiate")
+    for cls in (Prop, Not, Implies, Know, Blame):
+        counted(cls, "__init__")
     found = soundness_fuzz(group, bounds, enforce)
+    nodes = calls["__init__"]  # of the five formula node classes
     assert calls["compile_masks"] <= len(axioms.resolve_fuzz_group(group))
     assert calls["instantiate"] == (found is not None)
     assert (found is None) == (enforce or group == "Truth")
+    if found is None:
+        assert nodes == 0
+        return
+    draws = itertools.islice(fuzz_draws(group, bounds, enforce), found.iteration + 1)
+    drawn = sum(node_count(subst[name]) for _, picked, subst in draws
+                for name in picked.formula_vars)
+    pattern = axioms.ALL_SCHEMAS[found.schema].pattern
+    assert nodes == drawn + node_count(pattern) - leaf_count(pattern)
+
+
+def leaf_count(f):
+    """The propositions of f, counted once per occurrence."""
+    if isinstance(f, Prop):
+        return 1
+    if isinstance(f, Implies):
+        return leaf_count(f.left) + leaf_count(f.right)
+    return leaf_count(f.child)
 
 
 def test_formula_agents_beyond_the_bound():
