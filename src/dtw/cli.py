@@ -108,6 +108,8 @@ def _cmd_valid(args) -> int:
 
 
 def _bounds_from(args, mode: str) -> SearchBounds:
+    if args.max_states < 1:  # SearchBounds would name its own field
+        raise _CliError("--max-states must be at least 1")
     return SearchBounds(
         max_agents=args.max_agents,
         max_initial=args.max_states,

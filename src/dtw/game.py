@@ -178,19 +178,15 @@ class Game:
         return play in self.masks.index
 
     def check_agents(self, members: Iterable[str]) -> None:
-        check_known_agents(self.partitions, members)
+        """Raise UnknownAgentError for the first of members, in sorted
+        order, that is not an agent of the game."""
+        for agent in sorted(members):
+            if agent not in self.partitions:
+                raise UnknownAgentError(f"unknown agent {agent!r}")
 
     def check_state(self, state: str) -> None:
         if state not in self.initial_states:
             raise UnknownStateError(f"unknown initial state {state!r}")
-
-
-def check_known_agents(known, members: Iterable[str]) -> None:
-    """Raise UnknownAgentError for the first of members, in sorted order,
-    that is not in known."""
-    for agent in sorted(members):
-        if agent not in known:
-            raise UnknownAgentError(f"unknown agent {agent!r}")
 
 
 def _play_masks(game: Game, prop: Optional[Dict[str, int]] = None) -> PlayMasks:

@@ -37,8 +37,7 @@ from .formula import (
     props_of,
     run_masks,
 )
-from .game import (ActionProfile, Frame, Game, Play, check_known_agents, index_blocks,
-                   make_game)
+from .game import ActionProfile, Frame, Game, Play, index_blocks, make_game
 from .limits import budget
 
 
@@ -300,49 +299,16 @@ def _check_sampling(bounds: SearchBounds, agent_pool, draw_props: bool) -> None:
         _check_pool("props", bounds.max_props, _PROP_NAMES)
 
 
-class Sample(NamedTuple):
-    """One sampled game as the evaluator reads it: play i is bit i, the
-    plays of each cell (initial state, profile), in row-major order,
-    following those of the cell before."""
-
-    agents: Tuple[str, ...]
-    states: Tuple[str, ...]
-    partitions: Dict[str, Tuple[Coalition, ...]]
-    actions: Tuple[str, ...]
-    outcomes: Tuple[str, ...]
-    picked: List[List[str]]  # per cell, the outcomes of its plays
-    full: int  # every play
-    prop: Dict[str, int]  # proposition -> plays in its valuation
-    frame: Frame  # initial states, partitions and actions over the plays
-
-    def game(self) -> Game:
-        """The sample as a Game, with the same plays in the same order."""
-        profiles = [ActionProfile.make(zip(self.agents, combo)) for combo
-                    in itertools.product(self.actions, repeat=len(self.agents))]
-        plays = [Play(alpha, profile, omega) for (alpha, profile), drawn
-                 in zip(itertools.product(self.states, profiles), self.picked)
-                 for omega in drawn]
-        valuation = {name: [p for i, p in enumerate(plays) if bits >> i & 1]
-                     for name, bits in self.prop.items()}
-        return make_game(self.agents, self.states, self.partitions, self.actions,
-                         self.outcomes, plays, valuation)
-
-    def answer(self, missed: int) -> Tuple[Game, Play]:
-        """The game of this sample and its play at the lowest bit of missed."""
-        game = self.game()
-        return game, _first_play(game, missed)
-
-
 def _sample(rng: random.Random, bounds: SearchBounds,
             agents: Optional[Tuple[str, ...]] = None,
-            prop_names: Optional[Tuple[str, ...]] = None) -> Sample:
-    """The game sample_game draws, without its checks, as masks.
+            prop_names: Optional[Tuple[str, ...]] = None) -> Model:
+    """The game sample_game draws, without its checks, as a model whose
+    play i is bit i.
 
     Per cell, in row-major order, a second outcome is drawn with
     probability 0.2 when there is more than one; each proposition then
     holds at each play with probability 1/2.  An initial state's plays are
-    one run of bits, and each (agent, action) row is the OR of the plays
-    of the profiles that take it."""
+    one run of bits."""
     if agents is None:
         agents = _AGENT_NAMES[: rng.randint(1, bounds.max_agents)]
     states = tuple(f"s{i}" for i in range(rng.randint(1, bounds.max_initial)))
@@ -363,20 +329,27 @@ def _sample(rng: random.Random, bounds: SearchBounds,
             by_profile[j] |= ((1 << count) - 1) << bit
             bit += count
         state[alpha] = (1 << bit) - (1 << start)
-    prop = {name: sum(1 << i for i in range(bit) if draw() < 0.5)
-            for name in prop_names}
+    prop = tuple(sum(1 << i for i in range(bit) if draw() < 0.5) for _ in prop_names)
+    frame = Frame(states, index_blocks(partitions), state, actions,
+                  _action_rows(agents, actions, by_profile), bit)
+    structure = Structure(agents, states, partitions, actions, len(picked),
+                          prop_names, frame)
+    return Model(structure, (1 << bit) - 1, prop, outcomes, picked)
+
+
+def _action_rows(agents, actions, by_profile) -> Dict[Tuple[str, str], int]:
+    """Each (agent, action)'s positions: the OR of by_profile's positions
+    of the profiles that take it, profiles in itertools.product order."""
     # Profile j gives the k-th agent the action numbered by the k-th digit,
     # most significant first, of j in base |actions|.
     action = {}
-    stride = n_profiles
+    stride = len(by_profile)
     for agent in agents:
         stride //= len(actions)
         for j, bits in enumerate(by_profile):
             key = (agent, actions[j // stride % len(actions)])
             action[key] = action.get(key, 0) | bits
-    frame = Frame(states, index_blocks(partitions), state, actions, action, bit)
-    return Sample(agents, states, partitions, actions, outcomes, picked,
-                  (1 << bit) - 1, prop, frame)
+    return action
 
 
 def random_formula(
@@ -550,52 +523,57 @@ def count_models(formula_agents: Tuple[str, ...], props: Tuple[str, ...],
 
 
 class Structure(NamedTuple):
-    """What the models of one step of the enumeration share: agents,
-    initial states, partitions and actions, laid out as play slots."""
+    """What the models of one step of the enumeration share, or what one
+    sample drew before its plays: agents, initial states, partitions and
+    actions, laid out as positions.  An enumerated structure gives each
+    cell ``width`` play slots; a sample's positions are its plays."""
 
     agents: Tuple[str, ...]
     states: Tuple[str, ...]
     partitions: Dict[str, Tuple[Coalition, ...]]
     actions: Tuple[str, ...]
-    cells: Tuple[Tuple[str, ActionProfile], ...]  # (initial state, profile)
-    width: int  # slots per cell
+    cells: int  # (initial state, profile) cells, in row-major order
     props: Tuple[str, ...]
-    choices: tuple  # per label choice: its slots in cell 0, then each prop's
-    frame: Frame  # states, partitions and actions over the slots
+    frame: Frame  # states, partitions and actions over the positions
+    width: int = 0  # slots per cell
+    choices: tuple = ()  # per label choice: its slots in cell 0, then each prop's
 
 
 class Model(NamedTuple):
-    """One model of the exhaustive stream: which slots of its structure
-    hold plays, and where each proposition holds."""
+    """One model: which positions of its structure hold plays, and where
+    each proposition holds.  A sample also keeps the outcomes it drew and,
+    per cell, the outcomes of that cell's plays, in draw order."""
 
     structure: Structure
-    full: int  # the present slots
-    prop: Tuple[int, ...]  # per proposition of the structure, its slots
+    full: int  # the positions that hold plays
+    prop: Tuple[int, ...]  # per proposition of the structure, its positions
+    outcomes: Tuple[str, ...] = ()
+    picked: Optional[List[List[str]]] = None
 
     def game(self) -> Game:
-        """The model as a Game: plays in slot order, outcome o<i> for slot i."""
-        s = self.structure
-        cell_slots = (1 << s.width) - 1
-        outcomes = tuple(f"o{i}" for i in range(max(
-            (self.full >> c * s.width & cell_slots).bit_length()
-            for c in range(len(s.cells)))))
-        plays = []
-        valuation = {name: [] for name in s.props}
-        for c, (alpha, profile) in enumerate(s.cells):
-            for i in range(s.width):
-                bit = c * s.width + i
-                if self.full >> bit & 1:
-                    play = Play(alpha, profile, outcomes[i])
-                    plays.append(play)
-                    for name, slots in zip(s.props, self.prop):
-                        if slots >> bit & 1:
-                            valuation[name].append(play)
+        """The model as a Game: its plays are the set bits of full, in
+        order, cell by cell.  An enumerated model names slot i of a cell
+        o<i> and declares the outcomes up to its widest cell."""
+        s, full, outcomes, picked = self.structure, self.full, self.outcomes, self.picked
+        if picked is None:
+            picked = [[f"o{i}" for i in range(s.width) if full >> c * s.width + i & 1]
+                      for c in range(s.cells)]
+            outcomes = tuple(f"o{i}" for i in range(max(map(len, picked))))
+        profiles = [ActionProfile.make(zip(s.agents, combo)) for combo
+                    in itertools.product(s.actions, repeat=len(s.agents))]
+        plays = [Play(alpha, profile, omega) for (alpha, profile), drawn
+                 in zip(itertools.product(s.states, profiles), picked)
+                 for omega in drawn]
+        bits = [i for i in range(full.bit_length()) if full >> i & 1]
+        valuation = {name: [play for play, i in zip(plays, bits) if mask >> i & 1]
+                     for name, mask in zip(s.props, self.prop)}
         return make_game(s.agents, s.states, s.partitions, s.actions, outcomes,
                          plays, valuation)
 
     def answer(self, missed: int) -> Tuple[Game, Play]:
-        """The game of this model and its play at the lowest slot of missed;
-        play order is slot order, so its index counts the slots below."""
+        """The game of this model and its play at the lowest position of
+        missed; play order is position order, so its index counts the
+        positions of full below."""
         game = self.game()
         below = (missed & -missed) - 1
         return game, game.plays[(self.full & below).bit_count()]
@@ -614,7 +592,7 @@ def enumerate_games(
     the budget.
     """
     for structure in _structures(formula_agents, props, bounds, model_budget):
-        for masks in _label_odometer(structure, len(structure.cells)):
+        for masks in _label_odometer(structure, structure.cells):
             yield Model(structure, masks[0], masks[1:])
 
 
@@ -652,27 +630,23 @@ def _structures(formula_agents, props, bounds, model_budget) -> Iterator[Structu
                 blocks = index_blocks(partitions)
                 for actions, cells, state, action in layouts:
                     frame = Frame(states, blocks, state, actions, action,
-                                  len(cells) * width)
+                                  cells * width)
                     yield Structure(agents, states, partitions, actions, cells,
-                                    width, props, choice_masks, frame)
+                                    props, frame, width, choice_masks)
 
 
 def _slot_layout(agents, states, n_actions, width):
-    """Actions, cells in row-major order, and the slots of each initial
-    state and of each (agent, action)."""
+    """Actions, the number of cells, and the slots of each initial state
+    and of each (agent, action), with cells in row-major order."""
     actions = tuple(str(i) for i in range(n_actions))
-    cells = tuple((alpha, ActionProfile.make(zip(agents, acts)))
-                  for alpha in states
-                  for acts in itertools.product(actions, repeat=len(agents)))
-    cell_slots = (1 << width) - 1
-    per_state = len(cells) // len(states)
-    state = {alpha: ((1 << per_state * width) - 1) << k * per_state * width
-             for k, alpha in enumerate(states)}
-    action: Dict[Tuple[str, str], int] = {}
-    for c, (_, profile) in enumerate(cells):
-        for pair in profile.assignment:
-            action[pair] = action.get(pair, 0) | cell_slots << c * width
-    return actions, cells, state, action
+    n_profiles = n_actions ** len(agents)
+    span = n_profiles * width  # the slots of one initial state
+    state = {alpha: ((1 << span) - 1) << k * span for k, alpha in enumerate(states)}
+    every_state = sum(1 << k * span for k in range(len(states)))
+    by_profile = [((1 << width) - 1) * every_state << j * width
+                  for j in range(n_profiles)]
+    return (actions, len(states) * n_profiles, state,
+            _action_rows(agents, actions, by_profile))
 
 
 def _label_odometer(structure: Structure, n_cells: int) -> Iterator[tuple]:
@@ -717,7 +691,7 @@ def _suffix_lanes(structure: Structure):
     """For the structure's cell count: the number of prefix cells, the
     replicator (bit 0 of every lane), and the present slots, then each
     proposition's slots, of the suffix assignments, lane by lane."""
-    choices, width, c = structure.choices, structure.width, len(structure.cells)
+    choices, width, c = structure.choices, structure.width, structure.cells
     stride = c * width + 1
     table, rep, lanes = (0,) * len(choices[0]), 1, 1
     while c > 0 and lanes * len(choices) <= _LANE_BUDGET:
@@ -738,10 +712,9 @@ def _batches(structures) -> Iterator[Tuple[Structure, Frame, tuple]]:
     its frame, and its present slots, then each proposition's slots."""
     tables = {}
     for s in structures:
-        n_cells = len(s.cells)
-        if n_cells not in tables:
-            tables[n_cells] = _suffix_lanes(s)
-        prefix, rep, table = tables[n_cells]
+        if s.cells not in tables:
+            tables[s.cells] = _suffix_lanes(s)
+        prefix, rep, table = tables[s.cells]
         one = s.frame
         frame = Frame(s.states, one.block_index,
                       {key: m * rep for key, m in one.state.items()}, s.actions,
@@ -791,11 +764,11 @@ def countermodel_search(
     _check_sampling(bounds, names, not props)
     for _ in range(bounds.iterations):
         n_agents = rng.randint(max(1, len(base_agents)), bounds.max_agents)
-        sample = _sample(rng, bounds, names[:n_agents], props or None)
-        missed = sample.full ^ _truth(program, sample.frame, sample.full,
-                                      sample.prop)[-1]
+        model = _sample(rng, bounds, names[:n_agents], props or None)
+        s, full = model.structure, model.full
+        missed = full ^ _truth(program, s.frame, full, dict(zip(s.props, model.prop)))[-1]
         if missed:
-            return sample.answer(missed)
+            return model.answer(missed)
     return None
 
 
@@ -825,10 +798,10 @@ def soundness_fuzz(
     lemma schema.  Returns the first counterexample found, or None; any
     non-None result (with side conditions enforced) is a soundness bug.
 
-    Random mode draws each iteration's game from a pool of 200 sampled
-    games (fewer for fewer iterations) and pairs it with a fresh random
-    instantiation.  Exhaustive mode enumerates canonical models and tries
-    three seeded instantiations on each.
+    Both modes walk one stream of models.  Random mode cycles a pool of
+    200 sampled models (fewer for fewer iterations), with one random
+    instantiation per model; exhaustive mode enumerates canonical models
+    and tries three seeded instantiations on each.
 
     Each schema's pattern is compiled once per call.  Each formula
     metavariable's value is drawn straight into its mask, with the calls to
@@ -847,60 +820,46 @@ def soundness_fuzz(
     schemas = [axioms.ALL_SCHEMAS[name] for name in schema_names]
     programs = [compile_masks(s.pattern) for s in schemas]
 
-    def draw(agents, props, make=_NODES):
+    def draw(structure, make=_NODES):
         k = rng.randrange(len(schemas))
-        return k, sample_instantiation(rng, schemas[k], agents, props,
-                                       enforce_side_conditions, make)
-
-    def missed(agents, props, frame, full, algebra):
-        k, values = draw(agents, props, algebra)
-        return full ^ _truth(programs[k], frame, full, values, values)[-1]
-
-    def found(slots, iteration, game, play):
-        """The counterexample at iteration, its draws replayed as formula
-        nodes from the saved state; slots gives each iteration's agents and
-        propositions."""
-        rng.setstate(state)
-        for agents, props in itertools.islice(slots, iteration):
-            draw(agents, props)
-        k, subst = draw(*next(slots))
-        picked = schemas[k]
-        return FuzzCounterexample(picked.name, game, play,
-                                  axioms.instantiate(picked, subst), subst, iteration)
+        return k, sample_instantiation(rng, schemas[k], structure.agents,
+                                       structure.props, enforce_side_conditions, make)
 
     if bounds.mode == "random":
         _check_sampling(bounds, _AGENT_NAMES, True)
         rng = random.Random(bounds.seed)
-        pool_size = max(1, min(_GAMES_POOL, bounds.iterations))
-        pool = [_sample(rng, bounds) for _ in range(pool_size)]
-        state = rng.getstate()
-        slots = [(sample.agents, tuple(sorted(sample.prop))) for sample in pool]
-        for sample, (agents, props) in zip(pool[:bounds.iterations], slots):
-            # valid_in_game's checks, on every name an instance can draw.
-            check_known_agents(sample.partitions, frozenset(agents))
-            _warn_unvalued(sample.prop, props)
-        for iteration in range(bounds.iterations):
-            sample = pool[iteration % pool_size]
-            miss = missed(*slots[iteration % pool_size], sample.frame, sample.full,
-                          _mask_algebra(sample.frame, sample.full, sample.prop))
-            if miss:
-                return found(itertools.cycle(slots), iteration, *sample.answer(miss))
-        return None
+        pool = [_sample(rng, bounds)
+                for _ in range(max(1, min(_GAMES_POOL, bounds.iterations)))]
 
-    _check_pool("props", bounds.max_props, _PROP_NAMES)
-    rng = random.Random(bounds.seed if bounds.seed is not None else 0)
+        def models():
+            return itertools.islice(itertools.cycle(pool), bounds.iterations)
+        per_model = 1
+    else:
+        _check_pool("props", bounds.max_props, _PROP_NAMES)
+        rng = random.Random(bounds.seed if bounds.seed is not None else 0)
+
+        def models():
+            return enumerate_games((), _PROP_NAMES[: bounds.max_props], bounds)
+        per_model = _INSTANTIATIONS_PER_GAME
     state = rng.getstate()
-    props = _PROP_NAMES[: bounds.max_props]
     iteration = 0
-    for model in enumerate_games((), props, bounds):
+    for model in models():
         s, full = model.structure, model.full
-        algebra = _mask_algebra(s.frame, full, dict(zip(props, model.prop)))
-        for _ in range(_INSTANTIATIONS_PER_GAME):
-            miss = missed(s.agents, props, s.frame, full, algebra)
+        algebra = _mask_algebra(s.frame, full, dict(zip(s.props, model.prop)))
+        for _ in range(per_model):
+            k, values = draw(s, algebra)
+            miss = full ^ _truth(programs[k], s.frame, full, values, values)[-1]
             if miss:
-                slots = ((m.structure.agents, props)
-                         for m in enumerate_games((), props, bounds)
-                         for _ in range(_INSTANTIATIONS_PER_GAME))
-                return found(slots, iteration, *model.answer(miss))
+                # Replay the draws as formula nodes from the saved state,
+                # each with its own iteration's agents and propositions.
+                rng.setstate(state)
+                structures = (m.structure for m in models() for _ in range(per_model))
+                for earlier in itertools.islice(structures, iteration):
+                    draw(earlier)
+                k, subst = draw(next(structures))
+                game, play = model.answer(miss)
+                return FuzzCounterexample(schemas[k].name, game, play,
+                                          axioms.instantiate(schemas[k], subst),
+                                          subst, iteration)
             iteration += 1
     return None

@@ -673,3 +673,10 @@ class TestExitCodeContract:
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert err == f"error: iterations must be at least 0, got {given}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "Truth", "--seed", "1", "--max-states", "0"],
+        ["countermodel", "p", "--max-states", "0"],
+    ], ids=["fuzz", "countermodel"])
+    def test_zero_max_states_names_the_option(self, capsys, argv):
+        assert run(capsys, argv) == (2, "", "error: --max-states must be at least 1\n")

@@ -36,7 +36,7 @@ from dtw import axioms, semantics
 from dtw.errors import BadParamsError, ResourceLimitError
 from dtw.formula import (Blame, Implies, Know, Not, Prop, agents_of, compile_masks,
                          node_count, props_of, render)
-from dtw.game import Play, render_game_file
+from dtw.game import ActionProfile, Play, render_game_file
 from dtw.parser import parse_formula
 from dtw.semantics import (
     SearchBounds,
@@ -333,7 +333,7 @@ def position(f, bounds):
             structure, index = model.structure, 0
         if missed_slots(model, program):
             prefix = semantics._suffix_lanes(structure)[0]
-            lanes = len(structure.choices) ** (len(structure.cells) - prefix)
+            lanes = len(structure.choices) ** (structure.cells - prefix)
             return index // lanes, index % lanes, lanes
         index += 1
     return None
@@ -428,18 +428,51 @@ def test_sampled_masks_match_the_frozen_sampler():
     for seed in range(1000):
         bounds, given = sampling_case(seed)
         rngs = [random.Random(seed) for _ in range(3)]
-        sample = semantics._sample(rngs[0], bounds, **given)
+        model = semantics._sample(rngs[0], bounds, **given)
+        structure = model.structure
         game = frozen_sample_game(rngs[1], bounds, **given)
         masks = game.masks
-        assert (sample.full, sample.prop) == (masks.full, masks.prop), seed
-        assert sample.frame.state == masks.frame.state, seed
-        assert sample.frame.action == masks.frame.action, seed
+        assert (model.full, dict(zip(structure.props, model.prop))) == \
+            (masks.full, masks.prop), seed
+        assert structure.frame.state == masks.frame.state, seed
+        assert structure.frame.action == masks.frame.action, seed
         for size in range(len(game.agents) + 1):
             for knowers in map(frozenset, itertools.combinations(game.agents, size)):
-                assert sample.frame.blocks(knowers) == masks.frame.blocks(knowers)
+                assert structure.frame.blocks(knowers) == masks.frame.blocks(knowers)
         assert render_game_file(sample_game(rngs[2], bounds, **given)) == \
             render_game_file(game), seed
         assert len({rng.random() for rng in rngs}) == 1, seed
+
+
+def packed(mask, full):
+    """The bits of mask at the set bits of full, packed in order."""
+    out = k = 0
+    while full:
+        low = full & -full
+        if mask & low:
+            out |= 1 << k
+        full ^= low
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("agents, props, bounds", [
+    ((), ("p",), BOUNDS["defaults"]),
+    (("zed",), ("p",), BOUNDS["three-agents"]),
+    (("a",), ("p", "q", "r"), WIDE),
+])
+def test_enumerated_masks_match_the_built_game(agents, props, bounds):
+    """Every 7th model of the stream: its slot masks, read at its present
+    slots, are the play masks of the Game that Model.game builds, so the
+    frame a model is evaluated on is that of the answer it returns."""
+    for model in itertools.islice(enumerate_games(agents, props, bounds), 0, None, 7):
+        s, full, masks = model.structure, model.full, model.game().masks
+        assert packed(full, full) == masks.full
+        assert {name: packed(m, full) for name, m in zip(s.props, model.prop)} == masks.prop
+        assert {key: packed(m, full) for key, m in s.frame.state.items()} == \
+            masks.frame.state
+        assert {key: packed(m, full) for key, m in s.frame.action.items()} == \
+            masks.frame.action
 
 
 RANDOM_BOUNDS = {
@@ -480,26 +513,39 @@ def test_random_countermodel_matches_the_frozen_stream(bounds):
     (lambda: countermodel_search(parse_formula("K[a]p -> K[b]p"),
                                  RANDOM_BOUNDS["three-agents"]),
      lambda found: found[0]),
-], ids=["fuzz-none", "fuzz-found", "countermodel-none", "countermodel-found"])
+    (lambda: soundness_fuzz("Truth", FUZZ_BOUNDS["exhaustive-three-agents"]), None),
+    (lambda: soundness_fuzz("JointResponsibility", REPLAY_BOUNDS["exhaustive-third-agent"],
+                            enforce_side_conditions=False),
+     lambda found: found.game),
+    (lambda: countermodel_search(parse_formula("K[a]p -> p"), BOUNDS["defaults"]), None),
+    (lambda: countermodel_search(parse_formula("K[a]p -> K[b]p"), BOUNDS["defaults"]),
+     lambda found: found[0]),
+], ids=["fuzz-none", "fuzz-found", "countermodel-none", "countermodel-found",
+        "exhaustive-fuzz-none", "exhaustive-fuzz-found", "exhaustive-countermodel-none",
+        "exhaustive-countermodel-found"])
 def test_random_search_builds_only_the_answer(monkeypatch, search, game_of):
-    """Random fuzzing and countermodel search build no Game and no Play for
-    the games they sample, and one Game, with its plays, for an answer."""
+    """Fuzzing and countermodel search, random and exhaustive, build no
+    Game, Play or ActionProfile for the models they walk, and one Game,
+    with its plays and their distinct profiles, for an answer."""
     built = collections.Counter()
-    make_game, play_init = semantics.make_game, Play.__init__
 
-    def counted_game(*args, **kwargs):
-        built["Game"] += 1
-        return make_game(*args, **kwargs)
+    def counted(owner, name, key):
+        inner = getattr(owner, name)
 
-    def counted_play(self, *args):
-        built["Play"] += 1
-        play_init(self, *args)
+        def wrapper(*args, **kwargs):
+            built[key] += 1
+            return inner(*args, **kwargs)
 
-    monkeypatch.setattr(semantics, "make_game", counted_game)
-    monkeypatch.setattr(Play, "__init__", counted_play)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(semantics, "make_game", "Game")
+    counted(Play, "__init__", "Play")
+    counted(ActionProfile, "__init__", "ActionProfile")
     found = search()
     if game_of is None:
         assert found is None
         assert built == {}
     else:
-        assert built == {"Game": 1, "Play": len(game_of(found).plays)}
+        plays = game_of(found).plays
+        assert built == {"Game": 1, "Play": len(plays),
+                         "ActionProfile": len({play.profile for play in plays})}
