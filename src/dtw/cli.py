@@ -108,8 +108,13 @@ def _cmd_valid(args) -> int:
 
 
 def _bounds_from(args, mode: str) -> SearchBounds:
-    if args.max_states < 1:  # SearchBounds would name its own field
-        raise _CliError("--max-states must be at least 1")
+    # Checked here, in SearchBounds field order, so that errors name the option.
+    for option, least in (("max_agents", 1), ("max_states", 1), ("max_actions", 1),
+                          ("max_outcomes", 1), ("max_props", 1), ("iters", 0)):
+        value = getattr(args, option, None)
+        if value is not None and value < least:
+            raise _CliError(f"--{option.replace('_', '-')} must be at least "
+                            f"{least}, got {value}")
     return SearchBounds(
         max_agents=args.max_agents,
         max_initial=args.max_states,

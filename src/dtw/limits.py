@@ -18,7 +18,8 @@ DEFAULT_BUDGETS = {
     "seriality-checks": 10**7,
     # candidate models enumerated by exhaustive searches
     "exhaustive-models": 10**6,
-    # subcoalition checks performed by the direct minimality checkers
+    # subcoalition pairs of the minimality definitions: an upper bound on
+    # the blame checks the direct checkers make
     "minimality-iterations": 10**6,
 }
 

@@ -1,10 +1,10 @@
 """Direct checkers for the four minimal-coalition refinements of blame.
 
-Each checker iterates subcoalitions and evaluates blame facts directly
+Each checker evaluates blame facts at the play, testing only the
+subcoalitions one agent smaller (blame is monotone in both coalitions),
 instead of expanding the defining formula; it must agree with evaluating
 :func:`dtw.formula.expand_minimality` (the package's own consistency
-oracle).  Strict subcoalitions include the empty coalition and exclude the
-coalition itself; ``kind=4`` quantifies the actor coalition existentially.
+oracle).  ``kind=4`` quantifies the actor coalition existentially.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import BadParamsError, ResourceLimitError
-from .formula import (Coalition, Formula, agents_of, coalition,
-                      proper_subsets_of, subsets_of)
+from .formula import Coalition, Formula, agents_of, coalition, subsets_of
 from .game import Game, Play
 from .limits import budget
 from .semantics import play_bit, preventing_profile, satisfaction
@@ -27,19 +26,6 @@ def _iterations_needed(kind, n_knowers, n_actors, n_agents) -> int:
     if kind == 3:
         return 2**n_agents * 2**n_actors + 2**n_knowers
     return 2**n_agents * (2**n_agents * 2**n_agents + 2**n_knowers)
-
-
-def _kind3_holds(blame, knowers, actors, agents) -> bool:
-    if not blame(knowers, actors):
-        return False
-    for e in subsets_of(agents):
-        for f in proper_subsets_of(actors):
-            if blame(e, f):
-                return False
-    for e in proper_subsets_of(knowers):
-        if blame(e, actors):
-            return False
-    return True
 
 
 def check_minimal(
@@ -101,26 +87,27 @@ def minimal_verdict(
 
     bit = play_bit(game, play)
     body = satisfaction(game, phi)[phi]
+    if not body >> bit & 1:  # every blame fact needs phi at the play
+        return None if kind == 4 else False
     frame = game.masks.frame
 
     def blame(e: Coalition, f: Coalition) -> bool:
-        """Does B[e][f] phi hold at the play?"""
-        return bool(body >> bit & 1) and preventing_profile(
-            frame, e, f, play.initial, body) is not None
+        """Does B[e][f] phi hold at the play?  (phi does.)"""
+        return preventing_profile(frame, e, f, play.initial, body) is not None
 
-    if kind == 1:
-        return blame(knowers_set, actors_set) and not any(
-            blame(e, actors_set) for e in proper_subsets_of(knowers_set)
-        )
-    if kind == 2:
-        return blame(knowers_set, actors_set) and not any(
-            blame(e, f)
-            for e in proper_subsets_of(knowers_set)
-            for f in subsets_of(agents)
-        )
-    if kind == 3:
-        return _kind3_holds(blame, knowers_set, actors_set, agents)
-    for candidate in subsets_of(agents):
-        if _kind3_holds(blame, knowers_set, candidate, agents):
-            return candidate
-    return None
+    # Monotonicity-B, B[C][D]phi -> B[E][F]phi for C <= E and D <= F, makes
+    # blame monotone in both coalitions: some strict subcoalition is
+    # blamable iff some subcoalition one agent smaller is.
+    def minimal(actors: Coalition, rivals: Coalition) -> bool:
+        """Blame for these actors, and none for the rivals by fewer knowers."""
+        return blame(knowers_set, actors) and not any(
+            blame(knowers_set - {a}, rivals) for a in knowers_set)
+
+    def kind3(actors: Coalition) -> bool:
+        return minimal(actors, actors) and not any(
+            blame(agents, actors - {a}) for a in actors)
+
+    if kind == 4:
+        return next((d for d in subsets_of(agents) if kind3(d)), None)
+    return kind3(actors_set) if kind == 3 else minimal(
+        actors_set, actors_set if kind == 1 else agents)

@@ -284,8 +284,8 @@ def sample_game(
 def _check_sampling(bounds: SearchBounds, agent_pool, draw_props: bool) -> None:
     """Refuse bounds that sampling cannot honour, in this order: more agents
     than the names of agent_pool (unless None), a largest grid of (initial
-    state, profile) cells over the seriality budget, and, when the
-    propositions are drawn, more of them than there are names."""
+    state, profile) cells or max_outcomes over the seriality budget, and,
+    when the propositions are drawn, more of them than there are names."""
     if agent_pool is not None:
         _check_pool("agents", bounds.max_agents, agent_pool)
     limit = budget("seriality-checks")
@@ -295,6 +295,9 @@ def _check_sampling(bounds: SearchBounds, agent_pool, draw_props: bool) -> None:
             f"random sampling could build at least {grid} (initial state, "
             f"profile) cells per game, budget is {limit}"
         )
+    if bounds.max_outcomes > limit:
+        raise ResourceLimitError(f"random sampling could draw from {bounds.max_outcomes} "
+                                 f"outcomes per game, budget is {limit}")
     if draw_props:
         _check_pool("props", bounds.max_props, _PROP_NAMES)
 
@@ -315,10 +318,9 @@ def _sample(rng: random.Random, bounds: SearchBounds,
     partitions = {agent: _random_partition(rng, states) for agent in agents}
     actions = tuple(str(i) for i in range(rng.randint(1, bounds.max_actions)))
     n_outcomes = rng.randint(1, bounds.max_outcomes)
-    outcomes = tuple(f"o{i}" for i in range(n_outcomes))
     if prop_names is None:
         prop_names = _PROP_NAMES[: rng.randint(1, bounds.max_props)]
-    draw, pick = rng.random, rng.sample
+    draw, pick, outcomes = rng.random, rng.sample, range(n_outcomes)
     n_profiles = len(actions) ** len(agents)
     picked, state, by_profile, bit = [], {}, [0] * n_profiles, 0
     for alpha in states:
@@ -334,7 +336,7 @@ def _sample(rng: random.Random, bounds: SearchBounds,
                   _action_rows(agents, actions, by_profile), bit)
     structure = Structure(agents, states, partitions, actions, len(picked),
                           prop_names, frame)
-    return Model(structure, (1 << bit) - 1, prop, outcomes, picked)
+    return Model(structure, (1 << bit) - 1, prop, n_outcomes, picked)
 
 
 def _action_rows(agents, actions, by_profile) -> Dict[Tuple[str, str], int]:
@@ -541,33 +543,34 @@ class Structure(NamedTuple):
 
 class Model(NamedTuple):
     """One model: which positions of its structure hold plays, and where
-    each proposition holds.  A sample also keeps the outcomes it drew and,
-    per cell, the outcomes of that cell's plays, in draw order."""
+    each proposition holds.  A sample also keeps its outcome count and,
+    per cell, the indices of that cell's plays' outcomes, in draw order."""
 
     structure: Structure
     full: int  # the positions that hold plays
     prop: Tuple[int, ...]  # per proposition of the structure, its positions
-    outcomes: Tuple[str, ...] = ()
-    picked: Optional[List[List[str]]] = None
+    outcomes: int = 0
+    picked: Optional[List[List[int]]] = None
 
     def game(self) -> Game:
         """The model as a Game: its plays are the set bits of full, in
-        order, cell by cell.  An enumerated model names slot i of a cell
-        o<i> and declares the outcomes up to its widest cell."""
+        order, cell by cell; outcome i is o<i>, or slot i of a cell in an
+        enumerated model, which declares the outcomes to its widest cell."""
         s, full, outcomes, picked = self.structure, self.full, self.outcomes, self.picked
         if picked is None:
-            picked = [[f"o{i}" for i in range(s.width) if full >> c * s.width + i & 1]
+            picked = [[i for i in range(s.width) if full >> c * s.width + i & 1]
                       for c in range(s.cells)]
-            outcomes = tuple(f"o{i}" for i in range(max(map(len, picked))))
+            outcomes = max(map(len, picked))
+        names = tuple(f"o{i}" for i in range(outcomes))
         profiles = [ActionProfile.make(zip(s.agents, combo)) for combo
                     in itertools.product(s.actions, repeat=len(s.agents))]
-        plays = [Play(alpha, profile, omega) for (alpha, profile), drawn
+        plays = [Play(alpha, profile, names[i]) for (alpha, profile), drawn
                  in zip(itertools.product(s.states, profiles), picked)
-                 for omega in drawn]
+                 for i in drawn]
         bits = [i for i in range(full.bit_length()) if full >> i & 1]
         valuation = {name: [play for play, i in zip(plays, bits) if mask >> i & 1]
                      for name, mask in zip(s.props, self.prop)}
-        return make_game(s.agents, s.states, s.partitions, s.actions, outcomes,
+        return make_game(s.agents, s.states, s.partitions, s.actions, names,
                          plays, valuation)
 
     def answer(self, missed: int) -> Tuple[Game, Play]:

@@ -487,6 +487,12 @@ class TestSamplingBudget:
         assert err.startswith("error: random sampling could build at least ")
         assert err.count("\n") == 1
 
+    def test_outcomes_over_the_budget_exit_two_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("DTW_BUDGET", "1000")
+        assert run(capsys, ["fuzz", "Truth", "--seed", "1", "--max-outcomes", "1001"]) == (
+            2, "", "error: random sampling could draw from 1001 outcomes per game, "
+                   "budget is 1000\n")
+
 
 class TestMinimal:
     def test_kind_one(self, example_dir, capsys):
@@ -672,11 +678,21 @@ class TestExitCodeContract:
     def test_negative_iterations_exit_two_with_one_line(self, capsys, argv, given):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == f"error: iterations must be at least 0, got {given}\n"
+        assert err == f"error: --iters must be at least 0, got {given}\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["fuzz", "Truth", "--seed", "1", "--max-states", "0"],
-        ["countermodel", "p", "--max-states", "0"],
-    ], ids=["fuzz", "countermodel"])
-    def test_zero_max_states_names_the_option(self, capsys, argv):
-        assert run(capsys, argv) == (2, "", "error: --max-states must be at least 1\n")
+    @pytest.mark.parametrize("argv, option", [
+        pytest.param(command + [option, "0"], option, id=f"{command[0]}-{option[2:]}")
+        for command in (["fuzz", "Truth", "--seed", "1"], ["countermodel", "p"])
+        for option in ("--max-agents", "--max-states", "--max-actions",
+                       "--max-outcomes", "--max-props")
+        if option != "--max-props" or command[0] == "fuzz"
+    ])
+    def test_zero_bound_names_the_option(self, capsys, argv, option):
+        assert run(capsys, argv) == (
+            2, "", f"error: {option} must be at least 1, got 0\n")
+
+    def test_first_bad_bound_in_field_order_is_named(self, capsys):
+        argv = ["fuzz", "Truth", "--seed", "1", "--iters", "-1",
+                "--max-props", "0", "--max-actions", "-2"]
+        assert run(capsys, argv) == (
+            2, "", "error: --max-actions must be at least 1, got -2\n")

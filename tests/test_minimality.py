@@ -1,5 +1,6 @@
 """Direct minimal-coalition checkers against the expansion oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtw.errors import BadParamsError, ResourceLimitError, UnknownAgentError
-from dtw.formula import Prop, coalition, expand_minimality
-from dtw.game import ActionProfile, Play, tarasoff_game
+import dtw.minimality
+from dtw.formula import Blame, Prop, coalition, expand_minimality, subsets_of
+from dtw.game import ActionProfile, Play, make_game, tarasoff_game
 from dtw.minimality import check_minimal, minimal_verdict
 from dtw.parser import parse_formula
 from dtw.semantics import holds, random_formula, valid_in_game
@@ -126,3 +128,104 @@ class TestOracleEquivalence:
             direct = check_minimal(kind, g, play, knowers, arg_actors, phi)
             expanded = expand_minimality(kind, knowers, arg_actors, phi, universe)
             assert direct == holds(g, play, expanded).holds
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_direct_checker_agrees_with_expansion_on_four_agents(self, seed):
+        """With four agents, a coalition has many more strict subcoalitions
+        than coalitions one agent smaller.  The first game from the seed on
+        with four agents and two actions is used; the play is one where
+        everyone is blamable, if any, and the coalitions are drawn among the
+        blamable pairs of least size or one more, where the minimality
+        conjuncts decide the verdict."""
+        g = next(game for game in map(lambda s: random_small_game(s, max_agents=4),
+                                      itertools.count(seed))
+                 if len(game.agents) == 4 and len(game.actions) == 2)
+        rng = random.Random(seed + 17)
+        props = tuple(sorted(g.valuation)) or ("p",)
+        phi = random_formula(rng, props, tuple(g.agents), depth=1)
+        universe = coalition(g.agents)
+        plays = [p for p in g.plays
+                 if holds(g, p, Blame(universe, universe, phi)).holds] or g.plays
+        play = plays[rng.randrange(len(plays))]
+        pairs = [(k, d) for k in subsets_of(universe) for d in subsets_of(universe)
+                 if holds(g, play, Blame(k, d, phi)).holds] or [(universe, universe)]
+        least = min(len(k) + len(d) for k, d in pairs)
+        knowers, actors = rng.choice([(k, d) for k, d in pairs
+                                      if len(k) + len(d) <= least + 1])
+        for kind in (1, 2, 3, 4):
+            arg_actors = None if kind == 4 else actors
+            direct = check_minimal(kind, g, play, knowers, arg_actors, phi)
+            expanded = expand_minimality(kind, knowers, arg_actors, phi, universe)
+            assert direct == holds(g, play, expanded).holds
+
+
+def five_agent_game():
+    """Five agents, four states.  Only b and c together tell s0 from the
+    other states; in s0 the harm happens unless a and d both play 0, and in
+    the other states it always happens.  a, d and e know nothing."""
+    states = ("s0", "s1", "s2", "s3")
+    agents = ("a", "b", "c", "d", "e")
+    everything = [set(states)]
+    partitions = {"a": everything, "d": everything, "e": everything,
+                  "b": [{"s0", "s1"}, {"s2", "s3"}], "c": [{"s0", "s2"}, {"s1", "s3"}]}
+    plays = []
+    for alpha in states:
+        for combo in itertools.product("01", repeat=len(agents)):
+            profile = dict(zip(agents, combo))
+            harm = alpha != "s0" or "1" in (profile["a"], profile["d"])
+            plays.append(Play(alpha, ActionProfile.make(profile), "bad" if harm else "ok"))
+    game = make_game(agents, states, partitions, ("0", "1"), ("bad", "ok"), plays,
+                     {"harm": [play for play in plays if play.outcome == "bad"]})
+    play = Play("s0", ActionProfile.make(
+        {"a": "1", "b": "0", "c": "0", "d": "1", "e": "0"}), "bad")
+    return game, play
+
+
+def blame_setting(name):
+    """Game, play, phi, knowers and actors where kinds 1 and 3 hold, and
+    the actors are the kind-4 witness."""
+    if name == "tarasoff":
+        return (tarasoff_game(), october_attack_play(), KILLED,
+                coalition({"university"}), coalition({"parents"}))
+    game, play = five_agent_game()
+    return game, play, Prop("harm"), coalition({"b", "c"}), coalition({"a", "d"})
+
+
+class TestBlameCheckCount:
+    """By monotonicity of blame, each kind-1 to kind-3 verdict takes at most
+    1 + |K| + |D| blame checks, and kind 4 at most that per candidate."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        real = dtw.minimality.preventing_profile
+
+        def counted(*args):
+            made.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(dtw.minimality, "preventing_profile", counted)
+        return made
+
+    @pytest.mark.parametrize("setting", ["tarasoff", "five agents"])
+    def test_kinds_1_to_3_test_only_coalitions_one_agent_smaller(self, calls, setting):
+        game, play, phi, knowers, actors = blame_setting(setting)
+        verdicts = []
+        for kind in (1, 2, 3):
+            calls.clear()
+            verdicts.append(check_minimal(kind, game, play, knowers, actors, phi))
+            assert len(calls) <= 1 + len(knowers) + len(actors), (kind, calls)
+            assert verdicts[-1] == holds(game, play, expand_minimality(
+                kind, knowers, actors, phi, frozenset(game.agents))).holds
+        # In Tarasoff the empty knower coalition is blamable for poddar.
+        assert verdicts == ([True, False, True] if setting == "tarasoff"
+                            else [True, True, True])
+
+    @pytest.mark.parametrize("setting", ["tarasoff", "five agents"])
+    def test_kind4_witness_and_count(self, calls, setting):
+        game, play, phi, knowers, actors = blame_setting(setting)
+        assert minimal_verdict(4, game, play, knowers, None, phi) == actors
+        candidates = subsets_of(game.agents)
+        tried = candidates[:candidates.index(actors) + 1]
+        assert len(calls) <= sum(1 + len(knowers) + len(d) for d in tried)

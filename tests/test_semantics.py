@@ -1,6 +1,7 @@
 """Satisfaction, validity, fuzzing, and countermodel search."""
 
 import random
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -580,6 +581,38 @@ class TestSamplingBudget:
             countermodel_search(parse_formula("p -> p"), idle)
         with pytest.raises(ResourceLimitError, match="budget is 15"):
             sample_game(random.Random(0), self.SMALL, agents=("a",))
+
+    def test_outcomes_over_the_budget_are_refused(self, monkeypatch):
+        """More outcomes than the seriality budget are refused after the
+        grid and before the prop pool."""
+        monkeypatch.setenv("DTW_BUDGET", "1000")
+        over = replace(self.SMALL, max_outcomes=1001)
+        with pytest.raises(ResourceLimitError,
+                           match="from 1001 outcomes per game, budget is 1000"):
+            soundness_fuzz("Truth", over)
+        with pytest.raises(ResourceLimitError, match="budget is 1000"):
+            countermodel_search(parse_formula("p -> p"), over)
+        with pytest.raises(ResourceLimitError, match="budget is 1000"):
+            sample_game(random.Random(0), over)
+        with pytest.raises(ResourceLimitError, match="cells per game"):
+            soundness_fuzz("Truth", replace(over, max_actions=32))
+        with pytest.raises(ResourceLimitError, match="outcomes per game"):
+            soundness_fuzz("Truth", replace(over, max_props=6))
+        assert soundness_fuzz("Truth", replace(over, max_outcomes=1000)) is None
+
+    def test_samples_keep_no_outcome_names(self):
+        """A sample keeps its outcome count, not a name per outcome, so a
+        pool of 200 samples drawn from up to 40000 outcomes stays small."""
+        bounds = SearchBounds(max_agents=1, max_initial=1, max_actions=1,
+                              max_outcomes=40000, mode="random", seed=1,
+                              iterations=200)
+        tracemalloc.start()
+        try:
+            assert soundness_fuzz("Truth", bounds) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_budget_resolved_once_per_call(self, monkeypatch):
         """Random fuzzing and countermodel search look the budget up once
