@@ -19,21 +19,9 @@ import sys
 import warnings
 from pathlib import Path
 
-from .axioms import ALL_SCHEMAS, resolve_fuzz_group
-from .errors import DtwError
-from .formula import render
-from .game import ActionProfile, Play, load_game, render_game_file
-from .lemmas import example_files
-from .minimality import minimal_verdict
-from .parser import parse_formula
-from .proof import Library, check_proof, parse_script
-from .semantics import (
-    SearchBounds,
-    countermodel_search,
-    holds,
-    soundness_fuzz,
-    valid_in_game,
-)
+# Each command imports what it uses from the package's lazy modules when it
+# runs, so that a process compiles and runs only those (see dtw/__init__.py).
+from . import errors
 
 
 class _CliError(Exception):
@@ -48,10 +36,12 @@ def _read_text(path: str | Path) -> str:
 
 
 def _load_game_file(path: str):
+    from .game import load_game
     return load_game(_read_text(path))
 
 
-def _parse_play_spec(game, spec: str) -> Play:
+def _parse_play_spec(game, spec: str):
+    from .game import ActionProfile, Play
     parts = spec.split("|")
     if len(parts) != 3:
         raise _CliError(
@@ -95,6 +85,8 @@ def _print_verdict(verdict, as_json: bool) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .parser import parse_formula
+    from .semantics import holds
     game = _load_game_file(args.game)
     play = _parse_play_spec(game, args.play)
     formula = parse_formula(args.formula)
@@ -102,12 +94,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_valid(args) -> int:
+    from .parser import parse_formula
+    from .semantics import valid_in_game
     game = _load_game_file(args.game)
     formula = parse_formula(args.formula)
     return _print_verdict(valid_in_game(game, formula), args.json)
 
 
-def _bounds_from(args, mode: str) -> SearchBounds:
+def _bounds_from(args, mode: str):
+    from .semantics import SearchBounds
     # Checked here, in SearchBounds field order, so that errors name the option.
     for option, least in (("max_agents", 1), ("max_states", 1), ("max_actions", 1),
                           ("max_outcomes", 1), ("max_props", 1), ("iters", 0)):
@@ -128,6 +123,9 @@ def _bounds_from(args, mode: str) -> SearchBounds:
 
 
 def _cmd_countermodel(args) -> int:
+    from .game import render_game_file
+    from .parser import parse_formula
+    from .semantics import countermodel_search
     formula = parse_formula(args.formula)
     if args.random and args.seed is None:
         raise _CliError("--random requires --seed")
@@ -157,6 +155,7 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    from .proof import Library, check_proof, parse_script
     script = parse_script(_read_text(args.script))
     library = Library()
     if args.library:
@@ -180,12 +179,13 @@ def _cmd_prove(args) -> int:
     return 0 if result.accepted else 1
 
 
-def _load_library_dir(library: Library, directory: Path) -> None:
+def _load_library_dir(library, directory: Path) -> None:
     """Check every .prf file in the directory, registering the goal of each
     accepted hypothesis-free script under its file stem; iterate until no
     further script can be verified (citation order independent).  Only a
     citation of a theorem not yet registered can pass in a later round: the
     library only grows, so a script rejected for anything else is dropped."""
+    from .proof import check_proof, parse_script
     if not directory.exists():
         raise _CliError(f"library directory not found: {directory}")
     if not directory.is_dir():
@@ -194,7 +194,7 @@ def _load_library_dir(library: Library, directory: Path) -> None:
     for path in sorted(directory.glob("*.prf")):
         try:
             pending[path.stem] = parse_script(_read_text(path))
-        except DtwError as exc:
+        except errors.DtwError as exc:
             raise _CliError(f"library script {path.name}: {exc}") from exc
     progressing = True
     while progressing:
@@ -212,6 +212,10 @@ def _load_library_dir(library: Library, directory: Path) -> None:
 
 
 def _cmd_fuzz(args) -> int:
+    from .axioms import ALL_SCHEMAS, resolve_fuzz_group
+    from .formula import render
+    from .game import render_game_file
+    from .semantics import soundness_fuzz
     if args.violate_side_conditions:
         try:
             group = resolve_fuzz_group(args.schema)
@@ -253,6 +257,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
+    from .minimality import minimal_verdict
+    from .parser import parse_formula
     game = _load_game_file(args.game)
     play = _parse_play_spec(game, args.play)
     formula = parse_formula(args.formula)
@@ -287,6 +293,7 @@ def _cmd_minimal(args) -> int:
 def _cmd_example(args) -> int:
     if args.name != "tarasoff":
         raise _CliError(f"unknown example {args.name!r}; available: tarasoff")
+    from .lemmas import example_files
     files = example_files()
     target = Path(args.dir)
     try:
@@ -401,7 +408,7 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
             return 2
-        except (_CliError, DtwError, Warning) as exc:
+        except (_CliError, errors.DtwError, Warning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

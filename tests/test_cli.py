@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dtw import cli
+from dtw import cli, lemmas, proof, semantics
 from dtw.cli import main
 from dtw.formula import render
 from dtw.lemmas import example_files
@@ -187,6 +187,31 @@ class TestUnvaluedProposition:
                               b"game; treating it as false everywhere\n")
 
 
+class TestWarningsAsErrors:
+    """``python -W error -m dtw.cli``: a warning at start-up would be an
+    error, such as the one runpy gives for a ``dtw.cli`` that the package
+    had already put in ``sys.modules``, or one from loading a lazy module."""
+
+    def run(self, example_dir, formula):
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dtw.cli", "check", "tarasoff.game",
+             PLAY, formula],
+            cwd=example_dir, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+
+    def test_check_prints_a_verdict_and_nothing_on_stderr(self, example_dir):
+        run = self.run(example_dir, "K[university] killed")
+        assert run.returncode in (0, 1)
+        assert run.stdout.startswith((b"holds\n", b"does not hold\n"))
+        assert run.stderr == b""
+
+    def test_bad_formula_exits_two_with_one_line(self, example_dir):
+        run = self.run(example_dir, "K[a p")
+        assert (run.returncode, run.stdout) == (2, b"")
+        assert run.stderr.startswith(b"error: ") and run.stderr.count(b"\n") == 1
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
     def test_closed_pipe_exits_two_without_a_traceback(self, extra):
@@ -292,13 +317,13 @@ class TestProve:
         main_script.write_text("goal: K[b] K[a] (p -> p)\n1. K[b] K[a] (p -> p)   thm t1\n",
                                encoding="utf-8")
         checked = Counter()
-        check_proof = cli.check_proof
+        check_proof = proof.check_proof
 
         def counted(script, library=None):
             checked[render(script.goal)] += 1
             return check_proof(script, library)
 
-        monkeypatch.setattr(cli, "check_proof", counted)
+        monkeypatch.setattr(proof, "check_proof", counted)
         registry = Library()
         cli._load_library_dir(registry, library)
         assert sorted(registry.as_dict()) == ["t1", "t2", "t3"]
@@ -370,7 +395,7 @@ class TestCountermodel:
     def test_random_mode_samples_1000_games_unless_told(self, capsys, monkeypatch,
                                                        extra, iterations):
         seen = []
-        monkeypatch.setattr(cli, "countermodel_search",
+        monkeypatch.setattr(semantics, "countermodel_search",
                             lambda f, bounds: seen.append(bounds))
         code, _, _ = run(capsys, ["countermodel", "p -> p", "--random",
                                   "--seed", "5"] + extra)
@@ -575,7 +600,7 @@ class TestExample:
 
     def test_unknown_example(self, tmp_path, monkeypatch, capsys):
         """The name is refused before any file is rendered or written."""
-        monkeypatch.setattr(cli, "example_files", lambda: pytest.fail("rendered"))
+        monkeypatch.setattr(lemmas, "example_files", lambda: pytest.fail("rendered"))
         target = tmp_path / "out"
         code, out, err = run(capsys, ["example", "trolley", "--dir", str(target)])
         assert (code, out) == (2, "")

@@ -110,54 +110,75 @@ class TestParams:
                           iteration_budget=5)
 
 
+def two_action_case(seed, max_agents, agents=None):
+    """A differential case where the minimality conjuncts decide the
+    verdict.  The game is the first ``random_small_game(s, max_agents)``
+    from the seed on with two actions (and ``agents`` agents, if given): a
+    single action lets no one prevent anything, so no blame holds.  The play
+    is one where everyone is blamable for a random phi, if any.  Returns the
+    game, the play, phi, the blamable (knowers, actors) pairs of least size
+    or one more, and the generator that drew them."""
+    g = next(game for game in map(lambda s: random_small_game(s, max_agents=max_agents),
+                                  itertools.count(seed))
+             if len(game.actions) == 2 and agents in (None, len(game.agents)))
+    rng = random.Random(seed + 17)
+    props = tuple(sorted(g.valuation)) or ("p",)
+    phi = random_formula(rng, props, tuple(g.agents), depth=1)
+    universe = coalition(g.agents)
+    plays = [p for p in g.plays
+             if holds(g, p, Blame(universe, universe, phi)).holds] or g.plays
+    play = plays[rng.randrange(len(plays))]
+    pairs = [(k, d) for k in subsets_of(universe) for d in subsets_of(universe)
+             if holds(g, play, Blame(k, d, phi)).holds] or [(universe, universe)]
+    least = min(len(k) + len(d) for k, d in pairs)
+    near = [(k, d) for k, d in pairs if len(k) + len(d) <= least + 1]
+    return g, play, phi, near, rng
+
+
+def assert_kinds_agree(g, play, phi, knowers, actors):
+    """Each kind's direct verdict against the expansion; returns them."""
+    verdicts = []
+    for kind in (1, 2, 3, 4):
+        arg_actors = None if kind == 4 else actors
+        direct = check_minimal(kind, g, play, knowers, arg_actors, phi)
+        expanded = expand_minimality(kind, knowers, arg_actors, phi, coalition(g.agents))
+        assert direct == holds(g, play, expanded).holds
+        verdicts.append(direct)
+    return verdicts
+
+
 class TestOracleEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.data())
     def test_direct_checker_agrees_with_expansion(self, seed, data):
-        g = random_small_game(seed)
-        rng = random.Random(seed + 17)
-        play = g.plays[rng.randrange(len(g.plays))]
-        agents = sorted(g.agents)
-        knowers = data.draw(st.frozensets(st.sampled_from(agents), max_size=3))
-        actors = data.draw(st.frozensets(st.sampled_from(agents), max_size=3))
-        props = tuple(sorted(g.valuation)) or ("p",)
-        phi = random_formula(rng, props, tuple(g.agents), depth=1)
-        universe = frozenset(g.agents)
-        for kind in (1, 2, 3, 4):
-            arg_actors = None if kind == 4 else actors
-            direct = check_minimal(kind, g, play, knowers, arg_actors, phi)
-            expanded = expand_minimality(kind, knowers, arg_actors, phi, universe)
-            assert direct == holds(g, play, expanded).holds
+        """The coalitions are a blamable pair of least size or one more, or
+        any two of at most three agents."""
+        g, play, phi, near, _ = two_action_case(seed, max_agents=3)
+        agents = st.frozensets(st.sampled_from(sorted(g.agents)), max_size=3)
+        knowers, actors = data.draw(st.one_of(st.sampled_from(near),
+                                              st.tuples(agents, agents)))
+        assert_kinds_agree(g, play, phi, knowers, actors)
+
+    def test_the_cases_include_verdicts_that_hold(self):
+        """Over fixed seeds, the blamable pairs of the differential make
+        each kind hold at least once, so the comparison is not only of
+        verdicts that fail on both sides."""
+        held = [0, 0, 0, 0]
+        for seed in range(30):
+            g, play, phi, near, rng = two_action_case(seed, max_agents=3)
+            knowers, actors = rng.choice(near)
+            verdicts = assert_kinds_agree(g, play, phi, knowers, actors)
+            held = [n + bool(v) for n, v in zip(held, verdicts)]
+        assert min(held) >= 1, held
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
     def test_direct_checker_agrees_with_expansion_on_four_agents(self, seed):
         """With four agents, a coalition has many more strict subcoalitions
-        than coalitions one agent smaller.  The first game from the seed on
-        with four agents and two actions is used; the play is one where
-        everyone is blamable, if any, and the coalitions are drawn among the
-        blamable pairs of least size or one more, where the minimality
-        conjuncts decide the verdict."""
-        g = next(game for game in map(lambda s: random_small_game(s, max_agents=4),
-                                      itertools.count(seed))
-                 if len(game.agents) == 4 and len(game.actions) == 2)
-        rng = random.Random(seed + 17)
-        props = tuple(sorted(g.valuation)) or ("p",)
-        phi = random_formula(rng, props, tuple(g.agents), depth=1)
-        universe = coalition(g.agents)
-        plays = [p for p in g.plays
-                 if holds(g, p, Blame(universe, universe, phi)).holds] or g.plays
-        play = plays[rng.randrange(len(plays))]
-        pairs = [(k, d) for k in subsets_of(universe) for d in subsets_of(universe)
-                 if holds(g, play, Blame(k, d, phi)).holds] or [(universe, universe)]
-        least = min(len(k) + len(d) for k, d in pairs)
-        knowers, actors = rng.choice([(k, d) for k, d in pairs
-                                      if len(k) + len(d) <= least + 1])
-        for kind in (1, 2, 3, 4):
-            arg_actors = None if kind == 4 else actors
-            direct = check_minimal(kind, g, play, knowers, arg_actors, phi)
-            expanded = expand_minimality(kind, knowers, arg_actors, phi, universe)
-            assert direct == holds(g, play, expanded).holds
+        than coalitions one agent smaller."""
+        g, play, phi, near, rng = two_action_case(seed, max_agents=4, agents=4)
+        knowers, actors = rng.choice(near)
+        assert_kinds_agree(g, play, phi, knowers, actors)
 
 
 def five_agent_game():
