@@ -72,15 +72,19 @@ def _parse_agent_list(text: str):
     return frozenset(part.strip() for part in text.split(",") if part.strip())
 
 
-def _print_verdict(verdict, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(verdict.as_dict(), sort_keys=True))
-    else:
-        print("holds" if verdict.holds else "does not hold")
-        if verdict.witness is not None:
-            print(f"witness: {verdict.witness}")
-        if verdict.refutation is not None:
-            print(f"refuted by play: {verdict.refutation}")
+def _report(args, record: dict, *text: str) -> None:
+    """Print a command's result: its record as one JSON object with --json,
+    otherwise its text lines."""
+    print(json.dumps(record, sort_keys=True) if args.json else "\n".join(text))
+
+
+def _print_verdict(args, verdict) -> int:
+    lines = ["holds" if verdict.holds else "does not hold"]
+    if verdict.witness is not None:
+        lines.append(f"witness: {verdict.witness}")
+    if verdict.refutation is not None:
+        lines.append(f"refuted by play: {verdict.refutation}")
+    _report(args, verdict.as_dict(), *lines)
     return 0 if verdict.holds else 1
 
 
@@ -90,7 +94,7 @@ def _cmd_check(args) -> int:
     game = _load_game_file(args.game)
     play = _parse_play_spec(game, args.play)
     formula = parse_formula(args.formula)
-    return _print_verdict(holds(game, play, formula), args.json)
+    return _print_verdict(args, holds(game, play, formula))
 
 
 def _cmd_valid(args) -> int:
@@ -98,7 +102,7 @@ def _cmd_valid(args) -> int:
     from .semantics import valid_in_game
     game = _load_game_file(args.game)
     formula = parse_formula(args.formula)
-    return _print_verdict(valid_in_game(game, formula), args.json)
+    return _print_verdict(args, valid_in_game(game, formula))
 
 
 def _bounds_from(args, mode: str):
@@ -134,23 +138,13 @@ def _cmd_countermodel(args) -> int:
     found = countermodel_search(
         formula, _bounds_from(args, "random" if args.random else "exhaustive"))
     if found is None:
-        if args.json:
-            print(json.dumps({"found": False, "game": None, "play": None},
-                             sort_keys=True))
-        else:
-            print("no countermodel within bounds")
+        _report(args, {"found": False, "game": None, "play": None},
+                "no countermodel within bounds")
         return 0
     game, play = found
-    if args.json:
-        print(json.dumps(
-            {"found": True, "game": render_game_file(game),
-             "play": play.as_dict()},
-            sort_keys=True,
-        ))
-    else:
-        print("countermodel found:")
-        print(render_game_file(game), end="")
-        print(f"play: {play}")
+    game_text = render_game_file(game)  # ends in a newline
+    _report(args, {"found": True, "game": game_text, "play": play.as_dict()},
+            "countermodel found:", game_text + f"play: {play}")
     return 1
 
 
@@ -161,21 +155,11 @@ def _cmd_prove(args) -> int:
     if args.library:
         _load_library_dir(library, Path(args.library))
     result = check_proof(script, library)
-    if args.json:
-        print(json.dumps(
-            {
-                "accepted": result.accepted,
-                "lines": len(script.lines),
-                "error_line": result.line,
-                "reason": result.code,
-                "detail": result.detail,
-            },
-            sort_keys=True,
-        ))
-    elif result.accepted:
-        print(f"accepted ({len(script.lines)} lines)")
-    else:
-        print(str(result))
+    _report(args, {"accepted": result.accepted, "lines": len(script.lines),
+                   "error_line": result.line, "reason": result.code,
+                   "detail": result.detail},
+            f"accepted ({len(script.lines)} lines)" if result.accepted
+            else str(result))
     return 0 if result.accepted else 1
 
 
@@ -228,31 +212,15 @@ def _cmd_fuzz(args) -> int:
         enforce_side_conditions=not args.violate_side_conditions,
     )
     if found is None:
-        if args.json:
-            print(json.dumps(
-                {"counterexample": False, "iterations": args.iters},
-                sort_keys=True,
-            ))
-        else:
-            print(f"no counterexample ({args.iters} instantiations)")
+        _report(args, {"counterexample": False, "iterations": args.iters},
+                f"no counterexample ({args.iters} instantiations)")
         return 0
-    if args.json:
-        print(json.dumps(
-            {
-                "counterexample": True,
-                "schema": found.schema,
-                "iteration": found.iteration,
-                "instance": render(found.instance),
-                "game": render_game_file(found.game),
-                "play": found.play.as_dict(),
-            },
-            sort_keys=True,
-        ))
-    else:
-        print(f"counterexample to {found.schema} at iteration {found.iteration}:")
-        print(f"instance: {render(found.instance)}")
-        print(render_game_file(found.game), end="")
-        print(f"play: {found.play}")
+    instance, game_text = render(found.instance), render_game_file(found.game)
+    _report(args, {"counterexample": True, "schema": found.schema,
+                   "iteration": found.iteration, "instance": instance,
+                   "game": game_text, "play": found.play.as_dict()},
+            f"counterexample to {found.schema} at iteration {found.iteration}:",
+            f"instance: {instance}", game_text + f"play: {found.play}")
     return 1
 
 
@@ -272,21 +240,13 @@ def _cmd_minimal(args) -> int:
             raise _CliError(f"kind {args.kind} requires --actors")
         actors = _parse_agent_list(args.actors)
     result = minimal_verdict(args.kind, game, play, knowers, actors, formula)
-    if args.kind == 4:
-        value = result is not None
-        witness = sorted(result) if result is not None else None
-    else:
-        value = bool(result)
-        witness = None
-    if args.json:
-        print(json.dumps(
-            {"holds": value, "kind": args.kind, "witness_actors": witness},
-            sort_keys=True,
-        ))
-    else:
-        print("holds" if value else "does not hold")
-        if witness is not None:
-            print(f"witness actors: {','.join(witness) if witness else '(empty)'}")
+    value = result is not None if args.kind == 4 else bool(result)
+    witness = sorted(result) if args.kind == 4 and value else None
+    lines = ["holds" if value else "does not hold"]
+    if witness is not None:
+        lines.append(f"witness actors: {','.join(witness) or '(empty)'}")
+    _report(args, {"holds": value, "kind": args.kind, "witness_actors": witness},
+            *lines)
     return 0 if value else 1
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from dtw.errors import ParseError, ResourceLimitError, ValidationError
 from dtw.game import (
     ActionProfile,
+    Game,
     Play,
     load_game,
     make_game,
@@ -231,6 +232,76 @@ def test_seriality_budget_refuses_as_before(monkeypatch, limit, drop_line):
     if limit != "8":
         assert got == ("ResourceLimitError",
                        f"seriality check needs 8 profile checks, budget is {limit}")
+
+
+# ---------------------------------------------------------------------------
+# Mutated directives and headers.
+# ---------------------------------------------------------------------------
+
+INDIST = "indist parents: {Nov Oct}"
+
+# Kind -> (a line of the tarasoff file, its replacement, the error message or
+# one of the listed violations).
+HEADER_MUTATIONS = {
+    "indist_no_agent": (INDIST, "indist: {Nov Oct}",
+                        "expected 'indist <agent>: {block} ...'"),
+    "indist_two_words": (INDIST, "indist parents poddar: {Nov Oct}",
+                         "expected 'indist <agent>: {block} ...'"),
+    "block_not_opened": (INDIST, "indist parents: Nov Oct}",
+                         "expected '{' to open a partition block, got 'N'"),
+    "block_unclosed": (INDIST, "indist parents: {Nov Oct",
+                       "unclosed partition block"),
+    "block_empty": (INDIST, "indist parents: {} {Nov Oct}",
+                    "partition of agent 'parents' has an empty block"),
+    "blocks_overlap": (INDIST, "indist parents: {Nov Oct} {Oct}",
+                       "partition overlap for agent 'parents': ['Oct'] appear "
+                       "in two blocks"),
+    "unknown_state": (INDIST, "indist parents: {Nov Oct Dec}",
+                      "partition of agent 'parents' mentions unknown states ['Dec']"),
+    "unknown_agent": (INDIST, INDIST + "\nindist ghost: {Nov Oct}",
+                      "partition declared for unknown agent 'ghost'"),
+    "empty_actions": ("actions: 0 1", "actions:", "no actions declared"),
+    "empty_outcomes": ("outcomes: alive dead", "outcomes:", "no outcomes declared"),
+    "empty_initial": ("initial: Oct Nov", "initial:", "no initial states declared"),
+    "duplicate_agent": ("agents: poddar parents university",
+                        "agents: poddar parents university parents",
+                        "duplicate agent id"),
+    "duplicate_state": ("initial: Oct Nov", "initial: Oct Nov Oct",
+                        "duplicate initial state id"),
+    "duplicate_action": ("actions: 0 1", "actions: 0 1 0", "duplicate action id"),
+    "duplicate_outcome": ("outcomes: alive dead", "outcomes: alive dead alive",
+                          "duplicate outcome id"),
+    "prop_without_name": ("prop killed:", "prop:", "expected 'prop <name>: <indices>'"),
+}
+
+
+@pytest.mark.parametrize("how", sorted(HEADER_MUTATIONS))
+def test_mutated_headers_fail_as_before(how):
+    line, replacement, message = HEADER_MUTATIONS[how]
+    assert BUNDLED[1].count(line) == 1
+    text = BUNDLED[1].replace(line, replacement)
+    assert_loads_as_frozen(text)
+    got = outcome(load_game, text)
+    assert (got[1] == message) if got[0] == "ParseError" else (message in got[1])
+
+
+def _tarasoff2_with(partitions):
+    base = tarasoff2_game()
+    return Game(agents=base.agents, initial_states=base.initial_states,
+                partitions=partitions, actions=base.actions, outcomes=base.outcomes,
+                plays=base.plays, valuation=base.valuation)
+
+
+@pytest.mark.parametrize("partitions, violation", [
+    ({"poddar": ({"Oct"}, {"Nov"}), "parents": ({"Oct", "Nov"},),
+      "ghost": ({"Oct", "Nov"},)}, "partition declared for unknown agent 'ghost'"),
+    ({"parents": ({"Oct", "Nov"},)}, "agent 'poddar' has no partition"),
+], ids=["unknown_agent", "agent_without_partition"])
+def test_partitions_of_built_games_validate_as_before(partitions, violation):
+    """Games built with Game(...), which fills in no partitions."""
+    game = _tarasoff2_with({agent: tuple(map(frozenset, blocks))
+                            for agent, blocks in partitions.items()})
+    assert validate_game(game) == naive_validate_game(game) == [violation]
 
 
 # ---------------------------------------------------------------------------

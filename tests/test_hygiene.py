@@ -74,3 +74,38 @@ def test_the_reference_check_sees_orphans_and_recursion():
 def test_private_functions_and_classes_are_used():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private(sources) == []
+
+
+def output_sites(source: str) -> list:
+    """(line, what) of each call of print and each read of sys.stdout."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"):
+            sites.append((node.lineno, "print"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "stdout"
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            sites.append((node.lineno, "sys.stdout"))
+    return sorted(sites)
+
+
+def test_the_output_check_sees_print_and_stdout():
+    source = ("import sys\nprint('x', file=sys.stderr)\nsys.stdout.write('y')\n"
+              "def f(out=sys.stdout): pass\nself.print('z')\n")
+    assert output_sites(source) == [(2, "print"), (3, "sys.stdout"),
+                                    (4, "sys.stdout")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_writes_output(path):
+    assert output_sites(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_cli_serializes_json_at_one_site():
+    tree = ast.parse((Path(dtw.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    sites = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "json"]
+    assert len(sites) == 1, sites

@@ -29,9 +29,12 @@ from dtw.lemmas import (
     gen_lemma7,
     gen_lemma_script,
 )
+from dtw.parser import parse_formula
 from dtw.proof import (
     Hypothesis,
     ModusPonens,
+    ProofLine,
+    ProofScript,
     ScriptBuilder,
     Theorem,
     apply_deduction_theorem,
@@ -273,3 +276,53 @@ class TestGeneratedDigests:
     @pytest.mark.parametrize("n", sorted(LEMMA7))
     def test_lemma7(self, n):
         assert _digest(_lemma7(n)) == self.LEMMA7[n]
+
+
+def _taut_script(text, hypotheses=()):
+    """A one-line script claiming text as a tautology, not checked here."""
+    b = ScriptBuilder(hypotheses)
+    b.taut(parse_formula(text))
+    return b.build()
+
+
+BICONDITIONAL = ("equivalence goal must be a biconditional (conjunction of the "
+                 "two implications)")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_lemma1(A, ProofScript((p,), (ProofLine(q, Hypothesis(1)),), q)),
+     "premise derivation is not accepted: rejected at line 1: "
+     "hypothesis-mismatch (line differs from hypothesis 1)"),
+    (lambda: gen_lemma4(A, B, _taut_script("p <-> p", [p])),
+     "the equivalence proof must be hypothesis-free"),
+    (lambda: gen_lemma4(A, B, _taut_script("p <-> q")),
+     "equivalence proof is not accepted: rejected at line 1: not-a-tautology "
+     "(~((p -> q) -> ~(q -> p)))"),
+    (lambda: gen_lemma4(A, B, _taut_script("p -> p")), BICONDITIONAL),
+    (lambda: gen_lemma4(A, B, _taut_script("~(~false -> false)")), BICONDITIONAL),
+    (lambda: gen_lemma4(A, B, _taut_script("~((p -> p) -> false)")), BICONDITIONAL),
+    (lambda: gen_lemma6([A, B], [A], [p, q]),
+     "knowers, actors, and disjuncts must align"),
+    (lambda: gen_lemma6([A], [A], [p, q]), "knowers, actors, and disjuncts must align"),
+    (lambda: gen_lemma6([A, B, C], [A, B, A | B], [p, q, r]),
+     "actor coalitions must be pairwise disjoint; sets 1 and 3 share ['a']"),
+    (lambda: gen_lemma7(A | B, A | C, [A], [A, C], [q, r], p),
+     "sub-coalitions and disjuncts must align"),
+    (lambda: gen_lemma7(A | B, A | C, [A, B], [A, C], [q], p),
+     "sub-coalitions and disjuncts must align"),
+    (lambda: gen_lemma7(A | B, A | C, [A, B], [C, C], [q, r], p),
+     "actor coalitions must be pairwise disjoint; sets 1 and 2 share ['c']"),
+    (lambda: gen_lemma7(A, A | C, [A, B], [A, C], [q, r], p),
+     "knower set 2 is not within the big coalition"),
+    (lambda: gen_lemma7(A | B, C, [A, B], [A, C], [q, r], p),
+     "actor set 1 is not within the big coalition"),
+], ids=["lemma1-unaccepted", "lemma4-hypotheses", "lemma4-unaccepted",
+        "lemma4-not-a-conjunction", "lemma4-not-an-implication-pair",
+        "lemma4-not-both-directions", "lemma6-fewer-actors",
+        "lemma6-more-disjuncts", "lemma6-overlap", "lemma7-fewer-knowers",
+        "lemma7-fewer-disjuncts", "lemma7-overlap", "lemma7-knowers-outside",
+        "lemma7-actors-outside"])
+def test_generators_refuse_bad_arguments(call, message):
+    with pytest.raises(BadParamsError) as exc:
+        call()
+    assert str(exc.value) == message

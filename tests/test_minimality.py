@@ -250,3 +250,42 @@ class TestBlameCheckCount:
         candidates = subsets_of(game.agents)
         tried = candidates[:candidates.index(actors) + 1]
         assert len(calls) <= sum(1 + len(knowers) + len(d) for d in tried)
+
+
+@pytest.mark.parametrize("kind, knowers, actors, message", [
+    (0, {"university"}, {"parents"}, "kind must be 1, 2, 3, or 4, got 0"),
+    (5, {"university"}, None, "kind must be 1, 2, 3, or 4, got 5"),
+    (1, {"university"}, None, "kind 1 requires an actor coalition"),
+    (2, {"university"}, None, "kind 2 requires an actor coalition"),
+    (3, {"university"}, None, "kind 3 requires an actor coalition"),
+], ids=["kind-0", "kind-5", "kind-1-no-actors", "kind-2-no-actors",
+        "kind-3-no-actors"])
+def test_checker_and_expansion_refuse_bad_arguments(kind, knowers, actors, message):
+    g = tarasoff_game()
+    for call in (lambda: minimal_verdict(kind, g, october_attack_play(), knowers,
+                                         actors, KILLED),
+                 lambda: expand_minimality(kind, knowers, actors, KILLED, g.agents)):
+        with pytest.raises(BadParamsError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: minimal_verdict(4, g, october_attack_play(), {"university"},
+                               {"parents"}, KILLED),
+     "kind 4 quantifies actors; pass actors=None"),
+    (lambda g: expand_minimality(4, {"university"}, {"parents"}, KILLED, g.agents),
+     "kind 4 quantifies over actor coalitions; pass actors=None"),
+    (lambda g: expand_minimality(1, {"ghost"}, {"parents"}, KILLED, g.agents),
+     "knower coalition must be within the agent universe"),
+    (lambda g: expand_minimality(4, {"ghost"}, None, KILLED, g.agents),
+     "knower coalition must be within the agent universe"),
+    (lambda g: expand_minimality(2, {"university"}, {"ghost"}, KILLED, g.agents),
+     "actor coalition must be within the agent universe"),
+], ids=["checker-kind-4-with-actors", "expansion-kind-4-with-actors",
+        "expansion-knowers-outside", "expansion-kind-4-knowers-outside",
+        "expansion-actors-outside"])
+def test_kind_four_actors_and_the_universe_are_checked(call, message):
+    with pytest.raises(BadParamsError) as exc:
+        call(tarasoff_game())
+    assert str(exc.value) == message

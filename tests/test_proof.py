@@ -1,5 +1,6 @@
 """Schema matching, tautology checking, proof checking, deduction."""
 
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtw import axioms
+from dtw.cli import main
 from dtw.errors import BadParamsError, ParseError, TooManyAtomsError
 from dtw.formula import (
     Blame,
@@ -24,6 +26,7 @@ from dtw.lemmas import bundled_scripts, gen_lemma6
 from dtw.parser import parse_formula
 from dtw.proof import (
     Axiom,
+    CheckResult,
     Hypothesis,
     Library,
     ModusPonens,
@@ -473,3 +476,50 @@ class TestScriptFiles:
         lib.register("lemma3(C=[a];D=[b];phi=p)", parse_formula("p -> q"))
         assert check_proof(script, lib).accepted
         assert parse_script(render_script(script)) == script
+
+
+# Rejections that only a malformed script reaches: (script text, reason,
+# error line, detail).  None as the text is a script with no lines, which no
+# file can express.
+WIDE = " -> ".join(f"x{i}" for i in range(21)) + " -> x0"
+REJECTIONS = {
+    "empty-script": (None, None, "script has no lines"),
+    "unknown-axiom": ("goal: p -> p\n1. p -> p   axiom Nope\n",
+                      1, "no axiom named 'Nope'"),
+    "too-many-atoms": (f"goal: {WIDE}\n1. {WIDE}   taut\n",
+                       1, "21 distinct atoms exceeds the limit of 20"),
+    "bad-hypothesis-index": ("hyp: p\ngoal: p\n1. p   hyp 2\n", 1, "hyp 2"),
+    "bad-line-reference": ("goal: K[a] (p -> p)\n1. p -> p   taut\n"
+                           "2. K[a] (p -> p)   nec 3 [a]\n", 2, "line 3"),
+}
+
+
+class TestRejectionReasons:
+    @pytest.mark.parametrize("reason", sorted(REJECTIONS))
+    def test_check_proof_names_the_reason(self, reason):
+        text, line, detail = REJECTIONS[reason]
+        script = ProofScript((), (), p) if text is None else parse_script(text)
+        assert check_proof(script) == CheckResult(False, line, reason, detail)
+
+    @pytest.mark.parametrize("reason", sorted(r for r, (text, *_) in REJECTIONS.items()
+                                              if text is not None))
+    def test_prove_reports_the_reason(self, reason, tmp_path, capsys):
+        text, line, detail = REJECTIONS[reason]
+        path = tmp_path / "rejected.prf"
+        path.write_text(text, encoding="utf-8")
+        assert main(["prove", str(path), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "accepted": False, "lines": len(parse_script(text).lines),
+            "error_line": line, "reason": reason, "detail": detail}
+
+    @pytest.mark.parametrize("text, message", [
+        ("goal: p\n1. p -> p   taut\nhyp: p\n",
+         "hypotheses must precede proof lines (line 3)"),
+        ("goal: p\ngoal: q\n1. p -> p   taut\n", "duplicate goal line (line 2)"),
+        ("# no lines\ngoal: p\n", "script has no proof lines (line 1)"),
+        ("goal: p\n1. p   mp x 2\n", "expected a line number, got 'x' (line 2)"),
+    ], ids=["hyp-after-line", "second-goal", "goal-without-lines", "mp-not-a-number"])
+    def test_parse_script_refuses(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_script(text)
+        assert str(exc.value) == message
