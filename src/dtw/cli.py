@@ -244,7 +244,7 @@ def _cmd_minimal(args) -> int:
     witness = sorted(result) if args.kind == 4 and value else None
     lines = ["holds" if value else "does not hold"]
     if witness is not None:
-        lines.append(f"witness actors: {','.join(witness) or '(empty)'}")
+        lines.append(f"witness actors: {','.join(witness)}")
     _report(args, {"holds": value, "kind": args.kind, "witness_actors": witness},
             *lines)
     return 0 if value else 1

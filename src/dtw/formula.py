@@ -550,7 +550,6 @@ def expand_minimality(
     actors: Optional[Iterable[str]],
     phi: Formula,
     universe: Iterable[str],
-    node_budget: Optional[int] = None,
 ) -> Formula:
     """Expand one of the four minimal-coalition operators into the core
     language, with the big disjunctions/conjunctions over subcoalitions
@@ -560,7 +559,8 @@ def expand_minimality(
     one.  An empty disjunction expands to falsum and an empty conjunction to
     ~falsum.  Kind 4 existentially quantifies the actor coalition, so
     ``actors`` must be None for it.  Raises :class:`UniverseTooLargeError`
-    when the estimated expansion exceeds the node budget.
+    when the estimated expansion exceeds the ``expand-nodes`` budget
+    (``DTW_BUDGET`` or the default).
     """
     universe_set = coalition(universe)
     knowers_set = coalition(knowers)
@@ -581,7 +581,7 @@ def expand_minimality(
         if not actors_set <= universe_set:
             raise BadParamsError("actor coalition must be within the agent universe")
 
-    limit = budget("expand-nodes", node_budget)
+    limit = budget("expand-nodes")
     atoms = _estimated_blame_atoms(
         kind, len(knowers_set), len(actors_set or ()), len(universe_set)
     )

@@ -260,7 +260,7 @@ def indist_state(game: Game, members: Iterable[str], alpha: str, beta: str) -> b
 # Validation.
 # ---------------------------------------------------------------------------
 
-def validate_game(game: Game, seriality_budget: Optional[int] = None) -> list:
+def validate_game(game: Game) -> list:
     """Check every structural invariant; return a sorted list of violation
     descriptions (empty iff the game is well-formed).
 
@@ -268,7 +268,8 @@ def validate_game(game: Game, seriality_budget: Optional[int] = None) -> list:
     game with no other problem lie in the grid of every initial state and
     complete profile, so they cover it iff there are as many.  Only a game
     that fails is enumerated, to name each missing pair.  Either way,
-    :class:`ResourceLimitError` is raised when the grid exceeds the budget.
+    :class:`ResourceLimitError` is raised when the grid exceeds the
+    ``seriality-checks`` budget (``DTW_BUDGET`` or the default).
     """
     problems = []
     states = set(game.initial_states)
@@ -342,7 +343,7 @@ def validate_game(game: Game, seriality_budget: Optional[int] = None) -> list:
 
     if not problems:
         grid = len(game.initial_states) * len(game.actions) ** len(game.agents)
-        limit = budget("seriality-checks", seriality_budget)
+        limit = budget("seriality-checks")
         if grid > limit:
             raise ResourceLimitError(
                 f"seriality check needs {grid} profile checks, budget is {limit}"
@@ -389,13 +390,14 @@ def _profile_problems(profile: ActionProfile, agent_set, action_set) -> list:
 _HEADERS = ("agents", "initial", "actions", "outcomes")
 
 
-def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
+def load_game(text: str) -> Game:
     """Parse and validate a game file, and build the game's masks.
 
     Plays with the same assignment tokens share one parsed profile, and
     equal profiles are one object.  Raises :class:`ParseError` on malformed
     lines (with line/position), :class:`ValidationError` listing every
-    violated invariant, and :class:`EmptyInputError` for blank input.
+    violated invariant, :class:`EmptyInputError` for blank input, and
+    :class:`ResourceLimitError` as :func:`validate_game` does.
     """
     headers = {}  # header name -> the names on its line
     partitions = {}
@@ -512,7 +514,7 @@ def load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
     game = make_game(agents, initial, partitions, actions, outcomes,
                      built_plays, valuation)
     game.masks = _play_masks(game, prop)  # fills the cached property
-    problems.extend(validate_game(game, seriality_budget))
+    problems.extend(validate_game(game))
     if problems:
         raise ValidationError(sorted(problems))
     return game

@@ -1,9 +1,7 @@
 """Resource budgets for the brute-force parts of the package.
 
-Every budget can be overridden globally through the ``DTW_BUDGET``
-environment variable (a single integer applied to all kinds), or per call
-via the explicit argument of each budgeted operation that takes one
-(random sampling takes none).
+Each budget is its default below unless the ``DTW_BUDGET`` environment
+variable is set: a single non-negative integer applied to all kinds.
 """
 
 import os
@@ -24,14 +22,15 @@ DEFAULT_BUDGETS = {
 }
 
 
-def budget(kind: str, explicit=None) -> int:
-    """Resolve the budget for ``kind``: explicit arg > env var > default."""
-    if explicit is not None:
-        return int(explicit)
+def budget(kind: str) -> int:
+    """The budget for ``kind``: ``DTW_BUDGET`` if set, else the default."""
     env = os.environ.get("DTW_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise BadParamsError(f"DTW_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGETS[kind]
+    if env is None:
+        return DEFAULT_BUDGETS[kind]
+    try:
+        value = int(env)
+    except ValueError:
+        raise BadParamsError(f"DTW_BUDGET must be an integer, got {env!r}") from None
+    if value < 0:
+        raise BadParamsError(f"DTW_BUDGET must be a non-negative integer, got {env!r}")
+    return value

@@ -35,7 +35,6 @@ def check_minimal(
     knowers: Iterable[str],
     actors: Optional[Iterable[str]],
     phi: Formula,
-    iteration_budget: Optional[int] = None,
 ) -> bool:
     """Does the minimal-coalition operator of the given kind hold here?
 
@@ -43,9 +42,10 @@ def check_minimal(
     the same actors.  kind 2: ... for any actor coalition.  kind 3: also no
     strictly smaller actor coalition works for anyone.  kind 4: some actor
     coalition satisfies the kind-3 conjuncts (``actors`` must be None).
+    Raises :class:`ResourceLimitError` when the subcoalition pairs exceed
+    the ``minimality-iterations`` budget (``DTW_BUDGET`` or the default).
     """
-    result = minimal_verdict(kind, game, play, knowers, actors, phi,
-                             iteration_budget)
+    result = minimal_verdict(kind, game, play, knowers, actors, phi)
     return result is not None if kind == 4 else result
 
 
@@ -56,11 +56,10 @@ def minimal_verdict(
     knowers: Iterable[str],
     actors: Optional[Iterable[str]],
     phi: Formula,
-    iteration_budget: Optional[int] = None,
 ):
     """Like :func:`check_minimal`, but for kind 4 returns the witnessing
     actor coalition (or None when the operator fails); kinds 1-3 return a
-    plain bool."""
+    plain bool.  Refuses the same budget as :func:`check_minimal`."""
     knowers_set = coalition(knowers)
     if kind not in (1, 2, 3, 4):
         raise BadParamsError(f"kind must be 1, 2, 3, or 4, got {kind!r}")
@@ -78,7 +77,7 @@ def minimal_verdict(
     agents = frozenset(game.agents)
     needed = _iterations_needed(kind, len(knowers_set), len(actors_set),
                                 len(agents))
-    limit = budget("minimality-iterations", iteration_budget)
+    limit = budget("minimality-iterations")
     if needed > limit:
         raise ResourceLimitError(
             f"minimality check needs {needed} subcoalition checks, "

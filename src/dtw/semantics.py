@@ -269,16 +269,15 @@ def sample_game(
     rng: random.Random,
     bounds: SearchBounds,
     agents: Optional[Tuple[str, ...]] = None,
-    prop_names: Optional[Tuple[str, ...]] = None,
 ) -> Game:
     """One random game within the bounds: random partitions, a random serial
     play relation (occasionally nondeterministic), and a random valuation.
 
     Raises ResourceLimitError when the largest grid of (initial state,
-    profile) cells that the bounds allow exceeds the seriality budget."""
-    _check_sampling(bounds, _AGENT_NAMES if agents is None else None,
-                    prop_names is None)
-    return _sample(rng, bounds, agents, prop_names).game()
+    profile) cells that the bounds allow exceeds the ``seriality-checks``
+    budget (``DTW_BUDGET`` or the default)."""
+    _check_sampling(bounds, _AGENT_NAMES if agents is None else None, True)
+    return _sample(rng, bounds, agents).game()
 
 
 def _check_sampling(bounds: SearchBounds, agent_pool, draw_props: bool) -> None:
@@ -586,20 +585,19 @@ def enumerate_games(
     formula_agents: Tuple[str, ...],
     props: Tuple[str, ...],
     bounds: SearchBounds,
-    model_budget: Optional[int] = None,
 ) -> Iterator[Model]:
     """Deterministic exhaustive stream of canonical models within bounds,
     each a :class:`Model` over a structure shared with its neighbours.
 
     Raises ResourceLimitError upfront when the implied model count exceeds
-    the budget.
+    the ``exhaustive-models`` budget (``DTW_BUDGET`` or the default).
     """
-    for structure in _structures(formula_agents, props, bounds, model_budget):
+    for structure in _structures(formula_agents, props, bounds):
         for masks in _label_odometer(structure, structure.cells):
             yield Model(structure, masks[0], masks[1:])
 
 
-def _structures(formula_agents, props, bounds, model_budget) -> Iterator[Structure]:
+def _structures(formula_agents, props, bounds) -> Iterator[Structure]:
     """The structures of the enumeration in order, once the bounds fit the
     pool of agent names and the model count is within the budget."""
     base = tuple(sorted(formula_agents))
@@ -607,7 +605,7 @@ def _structures(formula_agents, props, bounds, model_budget) -> Iterator[Structu
         f"z{i}" for i in range(len(base))
     )
     _check_pool("agents", bounds.max_agents, base + extras)
-    limit = budget("exhaustive-models", model_budget)
+    limit = budget("exhaustive-models")
     total = count_models(formula_agents, props, bounds, limit)
     if total > limit:
         raise ResourceLimitError(
@@ -734,14 +732,15 @@ def _batches(structures) -> Iterator[Tuple[Structure, Frame, tuple]]:
 def countermodel_search(
     f: Formula,
     bounds: SearchBounds,
-    model_budget: Optional[int] = None,
 ) -> Optional[Tuple[Game, Play]]:
     """First (game, play) within bounds falsifying f, or None.
 
     Exhaustive mode walks the documented deterministic enumeration, a batch
     of models at a time; random mode samples seeded games.  The agent
     universe starts from the agents named in f (padded up to the bound);
-    valuations range over the propositions occurring in f.
+    valuations range over the propositions occurring in f.  Exhaustive
+    mode refuses as :func:`enumerate_games` does, random mode as
+    :func:`sample_game` does.
     """
     base_agents = tuple(sorted(agents_of(f)))
     props = tuple(sorted(props_of(f)))
@@ -751,7 +750,7 @@ def countermodel_search(
         )
     program = compile_masks(f)
     if bounds.mode == "exhaustive":
-        structures = _structures(base_agents, props, bounds, model_budget)
+        structures = _structures(base_agents, props, bounds)
         for s, frame, masks in _batches(structures):
             prop = dict(zip(props, masks[1:]))
             missed = masks[0] ^ _truth(program, frame, masks[0], prop)[-1]

@@ -7,14 +7,13 @@ intended: this loader takes any directive head that starts with ``indist``
 or ``prop``, and any prop index that ``int()`` accepts."""
 
 import itertools
-from typing import Optional
 
 from dtw.errors import EmptyInputError, ParseError, ResourceLimitError, ValidationError
 from dtw.game import ActionProfile, Game, Play, make_game
 from dtw.limits import budget
 
 
-def naive_validate_game(game: Game, seriality_budget: Optional[int] = None) -> list:
+def naive_validate_game(game: Game) -> list:
     """Check every structural invariant; return a sorted list of violation
     descriptions (empty iff the game is well-formed).
 
@@ -100,7 +99,7 @@ def naive_validate_game(game: Game, seriality_budget: Optional[int] = None) -> l
 
     if not problems:
         grid = len(game.initial_states) * len(game.actions) ** len(game.agents)
-        limit = budget("seriality-checks", seriality_budget)
+        limit = budget("seriality-checks")
         if grid > limit:
             raise ResourceLimitError(
                 f"seriality check needs {grid} profile checks, budget is {limit}"
@@ -117,7 +116,7 @@ def naive_validate_game(game: Game, seriality_budget: Optional[int] = None) -> l
     return sorted(problems)
 
 
-def naive_load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
+def naive_load_game(text: str) -> Game:
     """Parse and validate a game file.
 
     Raises :class:`ParseError` on malformed lines (with line/position),
@@ -254,7 +253,7 @@ def naive_load_game(text: str, seriality_budget: Optional[int] = None) -> Game:
         agents or (), initial or (), partitions, actions or (), outcomes or (),
         built_plays, valuation,
     )
-    problems.extend(naive_validate_game(game, seriality_budget))
+    problems.extend(naive_validate_game(game))
     if problems:
         raise ValidationError(sorted(problems))
     return game

@@ -139,13 +139,13 @@ def naive_models(formula_agents, props, bounds):
                                                 actions, cells, assignment, props)
 
 
-def stream_countermodel(f, bounds, model_budget=None):
+def stream_countermodel(f, bounds):
     """Exhaustive countermodel search one model at a time, frozen: the
     first model of the package's stream that falsifies f, as (game, play)
     at its lowest falsified slot, or None."""
     program = compile_masks(f)
     for model in enumerate_games(tuple(sorted(agents_of(f))),
-                                 tuple(sorted(props_of(f))), bounds, model_budget):
+                                 tuple(sorted(props_of(f))), bounds):
         missed = missed_slots(model, program)
         if missed:
             return model.answer(missed)

@@ -144,6 +144,15 @@ class TestBudgetEnvironment:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "DTW_BUDGET" in err
 
+    def test_negative_budget_exits_two_with_one_line(self, example_dir,
+                                                     capsys, monkeypatch):
+        monkeypatch.setenv("DTW_BUDGET", "-5")
+        code, out, err = run(capsys, [
+            "valid", str(example_dir / "tarasoff.game"), "p",
+        ])
+        assert (code, out) == (2, "")
+        assert err == "error: DTW_BUDGET must be a non-negative integer, got '-5'\n"
+
 
 class TestUnvaluedProposition:
     def test_warning_is_one_line_on_stderr(self, example_dir):

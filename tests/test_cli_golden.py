@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import dtw.minimality
 from dtw.cli import main
 
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "cli_outputs.json")
@@ -79,14 +78,3 @@ def test_help_matches_golden(capsys, monkeypatch, command):
     argv = ([command] if command else []) + ["--help"]
     assert run(capsys, argv) == GOLDEN[f"{command or 'dtw'}/help"]
 
-
-@pytest.mark.parametrize("fmt, out", [
-    ("text", "holds\nwitness actors: (empty)\n"),
-    ("json", '{"holds": true, "kind": 4, "witness_actors": []}\n'),
-])
-def test_empty_kind_four_witness(bundle, capsys, monkeypatch, fmt, out):
-    """No game of the bundle has one, so the checker is stubbed."""
-    monkeypatch.setattr(dtw.minimality, "minimal_verdict", lambda *args: frozenset())
-    monkeypatch.chdir(bundle)
-    argv = CASES["minimal-4-witness"] + (["--json"] if fmt == "json" else [])
-    assert run(capsys, argv) == [0, out, ""]

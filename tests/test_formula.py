@@ -301,10 +301,10 @@ class TestExpandMinimality:
         with pytest.raises(BadParamsError):
             expand_minimality(1, {"a"}, {"x"}, p, {"a"})
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setenv("DTW_BUDGET", "1000")
         with pytest.raises(UniverseTooLargeError):
-            expand_minimality(4, set(), None, p, set("abcdefghij"),
-                              node_budget=1000)
+            expand_minimality(4, set(), None, p, set("abcdefghij"))
 
     def test_env_var_overrides_budget(self, monkeypatch):
         monkeypatch.setenv("DTW_BUDGET", "10")

@@ -167,9 +167,10 @@ class TestFileFormat:
                       + "play: t a=x o\n")
         assert g.partitions["a"] == (frozenset({"s"}), frozenset({"t"}))
 
-    def test_seriality_budget(self):
+    def test_seriality_budget(self, monkeypatch):
+        monkeypatch.setenv("DTW_BUDGET", "3")
         with pytest.raises(ResourceLimitError):
-            validate_game(tarasoff_game(), seriality_budget=3)
+            validate_game(tarasoff_game())
 
     def test_indist_for_unknown_agent_rejected(self):
         with pytest.raises(ValidationError) as exc:

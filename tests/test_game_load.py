@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -205,7 +206,8 @@ def test_mutated_files_fail_as_before(base, kinds, data):
        ghost=st.booleans(), budget=st.sampled_from([None, 4, 16]))
 def test_validation_lists_match_on_built_games(base, drop, repeat, ghost, budget):
     """Games built without the loader: dropped and repeated plays, and a
-    valuation with a play outside the game."""
+    valuation with a play outside the game, under a DTW_BUDGET of 4 or 16
+    or with the variable unset."""
     plays = [p for i, p in enumerate(base.plays) if i not in drop]
     plays += [base.plays[i % len(base.plays)] for i in sorted(repeat)]
     valuation = dict(base.valuation)
@@ -213,8 +215,12 @@ def test_validation_lists_match_on_built_games(base, drop, repeat, ghost, budget
         valuation["ghost"] = {Play("Oct", ActionProfile.make({"nobody": "0"}), "dead")}
     game = make_game(base.agents, base.initial_states, base.partitions,
                      base.actions, base.outcomes, plays, valuation)
-    assert (outcome(lambda g: validate_game(g, budget), game)
-            == outcome(lambda g: naive_validate_game(g, budget), game))
+    with mock.patch.dict(os.environ, {} if budget is None else
+                         {"DTW_BUDGET": str(budget)}):
+        if budget is None:
+            os.environ.pop("DTW_BUDGET", None)
+        assert (outcome(validate_game, game)
+                == outcome(naive_validate_game, game))
     assert_masks_rebuilt(game)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import dtw
+from dtw.limits import DEFAULT_BUDGETS
 
 PACKAGE = sorted(Path(dtw.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]  # __init__ re-exports
@@ -109,3 +110,36 @@ def test_the_cli_serializes_json_at_one_site():
              and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name)
              and node.func.value.id == "json"]
     assert len(sites) == 1, sites
+
+
+def budget_path_problems(source: str, kinds) -> list:
+    """(line, what) of each parameter named ``*_budget`` and each call of
+    ``budget`` that does not pass exactly one string literal among kinds."""
+    problems = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.arg) and node.arg.endswith("_budget"):
+            problems.append((node.lineno, node.arg))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "budget"):
+            args = node.args
+            if not (len(args) == 1 and not node.keywords
+                    and isinstance(args[0], ast.Constant) and args[0].value in kinds):
+                problems.append((node.lineno, "budget call"))
+    return sorted(problems)
+
+
+def test_the_budget_check_sees_overrides_and_unknown_kinds():
+    source = ("def f(n, node_budget=None):\n    return budget('a', node_budget)\n"
+              "budget('a')\nbudget('b')\nbudget(kind)\nbudget(kind='a')\n"
+              "lambda model_budget: 0\n")
+    assert budget_path_problems(source, {"a"}) == [
+        (1, "node_budget"), (2, "budget call"), (4, "budget call"),
+        (5, "budget call"), (6, "budget call"), (7, "model_budget")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_budgets_come_from_the_environment_only(path):
+    """Every budget is ``DTW_BUDGET`` or its default: no function takes an
+    override, and each site names one kind of ``limits.DEFAULT_BUDGETS``."""
+    assert budget_path_problems(path.read_text(encoding="utf-8"),
+                                DEFAULT_BUDGETS) == []

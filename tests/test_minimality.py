@@ -103,11 +103,11 @@ class TestParams:
         with pytest.raises(BadParamsError):
             check_minimal(2, g, g.plays[0], {"university"}, None, KILLED)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("DTW_BUDGET", "5")
         g = tarasoff_game()
         with pytest.raises(ResourceLimitError):
-            check_minimal(4, g, g.plays[0], {"university"}, None, KILLED,
-                          iteration_budget=5)
+            check_minimal(4, g, g.plays[0], {"university"}, None, KILLED)
 
 
 def two_action_case(seed, max_agents, agents=None):
@@ -170,6 +170,20 @@ class TestOracleEquivalence:
             verdicts = assert_kinds_agree(g, play, phi, knowers, actors)
             held = [n + bool(v) for n, v in zip(held, verdicts)]
         assert min(held) >= 1, held
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.data())
+    def test_kind_four_witness_is_never_empty(self, seed, data):
+        """Blame needs phi at the play, and the one joint action of the
+        empty coalition allows the play, so it never prevents phi there: a
+        kind-4 witness is a non-empty coalition that satisfies kind 3."""
+        g, play, phi, near, _ = two_action_case(seed, max_agents=3)
+        agents = st.frozensets(st.sampled_from(sorted(g.agents)), max_size=3)
+        knowers = data.draw(st.one_of(st.sampled_from([k for k, _ in near]), agents))
+        witness = minimal_verdict(4, g, play, knowers, None, phi)
+        if witness is not None:
+            assert witness
+            assert check_minimal(3, g, play, knowers, witness, phi)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))

@@ -409,12 +409,13 @@ class TestCountermodels:
             assert g1.plays == g2.plays
             assert validate_game(g1) == []
 
-    def test_model_budget(self):
+    def test_model_budget(self, monkeypatch):
         from dtw.errors import ResourceLimitError
 
+        monkeypatch.setenv("DTW_BUDGET", "10")
         f = parse_formula("K[a,b]p -> K[a]p")
         with pytest.raises(ResourceLimitError):
-            countermodel_search(f, self.BOUNDS, model_budget=10)
+            countermodel_search(f, self.BOUNDS)
 
 
 class TestModelCount:
@@ -619,9 +620,9 @@ class TestSamplingBudget:
         per call, not once per sampled game."""
         lookups = []
 
-        def counted(kind, explicit=None):
+        def counted(kind):
             lookups.append(kind)
-            return budget(kind, explicit)
+            return budget(kind)
 
         monkeypatch.setattr(semantics, "budget", counted)
         assert soundness_fuzz("Truth", replace(self.SMALL, iterations=150)) is None
