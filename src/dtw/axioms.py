@@ -16,22 +16,20 @@ defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .formula import (Blame, Coalition, Formula, Implies, Know, Not, Prop, agents_of,
-                      props_of)
+from .formula import (Blame, Coalition, Formula, Implies, Know, Not, Prop, Value,
+                      agents_of, props_of)
 from .parser import parse_formula
 
 
-@dataclass(frozen=True)
-class Schema:
-    name: str
-    pattern: Formula
-    formula_vars: Tuple[str, ...]
-    coalition_vars: Tuple[str, ...]
-    # side conditions: ("subset", small, large) or ("disjoint", a, b)
-    side: Tuple[Tuple[str, str, str], ...] = ()
+class Schema(Value):
+    """A named pattern formula, its formula and coalition metavariables
+    (tuples of names), and its side conditions: a tuple of ("subset",
+    small, large) and ("disjoint", a, b) triples, empty by default."""
+
+    __slots__ = ("name", "pattern", "formula_vars", "coalition_vars", "side")
+    _defaults = {"side": ()}
 
 
 def _schemas(*specs) -> Dict[str, Schema]:

@@ -13,7 +13,6 @@ every command to a machine-readable single-object report.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -75,7 +74,11 @@ def _parse_agent_list(text: str):
 def _report(args, record: dict, *text: str) -> None:
     """Print a command's result: its record as one JSON object with --json,
     otherwise its text lines."""
-    print(json.dumps(record, sort_keys=True) if args.json else "\n".join(text))
+    if args.json:
+        import json  # only here, so that a text-mode command never loads it
+        print(json.dumps(record, sort_keys=True))
+    else:
+        print("\n".join(text))
 
 
 def _print_verdict(args, verdict) -> int:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import FrozenInstanceError
-from typing import Iterable, NamedTuple, Optional
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import BadParamsError, UniverseTooLargeError
 from .limits import budget
@@ -34,9 +33,10 @@ def coalition(members: Iterable[str] = ()) -> Coalition:
 
 
 class Frozen:
-    """Base of the immutable value classes: formula nodes, plays and action
-    profiles.  A subclass's ``__slots__`` are its constructor arguments, then
-    ``_hash``; its ``__init__`` writes each slot, and the hash, once with
+    """Base of the immutable value classes: formula nodes, plays, action
+    profiles and the :class:`Value` records.  A node's, play's or profile's
+    ``__slots__`` are its constructor arguments, then ``_hash``; its
+    ``__init__`` writes each slot, and the hash, once with
     :data:`write_slot`.  Immutability is kept at run time: the stored hash
     must stay the hash of the fields, and objects are shared across threads.
     A pickle holds only the constructor arguments, so an object unpickled
@@ -46,10 +46,10 @@ class Frozen:
     __slots__ = ()
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        _refuse(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        _refuse(f"cannot delete field {name!r}")
 
     def __hash__(self):
         return self._hash
@@ -72,6 +72,83 @@ class Frozen:
 
 
 write_slot = object.__setattr__  # how a constructor writes past the guard
+
+
+def _refuse(message: str):
+    # Its module imports inspect, ast and dis: only a refused write loads it.
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(message)
+
+
+class Record:
+    """Base of the classes made of named fields, listed in ``_names``.  One
+    generic constructor takes the fields by position or keyword, with the
+    defaults of the optional ones in ``_defaults``.  Records of one class
+    are equal when their fields are, and the repr is ``Name(field=value,
+    ...)``.  A record is mutable and so unhashable; the immutable ones are
+    :class:`Value` records.
+    """
+
+    __slots__ = ()
+    _names: Tuple[str, ...] = ()
+    _defaults: Dict[str, object] = {}
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self._names
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            write_slot(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The fields in order, from the constructor's arguments."""
+        names = cls._names
+        if len(args) > len(names) or not set(kwargs) <= set(names[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got "
+                            f"{len(args)} by position and {sorted(kwargs)}")
+        given = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+        missing = [name for name in names if name not in given]
+        if missing:
+            raise TypeError(f"{cls.__name__}() is missing the fields {missing}")
+        return tuple(given[name] for name in names)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._names)
+
+    def __eq__(self, other):
+        if self.__class__ is not other.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}"
+                         for name, value in zip(self._names, self._fields()))
+        return f"{self.__class__.__qualname__}({args})"
+
+
+class Value(Record, Frozen):
+    """An immutable record: its fields are its ``__slots__``, and it hashes
+    as the tuple of them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._names = cls.__slots__
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setstate__(self, state):
+        """Load a pickle whose state is a dict of the fields, as written
+        before the value classes had slots."""
+        self.__init__(**state)
+
+    def replace(self, **changes) -> "Value":
+        """A copy with the given fields changed, built by the constructor."""
+        return self.__class__(**dict(zip(self._names, self._fields()), **changes))
 
 
 class Formula(Frozen):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     UnknownStateError,
     ValidationError,
 )
-from .formula import Coalition, Frozen, coalition, write_slot
+from .formula import Coalition, Frozen, Record, coalition, write_slot
 from .limits import budget
 
 
@@ -153,20 +152,24 @@ class PlayMasks(NamedTuple):
     frame: Frame  # initial states, partitions and actions over the plays
 
 
-@dataclass
-class Game:
+class Game(Record):
     """Validated game; treat instances as immutable after construction."""
 
-    agents: Tuple[str, ...]
-    initial_states: Tuple[str, ...]
-    partitions: Dict[str, Tuple[Coalition, ...]]  # agent -> partition blocks
-    actions: Tuple[str, ...]
-    outcomes: Tuple[str, ...]
-    plays: Tuple[Play, ...]
-    valuation: Dict[str, frozenset]  # prop -> subset of plays
+    _names = ("agents", "initial_states", "partitions", "actions", "outcomes",
+              "plays", "valuation")
 
-    def __post_init__(self):
-        self._block_index = index_blocks(self.partitions)  # not a field
+    def __init__(self, agents: Tuple[str, ...], initial_states: Tuple[str, ...],
+                 partitions: Dict[str, Tuple[Coalition, ...]], actions: Tuple[str, ...],
+                 outcomes: Tuple[str, ...], plays: Tuple[Play, ...],
+                 valuation: Dict[str, frozenset]):
+        self.agents = agents
+        self.initial_states = initial_states
+        self.partitions = partitions  # agent -> partition blocks
+        self.actions = actions
+        self.outcomes = outcomes
+        self.plays = plays
+        self.valuation = valuation  # prop -> subset of plays
+        self._block_index = index_blocks(partitions)  # not a field
 
     @functools.cached_property
     def masks(self) -> PlayMasks:

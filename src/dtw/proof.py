@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import re
 import threading
-from dataclasses import dataclass
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
@@ -41,12 +40,14 @@ from .formula import (
     Implies,
     Know,
     Not,
+    Value,
     big_implies,
     coalition,
     compile_masks,
     render,
     render_shared,
     run_masks,
+    write_slot,
 )
 from .parser import GroupMemo, parse_coalition_token, parse_formula
 
@@ -54,64 +55,78 @@ MAX_TAUTOLOGY_ATOMS = 20
 
 
 # ---------------------------------------------------------------------------
-# Justifications.
+# Justifications.  Each proof line builds one of these and a ProofLine, so
+# they write their slots in their own constructors, which take half the
+# time of the generic one.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Axiom:
-    name: str
+class Axiom(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        write_slot(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Tautology:
-    pass
+class Tautology(Value):
+    __slots__ = ()
+
+    def __init__(self):
+        pass  # no fields
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    index: int  # 1-based
+class Hypothesis(Value):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):  # 1-based
+        write_slot(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Theorem:
-    ident: str
+class Theorem(Value):
+    __slots__ = ("ident",)
+
+    def __init__(self, ident: str):
+        write_slot(self, "ident", ident)
 
 
-@dataclass(frozen=True)
-class ModusPonens:
-    premise: int      # 1-based line holding A
-    implication: int  # 1-based line holding A -> current
+class ModusPonens(Value):
+    __slots__ = ("premise", "implication")
+
+    def __init__(self, premise: int, implication: int):
+        write_slot(self, "premise", premise)  # 1-based line holding A
+        write_slot(self, "implication", implication)  # line holding A -> this
 
 
-@dataclass(frozen=True)
-class Necessitation:
-    source: int  # 1-based line holding A; current must be K[C] A
-    knowers: Coalition
+class Necessitation(Value):
+    __slots__ = ("source", "knowers")
+
+    def __init__(self, source: int, knowers: Coalition):
+        write_slot(self, "source", source)  # 1-based line holding A
+        write_slot(self, "knowers", knowers)  # this line must be K[knowers] A
 
 
 Justification = Union[Axiom, Tautology, Hypothesis, Theorem, ModusPonens,
                       Necessitation]
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    formula: Formula
-    justification: Justification
+class ProofLine(Value):
+    __slots__ = ("formula", "justification")
+
+    def __init__(self, formula: Formula, justification: Justification):
+        write_slot(self, "formula", formula)
+        write_slot(self, "justification", justification)
 
 
-@dataclass(frozen=True)
-class ProofScript:
-    hypotheses: Tuple[Formula, ...]
-    lines: Tuple[ProofLine, ...]
-    goal: Formula
+class ProofScript(Value):
+    # a tuple of hypothesis formulas, a tuple of ProofLines, and the goal
+    __slots__ = ("hypotheses", "lines", "goal")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    accepted: bool
-    line: Optional[int] = None
-    code: Optional[str] = None
-    detail: Optional[str] = None
+class CheckResult(Value):
+    """A verdict on a proof: accepted, or the failing 1-based line (if any),
+    a reason code and a detail."""
+
+    __slots__ = ("accepted", "line", "code", "detail")
+    _defaults = {"line": None, "code": None, "detail": None}
 
     def __str__(self):
         if self.accepted:

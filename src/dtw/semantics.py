@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import axioms
@@ -32,6 +31,8 @@ from .formula import (
     Not,
     Prop,
     RESERVED_PREFIX,
+    Record,
+    Value,
     agents_of,
     compile_masks,
     props_of,
@@ -41,8 +42,7 @@ from .game import ActionProfile, Frame, Game, Play, index_blocks, make_game
 from .limits import budget
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """Result of a single query.
 
     ``witness`` is set only for a true top-level blame query (the joint
@@ -50,9 +50,11 @@ class Verdict:
     knowledge or validity query (the first falsifying play).
     """
 
-    holds: bool
-    witness: Optional[ActionProfile] = None
-    refutation: Optional[Play] = None
+    _names = ("holds", "witness", "refutation")
+
+    def __init__(self, holds: bool, witness: Optional[ActionProfile] = None,
+                 refutation: Optional[Play] = None):
+        self.holds, self.witness, self.refutation = holds, witness, refutation
 
     def as_dict(self) -> dict:
         return {
@@ -62,20 +64,18 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Model-size bounds plus search mode for fuzzing and countermodels."""
+class SearchBounds(Value):
+    """Model-size bounds plus search mode for fuzzing and countermodels.
+    Every field has a default; ``mode`` is "exhaustive" or "random"."""
 
-    max_agents: int = 2
-    max_initial: int = 2
-    max_actions: int = 2
-    max_outcomes: int = 2
-    max_props: int = 1
-    mode: str = "exhaustive"  # or "random"
-    seed: Optional[int] = None
-    iterations: int = 1000
+    __slots__ = ("max_agents", "max_initial", "max_actions", "max_outcomes",
+                 "max_props", "mode", "seed", "iterations")
+    _defaults = {"max_agents": 2, "max_initial": 2, "max_actions": 2,
+                 "max_outcomes": 2, "max_props": 1, "mode": "exhaustive",
+                 "seed": None, "iterations": 1000}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for name in ("max_agents", "max_initial", "max_actions",
                      "max_outcomes", "max_props"):
             if getattr(self, name) < 1:
@@ -774,17 +774,12 @@ def countermodel_search(
     return None
 
 
-@dataclass
-class FuzzCounterexample:
-    """A soundness violation found by fuzzing: game, falsifying play, the
-    offending instance, and the metavariable assignment that produced it."""
+class FuzzCounterexample(Record):
+    """A soundness violation found by fuzzing: the schema's name, the game,
+    the falsifying play, the offending instance, the metavariable
+    assignment (a dict) that produced it, and the iteration."""
 
-    schema: str
-    game: Game
-    play: Play
-    instance: Formula
-    substitution: dict
-    iteration: int
+    _names = ("schema", "game", "play", "instance", "substitution", "iteration")
 
 
 _GAMES_POOL = 200

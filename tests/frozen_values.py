@@ -1,11 +1,15 @@
-"""The package's formula nodes, plays and action profiles as they were
-when they were dataclasses, frozen so that the hand-written classes that
-replaced them can be compared with them: the same hashes, ``repr``
-strings, field values, pickle arguments and equality.  The nodes' ``repr``
-needs the printer, so a copy of ``render`` comes with them."""
+"""The package's classes as they were when they were dataclasses, frozen
+so that the hand-written classes that replaced them can be compared with
+them: the same hashes, ``repr`` strings, field values, pickle arguments and
+equality.  The formula nodes, plays and action profiles come first; the
+nodes' ``repr`` needs the printer, so a copy of ``render`` comes with them.
+Then come the records: the game, the query and fuzzing results, the search
+bounds, the axiom schema and the proof steps."""
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Dict, Optional, Tuple, Union
+
+from dtw.errors import BadParamsError
 
 TRUE_SEED = "__true_seed"
 
@@ -188,3 +192,138 @@ class Play:
 
     def __reduce__(self):
         return Play, (self.initial, self.profile, self.outcome)
+
+
+@dataclass
+class Game:
+    agents: Tuple[str, ...]
+    initial_states: Tuple[str, ...]
+    partitions: Dict[str, Tuple[frozenset, ...]]
+    actions: Tuple[str, ...]
+    outcomes: Tuple[str, ...]
+    plays: Tuple[Play, ...]
+    valuation: Dict[str, frozenset]
+
+    def __post_init__(self):
+        self._block_index = {agent: {state: i for i, block in enumerate(blocks)
+                                     for state in block}
+                             for agent, blocks in self.partitions.items()}
+
+@dataclass
+class Verdict:
+    holds: bool
+    witness: Optional[ActionProfile] = None
+    refutation: Optional[Play] = None
+
+    def as_dict(self) -> dict:
+        return {
+            "holds": self.holds,
+            "witness": self.witness.as_dict() if self.witness else None,
+            "refutation": self.refutation.as_dict() if self.refutation else None,
+        }
+
+
+@dataclass(frozen=True)
+class SearchBounds:
+    max_agents: int = 2
+    max_initial: int = 2
+    max_actions: int = 2
+    max_outcomes: int = 2
+    max_props: int = 1
+    mode: str = "exhaustive"
+    seed: Optional[int] = None
+    iterations: int = 1000
+
+    def __post_init__(self):
+        for name in ("max_agents", "max_initial", "max_actions",
+                     "max_outcomes", "max_props"):
+            if getattr(self, name) < 1:
+                raise BadParamsError(f"{name} must be at least 1")
+        if self.iterations < 0:
+            raise BadParamsError(f"iterations must be at least 0, got {self.iterations}")
+        if self.mode not in ("exhaustive", "random"):
+            raise BadParamsError(f"mode must be exhaustive or random, got {self.mode!r}")
+        if self.mode == "random" and self.seed is None:
+            raise BadParamsError("random mode requires an explicit seed")
+
+
+@dataclass
+class FuzzCounterexample:
+    schema: str
+    game: Game
+    play: Play
+    instance: Formula
+    substitution: dict
+    iteration: int
+
+
+@dataclass(frozen=True)
+class Schema:
+    name: str
+    pattern: Formula
+    formula_vars: Tuple[str, ...]
+    coalition_vars: Tuple[str, ...]
+    side: Tuple[Tuple[str, str, str], ...] = ()
+
+
+@dataclass(frozen=True)
+class Axiom:
+    name: str
+
+
+@dataclass(frozen=True)
+class Tautology:
+    pass
+
+
+@dataclass(frozen=True)
+class Hypothesis:
+    index: int
+
+
+@dataclass(frozen=True)
+class Theorem:
+    ident: str
+
+
+@dataclass(frozen=True)
+class ModusPonens:
+    premise: int
+    implication: int
+
+
+@dataclass(frozen=True)
+class Necessitation:
+    source: int
+    knowers: frozenset
+
+
+Justification = Union[Axiom, Tautology, Hypothesis, Theorem, ModusPonens,
+                      Necessitation]
+
+
+@dataclass(frozen=True)
+class ProofLine:
+    formula: Formula
+    justification: Justification
+
+
+@dataclass(frozen=True)
+class ProofScript:
+    hypotheses: Tuple[Formula, ...]
+    lines: Tuple[ProofLine, ...]
+    goal: Formula
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    accepted: bool
+    line: Optional[int] = None
+    code: Optional[str] = None
+    detail: Optional[str] = None
+
+    def __str__(self):
+        if self.accepted:
+            return "accepted"
+        where = f" at line {self.line}" if self.line is not None else ""
+        return f"rejected{where}: {self.code} ({self.detail})"

@@ -143,3 +143,47 @@ def test_budgets_come_from_the_environment_only(path):
     override, and each site names one kind of ``limits.DEFAULT_BUDGETS``."""
     assert budget_path_problems(path.read_text(encoding="utf-8"),
                                 DEFAULT_BUDGETS) == []
+
+
+LAZY = ("dataclasses", "inspect", "json")  # costly to import on every command
+
+
+def eager_imports(source: str, modules) -> list:
+    """(line, module) of each import of one of modules that runs when the
+    source is imported: any not inside a function."""
+    found = []
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found += [(node.lineno, name.split(".")[0]) for name in names
+                  if name.split(".")[0] in modules]
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_the_eager_import_check_skips_function_bodies_only():
+    source = ("import dataclasses\nfrom json import dumps\nimport os, inspect as i\n"
+              "class A:\n    from dataclasses import field\n"
+              "if A:\n    import json.decoder\n"
+              "def f():\n    from dataclasses import FrozenInstanceError\n"
+              "    import json\n"
+              "from .json import x\nimport dataclasses_json\n")
+    assert eager_imports(source, LAZY) == [
+        (1, "dataclasses"), (2, "json"), (3, "inspect"), (5, "dataclasses"),
+        (7, "json")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_inspect_or_json_eagerly(path):
+    """Each is imported, if at all, inside the function that needs it:
+    ``json`` for ``--json`` output, ``dataclasses`` to raise
+    ``FrozenInstanceError`` from ``Frozen``."""
+    assert eager_imports(path.read_text(encoding="utf-8"), LAZY) == []

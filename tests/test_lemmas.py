@@ -4,18 +4,21 @@ import hashlib
 
 import pytest
 
-from dtw.errors import BadParamsError
+from dtw.errors import BadParamsError, ResourceLimitError
 from dtw.formula import (
     Blame,
     Implies,
     Know,
     Prop,
+    agents_of,
     big_disj,
+    big_implies,
     coalition,
     conj,
     dual_know,
     falsum,
     iff,
+    props_of,
 )
 from dtw.lemmas import (
     bundled_library,
@@ -41,7 +44,7 @@ from dtw.proof import (
     check_proof,
     render_script,
 )
-from dtw.semantics import SearchBounds, valid_in_game
+from dtw.semantics import SearchBounds, countermodel_search, valid_in_game
 
 from oracles import naive_valid
 
@@ -221,6 +224,26 @@ class TestSoundnessBridge:
                     verdict = valid_in_game(game, goal)
                     assert verdict.holds, f"seed {seed}: {goal}"
                     assert naive_valid(game, goal)
+
+    # Over the default exhaustive-models budget at these bounds: sampled.
+    SAMPLED = ("lemma6_n3", "lemma7_n2")
+
+    @pytest.mark.parametrize("name", sorted(bundled_scripts()))
+    def test_no_countermodel_to_a_bundled_derivation(self, name, monkeypatch):
+        """hyp1 -> ... -> goal of each accepted script has no countermodel
+        among the games of 2 initial states, 2 actions and 1 outcome over
+        the formula's own agents and propositions."""
+        monkeypatch.delenv("DTW_BUDGET", raising=False)
+        script = bundled_scripts()[name]
+        f = big_implies(script.hypotheses, script.goal)
+        bounds = SearchBounds(max_agents=max(1, len(agents_of(f))), max_initial=2,
+                              max_actions=2, max_outcomes=1,
+                              max_props=max(1, len(props_of(f))))
+        if name in self.SAMPLED:
+            with pytest.raises(ResourceLimitError, match="would enumerate"):
+                countermodel_search(f, bounds)
+            bounds = bounds.replace(mode="random", seed=1, iterations=300)
+        assert countermodel_search(f, bounds) is None
 
 
 def _lemma6(n):

@@ -80,6 +80,27 @@ class TestImport:
         assert set(ran) == {"errors", "limits", "formula", "parser"}
 
 
+# Each command, its exit code and the package modules it runs.
+COMMANDS = [
+    (["check", "tarasoff.game", PLAY, "K[university] killed"], 1,
+     {"errors", "limits", "formula", "parser", "game", "semantics"}),
+    (["valid", "tarasoff.game", "K[parents] killed -> killed"], 0,
+     {"errors", "limits", "formula", "parser", "game", "semantics"}),
+    (["countermodel", "p -> K[a] p"], 1,
+     {"errors", "limits", "formula", "parser", "game", "semantics"}),
+    (["minimal", "1", "tarasoff.game", PLAY, "killed", "--knowers", "university",
+      "--actors", "parents"], 0,
+     {"errors", "limits", "formula", "parser", "game", "semantics", "minimality"}),
+    (["prove", "lemma3_a_b_p.prf"], 0,
+     {"errors", "limits", "formula", "parser", "axioms", "proof"}),
+    (["fuzz", "Truth", "--seed", "1", "--iters", "20"], 0,
+     {"errors", "limits", "formula", "parser", "game", "semantics", "axioms"}),
+    (["example", "tarasoff", "--dir", "out"], 0,
+     {"errors", "limits", "formula", "parser", "game", "axioms", "proof",
+      "lemmas"}),
+]
+
+
 class TestCommandModules:
     """The modules each command runs, in a fresh interpreter: ``check``,
     ``valid`` and ``countermodel`` run none of ``proof``, ``lemmas``,
@@ -87,24 +108,8 @@ class TestCommandModules:
     ``semantics``, ``minimality`` or ``lemmas``; only ``fuzz`` and the
     proof commands run ``axioms``."""
 
-    @pytest.mark.parametrize("argv, code, ran", [
-        (["check", "tarasoff.game", PLAY, "K[university] killed"], 1,
-         {"errors", "limits", "formula", "parser", "game", "semantics"}),
-        (["valid", "tarasoff.game", "K[parents] killed -> killed"], 0,
-         {"errors", "limits", "formula", "parser", "game", "semantics"}),
-        (["countermodel", "p -> K[a] p"], 1,
-         {"errors", "limits", "formula", "parser", "game", "semantics"}),
-        (["minimal", "1", "tarasoff.game", PLAY, "killed", "--knowers", "university",
-          "--actors", "parents"], 0,
-         {"errors", "limits", "formula", "parser", "game", "semantics", "minimality"}),
-        (["prove", "lemma3_a_b_p.prf"], 0,
-         {"errors", "limits", "formula", "parser", "axioms", "proof"}),
-        (["fuzz", "Truth", "--seed", "1", "--iters", "20"], 0,
-         {"errors", "limits", "formula", "parser", "game", "semantics", "axioms"}),
-        (["example", "tarasoff", "--dir", "out"], 0,
-         {"errors", "limits", "formula", "parser", "game", "axioms", "proof",
-          "lemmas"}),
-    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    @pytest.mark.parametrize("argv, code, ran", COMMANDS,
+                             ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_command_runs_only_the_modules_it_uses(self, example_dir, argv, code, ran):
         exit_code, report = fresh(
             "import contextlib, io\n"
@@ -114,6 +119,30 @@ class TestCommandModules:
             "print(code)\n" + REPORT, cwd=example_dir)
         assert int(exit_code) == code
         assert set(json.loads(report)[1]) == ran | {"cli"}
+
+
+class TestStandardLibrary:
+    """No command loads ``dataclasses``, or ``inspect``, which it imports
+    with ``ast`` and ``dis``: a fresh process pays for each module it loads.
+    Only ``--json`` loads ``json``."""
+
+    @pytest.mark.parametrize("argv, code, loaded", [
+        *((argv, code, []) for argv, code, _ in COMMANDS),
+        (["check", "tarasoff.game", PLAY, "K[university killed"], 2, []),
+        (["check", "tarasoff.game", PLAY, "K[university] killed", "--json"], 1,
+         ["json"]),
+        (["prove", "lemma3_a_b_p.prf", "--json"], 0, ["json"]),
+    ], ids=lambda v: v[0] if isinstance(v, list) and v else None)
+    def test_command_loads_only_what_it_uses(self, example_dir, argv, code, loaded):
+        exit_code, got = fresh(
+            "import contextlib, io, sys\n"
+            "from dtw import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main({argv!r})\n"
+            "print(code)\n"
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n",
+            cwd=example_dir)
+        assert (int(exit_code), got) == (code, str(loaded))
 
 
 class TestExports:

@@ -3,7 +3,6 @@
 import random
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -575,7 +574,7 @@ class TestSamplingBudget:
         with pytest.raises(ResourceLimitError, match="budget is 15"):
             countermodel_search(parse_formula("p -> p"), self.SMALL)
         # The refusal depends on the bounds alone, even with no iterations.
-        idle = replace(self.SMALL, iterations=0)
+        idle = self.SMALL.replace(iterations=0)
         with pytest.raises(ResourceLimitError, match="budget is 15"):
             soundness_fuzz("Truth", idle)
         with pytest.raises(ResourceLimitError, match="budget is 15"):
@@ -587,7 +586,7 @@ class TestSamplingBudget:
         """More outcomes than the seriality budget are refused after the
         grid and before the prop pool."""
         monkeypatch.setenv("DTW_BUDGET", "1000")
-        over = replace(self.SMALL, max_outcomes=1001)
+        over = self.SMALL.replace(max_outcomes=1001)
         with pytest.raises(ResourceLimitError,
                            match="from 1001 outcomes per game, budget is 1000"):
             soundness_fuzz("Truth", over)
@@ -596,10 +595,10 @@ class TestSamplingBudget:
         with pytest.raises(ResourceLimitError, match="budget is 1000"):
             sample_game(random.Random(0), over)
         with pytest.raises(ResourceLimitError, match="cells per game"):
-            soundness_fuzz("Truth", replace(over, max_actions=32))
+            soundness_fuzz("Truth", over.replace(max_actions=32))
         with pytest.raises(ResourceLimitError, match="outcomes per game"):
-            soundness_fuzz("Truth", replace(over, max_props=6))
-        assert soundness_fuzz("Truth", replace(over, max_outcomes=1000)) is None
+            soundness_fuzz("Truth", over.replace(max_props=6))
+        assert soundness_fuzz("Truth", over.replace(max_outcomes=1000)) is None
 
     def test_samples_keep_no_outcome_names(self):
         """A sample keeps its outcome count, not a name per outcome, so a
@@ -625,11 +624,11 @@ class TestSamplingBudget:
             return budget(kind)
 
         monkeypatch.setattr(semantics, "budget", counted)
-        assert soundness_fuzz("Truth", replace(self.SMALL, iterations=150)) is None
+        assert soundness_fuzz("Truth", self.SMALL.replace(iterations=150)) is None
         assert lookups == ["seriality-checks"]
         lookups.clear()
         assert countermodel_search(parse_formula("K[a]p -> p"),
-                                   replace(self.SMALL, iterations=50)) is None
+                                   self.SMALL.replace(iterations=50)) is None
         assert lookups == ["seriality-checks"]
 
 
