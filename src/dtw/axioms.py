@@ -18,18 +18,25 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .formula import (Blame, Coalition, Formula, Implies, Know, Not, Prop, Value,
-                      agents_of, props_of)
+from .formula import (Blame, Coalition, Formula, Frozen, Implies, Know, Not, Prop,
+                      agents_of, props_of, write_slot)
 from .parser import parse_formula
 
 
-class Schema(Value):
+class Schema(Frozen):
     """A named pattern formula, its formula and coalition metavariables
     (tuples of names), and its side conditions: a tuple of ("subset",
     small, large) and ("disjoint", a, b) triples, empty by default."""
 
-    __slots__ = ("name", "pattern", "formula_vars", "coalition_vars", "side")
-    _defaults = {"side": ()}
+    _names = __slots__ = ("name", "pattern", "formula_vars", "coalition_vars", "side")
+
+    def __init__(self, name: str, pattern: Formula, formula_vars: Tuple[str, ...],
+                 coalition_vars: Tuple[str, ...], side: tuple = ()):
+        write_slot(self, "name", name)
+        write_slot(self, "pattern", pattern)
+        write_slot(self, "formula_vars", formula_vars)
+        write_slot(self, "coalition_vars", coalition_vars)
+        write_slot(self, "side", side)
 
 
 def _schemas(*specs) -> Dict[str, Schema]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .errors import BadParamsError, UniverseTooLargeError
 from .limits import budget
@@ -32,87 +32,17 @@ def coalition(members: Iterable[str] = ()) -> Coalition:
     return frozenset(members)
 
 
-class Frozen:
-    """Base of the immutable value classes: formula nodes, plays, action
-    profiles and the :class:`Value` records.  A node's, play's or profile's
-    ``__slots__`` are its constructor arguments, then ``_hash``; its
-    ``__init__`` writes each slot, and the hash, once with
-    :data:`write_slot`.  Immutability is kept at run time: the stored hash
-    must stay the hash of the fields, and objects are shared across threads.
-    A pickle holds only the constructor arguments, so an object unpickled
-    under another string hash seed hashes as that process's own objects do.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        _refuse(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        _refuse(f"cannot delete field {name!r}")
-
-    def __hash__(self):
-        return self._hash
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__[:-1])
-
-    def __eq__(self, other):
-        if self.__class__ is not other.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self._fields() == other._fields()
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __repr__(self):
-        args = ", ".join(f"{name}={value!r}"
-                         for name, value in zip(self.__slots__, self._fields()))
-        return f"{self.__class__.__qualname__}({args})"
-
-
-write_slot = object.__setattr__  # how a constructor writes past the guard
-
-
-def _refuse(message: str):
-    # Its module imports inspect, ast and dis: only a refused write loads it.
-    from dataclasses import FrozenInstanceError
-    raise FrozenInstanceError(message)
-
-
 class Record:
-    """Base of the classes made of named fields, listed in ``_names``.  One
-    generic constructor takes the fields by position or keyword, with the
-    defaults of the optional ones in ``_defaults``.  Records of one class
-    are equal when their fields are, and the repr is ``Name(field=value,
-    ...)``.  A record is mutable and so unhashable; the immutable ones are
-    :class:`Value` records.
+    """Base of the classes made of named fields, listed in ``_names``.  Each
+    class writes its own constructor, which sets every field.  Records of
+    one class are equal when their fields are, and the repr is
+    ``Name(field=value, ...)``.  A record is mutable and so unhashable; the
+    immutable ones are :class:`Frozen`.
     """
 
     __slots__ = ()
     _names: Tuple[str, ...] = ()
-    _defaults: Dict[str, object] = {}
     __hash__ = None
-
-    def __init__(self, *args, **kwargs):
-        names = self._names
-        if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
-        for name, value in zip(names, args):
-            write_slot(self, name, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The fields in order, from the constructor's arguments."""
-        names = cls._names
-        if len(args) > len(names) or not set(kwargs) <= set(names[len(args):]):
-            raise TypeError(f"{cls.__name__}() takes the fields {names}, got "
-                            f"{len(args)} by position and {sorted(kwargs)}")
-        given = {**cls._defaults, **dict(zip(names, args)), **kwargs}
-        missing = [name for name in names if name not in given]
-        if missing:
-            raise TypeError(f"{cls.__name__}() is missing the fields {missing}")
-        return tuple(given[name] for name in names)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self._names)
@@ -128,27 +58,48 @@ class Record:
         return f"{self.__class__.__qualname__}({args})"
 
 
-class Value(Record, Frozen):
-    """An immutable record: its fields are its ``__slots__``, and it hashes
-    as the tuple of them."""
+class Frozen(Record):
+    """An immutable record: formula nodes, plays, action profiles, search
+    bounds, schemas and proof steps.  Its fields are slots, which its
+    constructor writes once with :data:`write_slot`; any later write is
+    refused.  It hashes as the tuple of its fields, or as the ``_hash``
+    slot that a node, play or profile stores when built, which must stay
+    the hash of the fields.  A pickle holds only the constructor arguments,
+    so an object unpickled under another string hash seed hashes as that
+    process's own objects do.
+    """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._names = cls.__slots__
+    def __setattr__(self, name, value):
+        _refuse(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        _refuse(f"cannot delete field {name!r}")
 
     def __hash__(self):
         return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
 
     def __setstate__(self, state):
         """Load a pickle whose state is a dict of the fields, as written
         before the value classes had slots."""
         self.__init__(**state)
 
-    def replace(self, **changes) -> "Value":
+    def replace(self, **changes) -> "Frozen":
         """A copy with the given fields changed, built by the constructor."""
         return self.__class__(**dict(zip(self._names, self._fields()), **changes))
+
+
+write_slot = object.__setattr__  # how a constructor writes past the guard
+
+
+def _refuse(message: str):
+    # Its module imports inspect, ast and dis: only a refused write loads it.
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(message)
 
 
 class Formula(Frozen):
@@ -160,7 +111,9 @@ class Formula(Frozen):
     """
 
     __slots__ = ()
-    __hash__ = Frozen.__hash__  # defining __eq__ would otherwise drop it
+
+    def __hash__(self):
+        return self._hash
 
     def __eq__(self, other):
         if self.__class__ is not other.__class__ or self._hash != other._hash:
@@ -194,7 +147,8 @@ class Formula(Frozen):
 
 
 class Prop(Formula):
-    __slots__ = ("name", "_hash")
+    _names = ("name",)
+    __slots__ = _names + ("_hash",)
 
     def __init__(self, name: str):
         write_slot(self, "name", name)
@@ -202,7 +156,8 @@ class Prop(Formula):
 
 
 class Not(Formula):
-    __slots__ = ("child", "_hash")
+    _names = ("child",)
+    __slots__ = _names + ("_hash",)
 
     def __init__(self, child: Formula):
         write_slot(self, "child", child)
@@ -210,7 +165,8 @@ class Not(Formula):
 
 
 class Implies(Formula):
-    __slots__ = ("left", "right", "_hash")
+    _names = ("left", "right")
+    __slots__ = _names + ("_hash",)
 
     def __init__(self, left: Formula, right: Formula):
         write_slot(self, "left", left)
@@ -219,7 +175,8 @@ class Implies(Formula):
 
 
 class Know(Formula):
-    __slots__ = ("knowers", "child", "_hash")
+    _names = ("knowers", "child")
+    __slots__ = _names + ("_hash",)
 
     def __init__(self, knowers: Iterable[str], child: Formula):
         write_slot(self, "knowers", frozenset(knowers))
@@ -235,7 +192,8 @@ class Blame(Formula):
     knows, second bracket acts).
     """
 
-    __slots__ = ("knowers", "actors", "child", "_hash")
+    _names = ("knowers", "actors", "child")
+    __slots__ = _names + ("_hash",)
 
     def __init__(self, knowers: Iterable[str], actors: Iterable[str],
                  child: Formula):

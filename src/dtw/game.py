@@ -43,11 +43,15 @@ class ActionProfile(Frozen):
     assignment is its sorted (agent, action) pairs.
     """
 
-    __slots__ = ("assignment", "_hash")
+    _names = ("assignment",)
+    __slots__ = _names + ("_hash",)
 
     def __init__(self, assignment: Tuple[Tuple[str, str], ...]):
         write_slot(self, "assignment", assignment)
         write_slot(self, "_hash", hash(assignment))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def make(cls, mapping) -> "ActionProfile":
@@ -67,13 +71,17 @@ class ActionProfile(Frozen):
 class Play(Frozen):
     """One (initial state, complete action profile, outcome) triple."""
 
-    __slots__ = ("initial", "profile", "outcome", "_hash")
+    _names = ("initial", "profile", "outcome")
+    __slots__ = _names + ("_hash",)
 
     def __init__(self, initial: str, profile: ActionProfile, outcome: str):
         write_slot(self, "initial", initial)
         write_slot(self, "profile", profile)
         write_slot(self, "outcome", outcome)
         write_slot(self, "_hash", hash((initial, profile, outcome)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return f"{self.initial} | {self.profile} | {self.outcome}"

@@ -37,10 +37,10 @@ from .errors import BadParamsError, ParseError, TooManyAtomsError
 from .formula import (
     Coalition,
     Formula,
+    Frozen,
     Implies,
     Know,
     Not,
-    Value,
     big_implies,
     coalition,
     compile_masks,
@@ -55,49 +55,47 @@ MAX_TAUTOLOGY_ATOMS = 20
 
 
 # ---------------------------------------------------------------------------
-# Justifications.  Each proof line builds one of these and a ProofLine, so
-# they write their slots in their own constructors, which take half the
-# time of the generic one.
+# Justifications.  Each proof line builds one of these and a ProofLine.
 # ---------------------------------------------------------------------------
 
-class Axiom(Value):
-    __slots__ = ("name",)
+class Axiom(Frozen):
+    _names = __slots__ = ("name",)
 
     def __init__(self, name: str):
         write_slot(self, "name", name)
 
 
-class Tautology(Value):
-    __slots__ = ()
+class Tautology(Frozen):
+    _names = __slots__ = ()
 
     def __init__(self):
         pass  # no fields
 
 
-class Hypothesis(Value):
-    __slots__ = ("index",)
+class Hypothesis(Frozen):
+    _names = __slots__ = ("index",)
 
     def __init__(self, index: int):  # 1-based
         write_slot(self, "index", index)
 
 
-class Theorem(Value):
-    __slots__ = ("ident",)
+class Theorem(Frozen):
+    _names = __slots__ = ("ident",)
 
     def __init__(self, ident: str):
         write_slot(self, "ident", ident)
 
 
-class ModusPonens(Value):
-    __slots__ = ("premise", "implication")
+class ModusPonens(Frozen):
+    _names = __slots__ = ("premise", "implication")
 
     def __init__(self, premise: int, implication: int):
         write_slot(self, "premise", premise)  # 1-based line holding A
         write_slot(self, "implication", implication)  # line holding A -> this
 
 
-class Necessitation(Value):
-    __slots__ = ("source", "knowers")
+class Necessitation(Frozen):
+    _names = __slots__ = ("source", "knowers")
 
     def __init__(self, source: int, knowers: Coalition):
         write_slot(self, "source", source)  # 1-based line holding A
@@ -108,25 +106,36 @@ Justification = Union[Axiom, Tautology, Hypothesis, Theorem, ModusPonens,
                       Necessitation]
 
 
-class ProofLine(Value):
-    __slots__ = ("formula", "justification")
+class ProofLine(Frozen):
+    _names = __slots__ = ("formula", "justification")
 
     def __init__(self, formula: Formula, justification: Justification):
         write_slot(self, "formula", formula)
         write_slot(self, "justification", justification)
 
 
-class ProofScript(Value):
-    # a tuple of hypothesis formulas, a tuple of ProofLines, and the goal
-    __slots__ = ("hypotheses", "lines", "goal")
+class ProofScript(Frozen):
+    _names = __slots__ = ("hypotheses", "lines", "goal")
+
+    def __init__(self, hypotheses: Tuple[Formula, ...], lines: Tuple[ProofLine, ...],
+                 goal: Formula):
+        write_slot(self, "hypotheses", hypotheses)
+        write_slot(self, "lines", lines)
+        write_slot(self, "goal", goal)
 
 
-class CheckResult(Value):
+class CheckResult(Frozen):
     """A verdict on a proof: accepted, or the failing 1-based line (if any),
     a reason code and a detail."""
 
-    __slots__ = ("accepted", "line", "code", "detail")
-    _defaults = {"line": None, "code": None, "detail": None}
+    _names = __slots__ = ("accepted", "line", "code", "detail")
+
+    def __init__(self, accepted: bool, line: Optional[int] = None,
+                 code: Optional[str] = None, detail: Optional[str] = None):
+        write_slot(self, "accepted", accepted)
+        write_slot(self, "line", line)
+        write_slot(self, "code", code)
+        write_slot(self, "detail", detail)
 
     def __str__(self):
         if self.accepted:

@@ -26,17 +26,18 @@ from .formula import (
     Blame,
     Coalition,
     Formula,
+    Frozen,
     Implies,
     Know,
     Not,
     Prop,
     RESERVED_PREFIX,
     Record,
-    Value,
     agents_of,
     compile_masks,
     props_of,
     run_masks,
+    write_slot,
 )
 from .game import ActionProfile, Frame, Game, Play, index_blocks, make_game
 from .limits import budget
@@ -64,21 +65,30 @@ class Verdict(Record):
         }
 
 
-class SearchBounds(Value):
+class SearchBounds(Frozen):
     """Model-size bounds plus search mode for fuzzing and countermodels.
     Every field has a default; ``mode`` is "exhaustive" or "random"."""
 
-    __slots__ = ("max_agents", "max_initial", "max_actions", "max_outcomes",
-                 "max_props", "mode", "seed", "iterations")
-    _defaults = {"max_agents": 2, "max_initial": 2, "max_actions": 2,
-                 "max_outcomes": 2, "max_props": 1, "mode": "exhaustive",
-                 "seed": None, "iterations": 1000}
+    _names = __slots__ = ("max_agents", "max_initial", "max_actions", "max_outcomes",
+                          "max_props", "mode", "seed", "iterations")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        for name in ("max_agents", "max_initial", "max_actions",
-                     "max_outcomes", "max_props"):
-            if getattr(self, name) < 1:
+    def __init__(self, max_agents: int = 2, max_initial: int = 2,
+                 max_actions: int = 2, max_outcomes: int = 2, max_props: int = 1,
+                 mode: str = "exhaustive", seed: Optional[int] = None,
+                 iterations: int = 1000):
+        write_slot(self, "max_agents", max_agents)
+        write_slot(self, "max_initial", max_initial)
+        write_slot(self, "max_actions", max_actions)
+        write_slot(self, "max_outcomes", max_outcomes)
+        write_slot(self, "max_props", max_props)
+        write_slot(self, "mode", mode)
+        write_slot(self, "seed", seed)
+        write_slot(self, "iterations", iterations)
+        for name in self._names[:5] + ("iterations",):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise BadParamsError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "iterations":
                 raise BadParamsError(f"{name} must be at least 1")
         if self.iterations < 0:
             raise BadParamsError(f"iterations must be at least 0, got {self.iterations}")
@@ -780,6 +790,12 @@ class FuzzCounterexample(Record):
     assignment (a dict) that produced it, and the iteration."""
 
     _names = ("schema", "game", "play", "instance", "substitution", "iteration")
+
+    def __init__(self, schema: str, game: Game, play: Play, instance: Formula,
+                 substitution: dict, iteration: int):
+        self.schema, self.game, self.play = schema, game, play
+        self.instance, self.substitution = instance, substitution
+        self.iteration = iteration
 
 
 _GAMES_POOL = 200

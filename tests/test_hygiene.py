@@ -187,3 +187,63 @@ def test_no_module_imports_dataclasses_inspect_or_json_eagerly(path):
     ``json`` for ``--json`` output, ``dataclasses`` to raise
     ``FrozenInstanceError`` from ``Frozen``."""
     assert eager_imports(path.read_text(encoding="utf-8"), LAZY) == []
+
+
+GONE = {"Value", "_defaults", "_bind", "__init_subclass__"}  # the old binder
+FIELD_METHODS = {"_fields": {"Record"}, "__eq__": {"Record", "Formula"},
+                 "__repr__": {"Record", "Formula"}}  # Formula walks and renders
+
+
+def value_class_problems(source: str) -> list:
+    """(line, what) of each break of the one value-class idiom: a class,
+    name or attribute called ``Value``, ``_defaults``, ``_bind`` or
+    ``__init_subclass__``; ``_fields``, ``__eq__`` or ``__repr__`` defined
+    in a class that :data:`FIELD_METHODS` does not list for it; and a class
+    with a non-empty ``_names`` but no ``__init__`` of its own."""
+    problems = []
+    for node in ast.walk(ast.parse(source)):
+        word = (getattr(node, "name", None) or getattr(node, "id", None)
+                or getattr(node, "attr", None))
+        if word in GONE:
+            problems.append((node.lineno, word))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        methods = {item.name: item.lineno for item in node.body
+                   if isinstance(item, ast.FunctionDef)}
+        problems += [(methods[name], f"{node.name}.{name}")
+                     for name, owners in FIELD_METHODS.items()
+                     if name in methods and node.name not in owners]
+        names = [item.value for item in node.body
+                 if isinstance(item, (ast.Assign, ast.AnnAssign))
+                 for target in getattr(item, "targets", [getattr(item, "target", None)])
+                 if isinstance(target, ast.Name) and target.id == "_names"]
+        if (any(not (isinstance(value, ast.Tuple) and not value.elts) for value in names)
+                and "__init__" not in methods):
+            problems.append((node.lineno, f"{node.name} has no __init__"))
+    return sorted(problems)
+
+
+def test_the_value_class_check_sees_each_break():
+    source = ("class Record:\n    _names: tuple = ()\n"
+              "    def _fields(self): pass\n    def __eq__(self, o): pass\n"
+              "    def __repr__(self): pass\n"
+              "class Value(Record):\n    _defaults = {}\n"
+              "    def __init_subclass__(cls):\n        cls._bind()\n"
+              "class Formula(Record):\n    def __eq__(self, o): pass\n"
+              "    def __repr__(self): pass\n"
+              "class Play(Formula):\n    _names = ('a',)\n"
+              "    __slots__ = _names + ('_hash',)\n    def __eq__(self, o): pass\n"
+              "class Step(Record):\n    _names = __slots__ = ()\n"
+              "class Line(Record):\n    _names = __slots__ = ('a',)\n"
+              "    def __init__(self, a): pass\n    def _fields(self): pass\n")
+    assert value_class_problems(source) == [
+        (6, "Value"), (7, "_defaults"), (8, "__init_subclass__"), (9, "_bind"),
+        (13, "Play has no __init__"), (16, "Play.__eq__"), (22, "Line._fields")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_value_class_follows_one_idiom(path):
+    """No third base and no generic constructor; only ``Record`` (and
+    ``Formula``, for its walk and its rendering) compares or prints fields;
+    and each class with fields writes its own constructor."""
+    assert value_class_problems(path.read_text(encoding="utf-8")) == []

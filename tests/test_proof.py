@@ -80,6 +80,15 @@ def boolean_formulas(draw):
     return parts[0], other
 
 
+@pytest.mark.parametrize("a, b", [
+    (Axiom("x"), Theorem("x")), (Hypothesis(1), Theorem(1)),
+    (ModusPonens(1, 2), Necessitation(1, 2))])
+def test_steps_of_two_classes_with_equal_fields_differ(a, b):
+    """Equality is per class, as it was for the dataclasses."""
+    assert a._fields() == b._fields()
+    assert a != b and b != a and not a == b
+
+
 class TestMatchAxiom:
     def test_truth_k(self):
         got = match_axiom("Truth-K", parse_formula("K[a]p -> p"))

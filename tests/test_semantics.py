@@ -496,6 +496,30 @@ class TestSearchBounds:
             SearchBounds(mode="random", seed=1, iterations=-1)
         assert SearchBounds(mode="random", seed=1, iterations=0).iterations == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_agents", 2.5), ("max_initial", 1.5), ("max_actions", None),
+        ("max_outcomes", "2"), ("max_props", 1.0), ("iterations", 2.5)])
+    def test_sizes_must_be_integers(self, field, value):
+        """Each entry point gets a ``BadParamsError`` naming the field, by
+        keyword or through ``replace``, not a ``TypeError`` from the search."""
+        random_mode = SearchBounds(mode="random", seed=1, iterations=5)
+        calls = [
+            lambda bounds: countermodel_search(parse_formula("K[a]p -> p"), bounds),
+            lambda bounds: soundness_fuzz("Truth", bounds),
+            lambda bounds: sample_game(random.Random(1), bounds),
+        ]
+        for call in calls:
+            with pytest.raises(BadParamsError, match=f"^{field} must be an integer"):
+                call(SearchBounds(mode="random", seed=1, **{field: value}))
+            with pytest.raises(BadParamsError, match=f"^{field} must be an integer"):
+                call(random_mode.replace(**{field: value}))
+
+    def test_each_size_is_checked_before_its_range(self):
+        with pytest.raises(BadParamsError, match="max_agents must be at least 1"):
+            SearchBounds(max_agents=0, max_initial=1.5)
+        with pytest.raises(BadParamsError, match="max_initial must be an integer"):
+            SearchBounds(max_initial=1.5, max_actions=0)
+
 
 class TestNamePools:
     """Bounds past the 8 agent names or the 5 proposition names are refused
