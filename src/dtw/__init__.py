@@ -16,6 +16,7 @@ _EXPORTS = {
     "errors": """BadParamsError DtwError EmptyInputError ParseError
         ResourceLimitError TooManyAtomsError UniverseTooLargeError
         UnknownAgentError UnknownPlayError UnknownStateError ValidationError""",
+    "evaluation": "Verdict holds valid_in_game",
     "formula": """Blame Coalition Formula Implies Know Not Prop agents_of big_conj
         big_disj coalition conj disj dual_know expand_minimality falsum iff
         props_of render subformulas verum""",
@@ -27,8 +28,8 @@ _EXPORTS = {
     "proof": """CheckResult Library ProofLine ProofScript ScriptBuilder
         apply_deduction_theorem check_proof is_tautology match_axiom
         parse_script render_script""",
-    "semantics": """FuzzCounterexample SearchBounds Verdict countermodel_search
-        holds sample_game soundness_fuzz valid_in_game""",
+    "semantics": """FuzzCounterexample SearchBounds countermodel_search
+        sample_game soundness_fuzz""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}
@@ -37,7 +38,7 @@ __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
 
 for _name in ("errors", "limits", "formula", "parser", "game", "axioms",
-              "semantics", "proof", "minimality", "lemmas"):
+              "evaluation", "semantics", "proof", "minimality", "lemmas"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)

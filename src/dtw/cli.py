@@ -92,8 +92,8 @@ def _print_verdict(args, verdict) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .evaluation import holds
     from .parser import parse_formula
-    from .semantics import holds
     game = _load_game_file(args.game)
     play = _parse_play_spec(game, args.play)
     formula = parse_formula(args.formula)
@@ -101,8 +101,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_valid(args) -> int:
+    from .evaluation import valid_in_game
     from .parser import parse_formula
-    from .semantics import valid_in_game
     game = _load_game_file(args.game)
     formula = parse_formula(args.formula)
     return _print_verdict(args, valid_in_game(game, formula))

@@ -12,10 +12,10 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import BadParamsError, ResourceLimitError
+from .evaluation import play_bit, preventing_profile, satisfaction
 from .formula import Coalition, Formula, agents_of, coalition, subsets_of
 from .game import Game, Play
 from .limits import budget
-from .semantics import play_bit, preventing_profile, satisfaction
 
 
 def _iterations_needed(kind, n_knowers, n_actors, n_agents) -> int:

@@ -7,14 +7,30 @@ scripts and their mutants.  Traced smoke passes of search, modelcheck and
 prove also install the tracer, which fails if a function it wraps is renamed
 or gone (``axioms.instantiate``, ``axioms.match_schema``,
 ``semantics.enumerate_games``, ``semantics.holds``,
-``minimality.minimal_verdict``, ...)."""
+``minimality.minimal_verdict``, ...); a fast test reads the tracer's list
+and names any such function that its module no longer binds."""
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_traced_name_resolves():
+    """Each (module, function) of ``TRACED``, read from the source of
+    perfbench/tracing.py without importing the harness, is bound."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    pairs = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    assert pairs
+    missing = [f"{module}.{func}" for module, func in pairs
+               if not hasattr(importlib.import_module(module), func)]
+    assert missing == []
 
 
 def smoke_run(workload, trace=0):

@@ -16,7 +16,8 @@ TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
-    """Names a module imports but never reads, in source order."""
+    """Names a module imports but never reads, in source order.  An explicit
+    re-export, ``from m import name as name`` (PEP 484), counts as a use."""
     tree = ast.parse(source)
     imported = []
     for node in ast.walk(tree):
@@ -24,7 +25,8 @@ def unused_imports(source: str) -> list:
             imported += [(a.asname or a.name.split(".")[0], node.lineno)
                          for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [(a.asname or a.name, node.lineno) for a in node.names]
+            imported += [(a.asname or a.name, node.lineno) for a in node.names
+                         if a.asname != a.name]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported if name not in used)
 
@@ -33,8 +35,9 @@ def test_the_check_sees_unused_and_used_names():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport re as regex\n"
               "from typing import Dict, List\n"
+              "from m import kept as kept, y\n"
               "x: Dict = os.path.join('a')\n")
-    assert unused_imports(source) == [(3, "regex"), (4, "List")]
+    assert unused_imports(source) == [(3, "regex"), (4, "List"), (5, "y")]
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)

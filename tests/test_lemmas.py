@@ -226,15 +226,14 @@ class TestSoundnessBridge:
                     assert naive_valid(game, goal)
 
     # Over the default exhaustive-models budget at these bounds: sampled.
-    SAMPLED = ("lemma6_n3", "lemma7_n2")
+    # Names of bundled_scripts() and of GENERATED below.
+    SAMPLED = ("lemma6_n3", "lemma7_n2", "lemma7_n1")
 
-    @pytest.mark.parametrize("name", sorted(bundled_scripts()))
-    def test_no_countermodel_to_a_bundled_derivation(self, name, monkeypatch):
-        """hyp1 -> ... -> goal of each accepted script has no countermodel
+    def assert_no_countermodel(self, name, script):
+        """hyp1 -> ... -> goal of the accepted script has no countermodel
         among the games of 2 initial states, 2 actions and 1 outcome over
-        the formula's own agents and propositions."""
-        monkeypatch.delenv("DTW_BUDGET", raising=False)
-        script = bundled_scripts()[name]
+        the formula's own agents and propositions; past the model budget,
+        among 300 sampled games."""
         f = big_implies(script.hypotheses, script.goal)
         bounds = SearchBounds(max_agents=max(1, len(agents_of(f))), max_initial=2,
                               max_actions=2, max_outcomes=1,
@@ -244,6 +243,44 @@ class TestSoundnessBridge:
                 countermodel_search(f, bounds)
             bounds = bounds.replace(mode="random", seed=1, iterations=300)
         assert countermodel_search(f, bounds) is None
+
+    @pytest.mark.parametrize("name", sorted(bundled_scripts()))
+    def test_no_countermodel_to_a_bundled_derivation(self, name, monkeypatch):
+        monkeypatch.delenv("DTW_BUDGET", raising=False)
+        self.assert_no_countermodel(name, bundled_scripts()[name])
+
+    # Each generator at its smallest parameters and one size up, through
+    # gen_lemma_script, and one script after the deduction theorem.
+    GENERATED = {
+        "lemma1_n1": lambda: gen_lemma_script("lemma1", knowers=A,
+                                              premises=mp_chain(["p"])),
+        "lemma1_n2": lambda: gen_lemma_script("lemma1", knowers=A,
+                                              premises=mp_chain(["p", "q"])),
+        "lemma2_a": lambda: gen_lemma_script("lemma2", knowers=A, phi=p),
+        "lemma2_ab": lambda: gen_lemma_script("lemma2", knowers=A | B, phi=p),
+        "lemma3_a_b": lambda: gen_lemma_script("lemma3", knowers=A, actors=B, phi=p),
+        "lemma3_ab_b": lambda: gen_lemma_script("lemma3", knowers=A | B, actors=B,
+                                                phi=p),
+        "lemma4_p": lambda: gen_lemma_script("lemma4", knowers=A, actors=B,
+                                             equivalence=_taut_script("p <-> p")),
+        "lemma4_pq": lambda: gen_lemma_script(
+            "lemma4", knowers=A, actors=B,
+            equivalence=_taut_script("(p & q) <-> (q & p)")),
+        "lemma5_a": lambda: gen_lemma_script("lemma5", knowers=A, phi=p),
+        "lemma5_ab": lambda: gen_lemma_script("lemma5", knowers=A | B, phi=p),
+        "lemma6_n0": lambda: _lemma6(0),
+        "lemma6_n1": lambda: _lemma6(1),
+        "lemma7_n0": lambda: _lemma7(0),
+        "lemma7_n1": lambda: _lemma7(1),
+        "lemma6_n1_deduced": lambda: apply_deduction_theorem(_lemma6(1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_no_countermodel_to_a_generated_derivation(self, name, monkeypatch):
+        monkeypatch.delenv("DTW_BUDGET", raising=False)
+        script = self.GENERATED[name]()
+        assert check_proof(script).accepted
+        self.assert_no_countermodel(name, script)
 
 
 def _lemma6(n):

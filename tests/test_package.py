@@ -17,16 +17,16 @@ from dtw.parser import parse_formula
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PLAY = "Oct | poddar=1,parents=1,university=0 | dead"
-LIBRARY = {"errors", "limits", "formula", "parser", "game", "axioms", "semantics",
-           "proof", "minimality", "lemmas"}
+LIBRARY = {"errors", "limits", "formula", "parser", "game", "axioms", "evaluation",
+           "semantics", "proof", "minimality", "lemmas"}
 
-# The names the package re-exported when it imported every module eagerly,
-# by module, in that order.
+# The names the package exports, by module, in that order.
 EXPORTS = {
     "errors": ["BadParamsError", "DtwError", "EmptyInputError", "ParseError",
                "ResourceLimitError", "TooManyAtomsError", "UniverseTooLargeError",
                "UnknownAgentError", "UnknownPlayError", "UnknownStateError",
                "ValidationError"],
+    "evaluation": ["Verdict", "holds", "valid_in_game"],
     "formula": ["Blame", "Coalition", "Formula", "Implies", "Know", "Not", "Prop",
                 "agents_of", "big_conj", "big_disj", "coalition", "conj", "disj",
                 "dual_know", "expand_minimality", "falsum", "iff", "props_of",
@@ -40,9 +40,8 @@ EXPORTS = {
     "proof": ["CheckResult", "Library", "ProofLine", "ProofScript", "ScriptBuilder",
               "apply_deduction_theorem", "check_proof", "is_tautology", "match_axiom",
               "parse_script", "render_script"],
-    "semantics": ["FuzzCounterexample", "SearchBounds", "Verdict",
-                  "countermodel_search", "holds", "sample_game", "soundness_fuzz",
-                  "valid_in_game"],
+    "semantics": ["FuzzCounterexample", "SearchBounds", "countermodel_search",
+                  "sample_game", "soundness_fuzz"],
 }
 
 # Prints, as JSON, the dtw modules in sys.modules and those whose code ran:
@@ -81,32 +80,35 @@ class TestImport:
 
 
 # Each command, its exit code and the package modules it runs.
+EVALUATE = {"errors", "limits", "formula", "parser", "game", "evaluation"}
 COMMANDS = [
-    (["check", "tarasoff.game", PLAY, "K[university] killed"], 1,
-     {"errors", "limits", "formula", "parser", "game", "semantics"}),
-    (["valid", "tarasoff.game", "K[parents] killed -> killed"], 0,
-     {"errors", "limits", "formula", "parser", "game", "semantics"}),
-    (["countermodel", "p -> K[a] p"], 1,
-     {"errors", "limits", "formula", "parser", "game", "semantics"}),
+    (["check", "tarasoff.game", PLAY, "K[university] killed"], 1, EVALUATE),
+    (["valid", "tarasoff.game", "K[parents] killed -> killed"], 0, EVALUATE),
+    (["countermodel", "p -> K[a] p"], 1, EVALUATE | {"semantics"}),
     (["minimal", "1", "tarasoff.game", PLAY, "killed", "--knowers", "university",
-      "--actors", "parents"], 0,
-     {"errors", "limits", "formula", "parser", "game", "semantics", "minimality"}),
+      "--actors", "parents"], 0, EVALUATE | {"minimality"}),
     (["prove", "lemma3_a_b_p.prf"], 0,
      {"errors", "limits", "formula", "parser", "axioms", "proof"}),
     (["fuzz", "Truth", "--seed", "1", "--iters", "20"], 0,
-     {"errors", "limits", "formula", "parser", "game", "semantics", "axioms"}),
+     EVALUATE | {"semantics", "axioms"}),
     (["example", "tarasoff", "--dir", "out"], 0,
      {"errors", "limits", "formula", "parser", "game", "axioms", "proof",
       "lemmas"}),
+    # Error paths: a parse error, a missing file and an unknown agent.
+    (["check", "tarasoff.game", PLAY, "K[university killed"], 2, EVALUATE),
+    (["valid", "missing.game", "killed"], 2, EVALUATE),
+    (["check", "tarasoff.game", PLAY, "K[nobody] killed"], 2, EVALUATE),
 ]
 
 
 class TestCommandModules:
     """The modules each command runs, in a fresh interpreter: ``check``,
-    ``valid`` and ``countermodel`` run none of ``proof``, ``lemmas``,
-    ``minimality`` or ``axioms``; ``prove`` runs none of ``game``,
-    ``semantics``, ``minimality`` or ``lemmas``; only ``fuzz`` and the
-    proof commands run ``axioms``."""
+    ``valid`` and ``minimal``, and their error paths, evaluate with
+    ``evaluation`` and run no ``semantics`` code; ``check``, ``valid`` and
+    ``countermodel`` run none of ``proof``, ``lemmas``, ``minimality`` or
+    ``axioms``; ``prove`` runs none of ``game``, ``evaluation``,
+    ``semantics``, ``minimality`` or ``lemmas``; only ``fuzz`` and the proof
+    commands run ``axioms``."""
 
     @pytest.mark.parametrize("argv, code, ran", COMMANDS,
                              ids=lambda v: v[0] if isinstance(v, list) else None)
@@ -128,7 +130,6 @@ class TestStandardLibrary:
 
     @pytest.mark.parametrize("argv, code, loaded", [
         *((argv, code, []) for argv, code, _ in COMMANDS),
-        (["check", "tarasoff.game", PLAY, "K[university killed"], 2, []),
         (["check", "tarasoff.game", PLAY, "K[university] killed", "--json"], 1,
          ["json"]),
         (["prove", "lemma3_a_b_p.prf", "--json"], 0, ["json"]),
@@ -156,6 +157,10 @@ class TestExports:
         for name in EXPORTS[module]:
             assert getattr(dtw, name) is getattr(source, name), name
 
+    def test_semantics_re_exports_the_evaluators(self):
+        for name in EXPORTS["evaluation"]:
+            assert getattr(dtw.semantics, name) is getattr(dtw.evaluation, name), name
+
     def test_star_import_binds_every_name(self):
         namespace = {}
         exec("from dtw import *", namespace)
@@ -166,7 +171,7 @@ class TestExports:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="module 'dtw' has no attribute 'nothing'"):
             dtw.nothing
-        assert not hasattr(dtw, "play_bit")  # in dtw.semantics, not exported
+        assert not hasattr(dtw, "play_bit")  # in dtw.evaluation, not exported
 
     def test_pickled_formula_loads_in_a_fresh_process(self):
         text = "B[a,b][c] (p -> K[a] ~q)"

@@ -514,6 +514,26 @@ class TestSearchBounds:
             with pytest.raises(BadParamsError, match=f"^{field} must be an integer"):
                 call(random_mode.replace(**{field: value}))
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_seed_must_be_a_type_random_accepts(self, mode):
+        """A seed that ``random.Random`` would refuse gets a
+        ``BadParamsError`` in either mode, by keyword or through ``replace``,
+        before any search starts."""
+        message = r"^seed must be an int, float, str, bytes or bytearray, got \[1\]$"
+        calls = [
+            lambda seed: SearchBounds(mode=mode, seed=seed, iterations=3),
+            lambda seed: SearchBounds(mode=mode, seed=1, iterations=3).replace(seed=seed),
+            lambda seed: countermodel_search(parse_formula("K[a]p -> p"),
+                                             SearchBounds(mode=mode, seed=seed)),
+            lambda seed: soundness_fuzz("Truth", SearchBounds(mode=mode, seed=seed,
+                                                              iterations=3)),
+        ]
+        for call in calls:
+            with pytest.raises(BadParamsError, match=message):
+                call([1])
+        for seed in (7, 0.5, "s", b"s", bytearray(b"s")):
+            assert calls[1](seed).seed == seed
+
     def test_each_size_is_checked_before_its_range(self):
         with pytest.raises(BadParamsError, match="max_agents must be at least 1"):
             SearchBounds(max_agents=0, max_initial=1.5)
