@@ -14,18 +14,25 @@ Grammar (whitespace-insensitive; precedence ``~`` > ``&`` > ``|`` > ``->``
 
 Identifiers match ``[A-Za-z][A-Za-z0-9_]*`` and may not be the keyword
 ``false``; names with the reserved ``__`` prefix cannot be written (they do
-not lex).  ``K``, ``Kd`` and ``B`` act as modality heads only when directly
-followed by ``[``; otherwise they are ordinary proposition names.
+not lex).  ``K``, ``Kd`` and ``B`` act as modality heads only when the next
+token is ``[``; otherwise they are ordinary proposition names.
 ``B[knowers][actors]``: the first coalition knows, the second one acts.
 All derived connectives are desugared during parsing.
 
-The input is split into tokens by one ``findall``, and each token is its
-own kind: the parser compares token texts, and any token that is not an
-operator, bracket or ``false`` is an identifier.  An empty string ends the
-list.  Character positions are recomputed only for an error message.
-Pending prefix operators, parentheses and infix operators wait on one
-explicit stack instead of in Python calls, so nesting is not limited by
-the interpreter's stack and any depth costs linear time and memory.
+The input is split into tokens by one ``findall``.  A well-formed modality,
+such as ``K[a, b]``, ``Kd []`` or ``B[a] [b]``, is one token, head and
+coalitions together; every other token is an operator, a bracket, a comma,
+``false`` or an identifier, and the parser compares token texts.  A
+modality token is resolved through a dict from its text to its pending
+entry, kept on the memo or, without one, on the parser, so a repeated
+modality costs one lookup.  An empty string ends the list.  A text that
+does not parse is read again one token per bracket, comma and member, as
+the grammar spells it, and that reading's error is raised: every error
+names the token the grammar stops at, at its position, and positions are
+computed only then.  Pending prefix operators, parentheses and infix
+operators wait on one explicit stack instead of in Python calls, so
+nesting is not limited by the interpreter's stack and any depth costs
+linear time and memory.
 
 Texts that repeat their subterms, such as the lines of one proof script,
 can be parsed with one :class:`GroupMemo`: a parenthesised group that a
@@ -56,7 +63,16 @@ from .formula import (
 
 # Each match is optional whitespace and one token; the last alternative
 # takes a character that starts no token, so the matches cover the text.
-_TOKEN_RE = re.compile(r"\s*(<->|->|[~&|(),\[\]]|[A-Za-z][A-Za-z0-9_]*|\S)")
+# ``_TOKEN_RE`` reads one token per bracket, comma and member, as the
+# grammar does; ``_MODALITY_RE`` first tries a whole well-formed modality,
+# whose members are identifiers other than ``false``.
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_REST = rf"<->|->|[~&|(),\[\]]|{_NAME}|\S"
+_MEMBER = rf"(?!false[\s,\]]){_NAME}"
+_COAL = rf"\[\s*(?:{_MEMBER}(?:\s*,\s*{_MEMBER})*)?\s*\]"
+_TOKEN_RE = re.compile(rf"\s*({_REST})")
+_MODALITY_RE = re.compile(rf"\s*((?:Kd?|B\s*{_COAL})\s*{_COAL}|{_REST})")
+_NAME_RE = re.compile(_NAME)
 _EOF = ""
 _SYMBOLS = frozenset({"<->", "->", "~", "&", "|", "(", ")", ",", "[", "]", "false", _EOF})
 
@@ -79,20 +95,28 @@ _NOT = (_PREFIX, Not, None)
 
 
 class _Parser:
-    """``toks`` ends in ``_EOF``, and ``i`` indexes the lookahead, which never
-    moves past it.  With a memo, ``groups``, ``ends`` and ``whole`` are what
-    :meth:`GroupMemo.scan` finds in the tokens, and ``parsed`` is the
-    memo's; without one, ``groups`` and ``whole`` are None."""
+    """``toks``, split by ``lex``, ends in ``_EOF``, and ``i`` indexes the
+    lookahead, which never moves past it.  ``modalities`` maps the text of
+    each modality token to its pending entry.  With a memo, ``groups``,
+    ``ends`` and ``whole`` are what :meth:`GroupMemo.scan` finds in the
+    tokens, and ``parsed`` and ``modalities`` are the memo's; without one,
+    ``groups`` and ``whole`` are None."""
 
-    def __init__(self, text: str, memo: GroupMemo | None = None):
-        self.text = text
-        self.toks = toks = _TOKEN_RE.findall(text)
+    def __init__(self, text: str, lex: re.Pattern, memo: GroupMemo | None = None):
+        self.text, self.lex = text, lex
+        self.toks = toks = lex.findall(text)
         toks.append(_EOF)
         self.i = 0
-        # Identifiers start with an ASCII letter; any other token that is
-        # not a symbol is a lone character that starts no token, and the
-        # first one is reported.
-        bad = [t for t in set(toks) - _SYMBOLS if not (t.isascii() and t[0].isalpha())]
+        self.modalities = modalities = {} if memo is None else memo.modalities
+        # Identifiers and modalities start with an ASCII letter; any other
+        # token that is not a symbol is a lone character that starts no
+        # token, and the first one is reported.  Only a modality ends in ']'.
+        bad = []
+        for t in set(toks) - _SYMBOLS:
+            if not (t[0].isascii() and t[0].isalpha()):
+                bad.append(t)
+            elif t[-1] == "]" and t not in modalities:
+                modalities[t] = _modality(t)
         if bad:
             self.i = min(map(toks.index, bad))
             raise self.error(f"unexpected character {toks[self.i]!r}",
@@ -106,7 +130,7 @@ class _Parser:
 
     def error(self, message: str, expected: str) -> ParseError:
         """A ParseError at the lookahead."""
-        starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(self.text)]
+        starts = [m.start(1) + 1 for m in self.lex.finditer(self.text)]
         pos = starts[self.i] if self.i < len(starts) else len(self.text) + 1
         return ParseError(message, pos=pos, expected=expected)
 
@@ -123,13 +147,17 @@ class _Parser:
         toks = self.toks
         stack = []
         i = self.i
-        groups, parsed = self.groups, self.parsed
+        groups, parsed, modalities = self.groups, self.parsed, self.modalities
         while True:
             # Operand position: prefix operators and parentheses wait on the
             # stack until an atom comes.
             tok = toks[i]
             i += 1
             if tok not in _SYMBOLS:
+                entry = modalities.get(tok)
+                if entry is not None:
+                    stack.append(entry)
+                    continue
                 if tok not in _MODALITY_HEADS or toks[i] != "[":
                     out = Prop(tok)
                 else:
@@ -188,7 +216,7 @@ class _Parser:
         members = set()
         if toks[self.i] != "]":
             while True:
-                if toks[self.i] in _SYMBOLS:
+                if toks[self.i] in _SYMBOLS or toks[self.i][-1] == "]":  # or a modality
                     raise self.unexpected("an agent identifier")
                 members.add(toks[self.i])
                 self.i += 1
@@ -205,6 +233,15 @@ class _Parser:
             raise self.unexpected("end of input", f" after {what}")
 
 
+def _modality(tok: str):
+    """The pending entry of a modality token such as ``B[a] [b, c]``."""
+    head, *coals = tok.split("[")
+    coals = [coalition(_NAME_RE.findall(c)) for c in coals]
+    if len(coals) == 2:
+        return (_PREFIX, partial(Blame, *coals), None)
+    return (_PREFIX, Know if head.rstrip() == "K" else dual_know, coals[0])
+
+
 class GroupMemo:
     """The parenthesised groups of the texts parsed with one memo: each
     distinct group is parsed once, and all its occurrences are one formula
@@ -217,14 +254,16 @@ class GroupMemo:
     in its length at any depth.  A whole text is keyed the same way, so a
     line's formula is the same object as that text parenthesised on another
     line.  Only groups that parsed are stored, so every error is the one a
-    parse without a memo raises.
+    parse without a memo raises.  A modality is one token, so groups that
+    space or order a coalition differently have different keys.
     """
 
-    __slots__ = ("ids", "parsed")
+    __slots__ = ("ids", "parsed", "modalities")
 
     def __init__(self):
-        self.ids = {}     # key -> group id
-        self.parsed = {}  # group id -> formula, once a parse has closed it
+        self.ids = {}         # key -> group id
+        self.parsed = {}      # group id -> formula, once a parse has closed it
+        self.modalities = {}  # modality token -> pending entry
 
     def scan(self, toks):
         """``(groups, ends, whole)`` in one stack pass: the '(' at index o
@@ -258,7 +297,14 @@ def parse_formula(text: str, memo: GroupMemo | None = None) -> Formula:
     text that an earlier parse with the same memo read is not parsed
     again: the earlier formula object is the result's subterm.
     """
-    parser = _Parser(text, memo)
+    try:
+        return _read(_Parser(text, _MODALITY_RE, memo))
+    except ParseError:
+        # The error as the grammar's own tokens meet it.
+        return _read(_Parser(text, _TOKEN_RE))
+
+
+def _read(parser: _Parser) -> Formula:
     if parser.toks[0] == _EOF:
         raise EmptyInputError()
     out = parser.parsed.get(parser.whole)
@@ -272,7 +318,7 @@ def parse_formula(text: str, memo: GroupMemo | None = None) -> Formula:
 
 def parse_coalition_token(text: str):
     """Parse a standalone bracketed coalition such as ``[a,b]`` or ``[]``."""
-    parser = _Parser(text)
+    parser = _Parser(text, _TOKEN_RE)
     out = parser.coal()
     parser.end("coalition")
     return out

@@ -501,7 +501,9 @@ def apply_deduction_theorem(script: ProofScript,
 # Script file format.
 # ---------------------------------------------------------------------------
 
-_LINE_RE = re.compile(r"^(\d+)\.\s+(.*)$")
+_LINE_RE = re.compile(r"^([0-9]+)\.\s+(.*)$")
+# A nec justification; its bracketed coalition may hold spaces.
+_NEC_RE = re.compile(r"(.*\S)\s+nec\s+(\S+)\s+(\[[^\]]*\]|\S+)")
 
 
 def parse_script(text: str) -> ProofScript:
@@ -563,15 +565,15 @@ def _split_justification(text: str, lineno: int,
                           memo: GroupMemo) -> Tuple[Formula, Justification]:
     tokens = text.split()
     # Scan from the right for the shortest justification suffix.
-    if len(tokens) >= 4 and tokens[-3] in ("mp", "nec"):
-        head, args = tokens[-3], tokens[-2:]
+    # Few lines hold "nec", and the regex backtracks over the whole line.
+    nec = _NEC_RE.fullmatch(text) if "nec" in text else None
+    if nec is not None:
+        formula_text, source, knowers = nec.groups()
+        just: Justification = Necessitation(
+            _int_arg(source, lineno), _at_line(lineno, parse_coalition_token, knowers))
+    elif len(tokens) >= 4 and tokens[-3] == "mp":
         formula_text = text.rsplit(None, 3)[0]
-        if head == "mp":
-            just: Justification = ModusPonens(_int_arg(args[0], lineno),
-                                              _int_arg(args[1], lineno))
-        else:
-            just = Necessitation(_int_arg(args[0], lineno),
-                                 _at_line(lineno, parse_coalition_token, args[1]))
+        just = ModusPonens(_int_arg(tokens[-2], lineno), _int_arg(tokens[-1], lineno))
     elif len(tokens) >= 3 and tokens[-2] in ("axiom", "hyp", "thm"):
         head, arg = tokens[-2], tokens[-1]
         formula_text = text.rsplit(None, 2)[0]
@@ -595,11 +597,10 @@ def _split_justification(text: str, lineno: int,
 
 
 def _int_arg(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected a line number, got {token!r}",
-                         line=lineno) from None
+    """An ASCII decimal: ``int`` would also take ``+1``, ``1_0`` and ``٣``."""
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"expected a line number, got {token!r}", line=lineno)
+    return int(token)
 
 
 def _just_str(just: Justification) -> str:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtw.parser
 import dtw.proof
 from dtw.errors import ParseError
 from dtw.formula import FALSUM, Prop, children_of, coalition, node_count, render
@@ -174,6 +175,20 @@ def test_a_script_builds_far_fewer_nodes_than_its_tree_size():
     tree = sum(map(node_count, (*script.hypotheses, script.goal,
                                 *(line.formula for line in script.lines))))
     assert len(nodes(script)) * 3 < tree
+
+
+def test_a_modality_is_one_token():
+    """The formula texts of lemma 6 for n = 6 hold 67,795 tokens as the
+    grammar spells them, one per bracket, comma and member; the parser's
+    lexer, which reads a well-formed modality as one token, sees 38,082."""
+    texts = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dtw.proof, "parse_formula",
+                      lambda text, memo: texts.append(text) or parse_formula(text, memo))
+        parse_script(render_script(lemma6(6)))
+    assert len(texts) == 589
+    assert sum(len(dtw.parser._TOKEN_RE.findall(text)) for text in texts) == 67_795
+    assert sum(len(dtw.parser._MODALITY_RE.findall(text)) for text in texts) == 38_082
 
 
 def test_two_calls_share_no_node():

@@ -3,6 +3,7 @@ trees."""
 
 import ast
 import collections
+import re
 from pathlib import Path
 
 import pytest
@@ -250,3 +251,29 @@ def test_every_value_class_follows_one_idiom(path):
     ``Formula``, for its walk and its rendering) compares or prints fields;
     and each class with fields writes its own constructor."""
     assert value_class_problems(path.read_text(encoding="utf-8")) == []
+
+
+UNICODE_DIGIT = re.compile(r"(?<!\\)(?:\\\\)*\\d")  # \d, not an escaped backslash
+
+
+def unicode_digit_patterns(source: str) -> list:
+    """(line, text) of each string literal that uses ``\\d``, which matches
+    every Unicode decimal digit, not only 0-9.  Docstrings are prose."""
+    nodes = list(ast.walk(ast.parse(source)))
+    docs = {id(node.value) for node in nodes if isinstance(node, ast.Expr)}
+    return sorted((node.lineno, node.value) for node in nodes
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docs and UNICODE_DIGIT.search(node.value))
+
+
+def test_the_digit_check_sees_backslash_d_only():
+    source = ('"""Docs may say \\\\d."""\nimport re\n'
+              'A = re.compile(r"^(\\d+)\\.")\nB = r"[0-9]+"\nC = r"\\\\d"\n'
+              'D = rf"{B}\\D\\d"\nE = "\\\\\\\\d"\n')
+    assert unicode_digit_patterns(source) == [(3, r"^(\d+)\."), (6, r"\D\d")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_pattern_matches_unicode_digits(path):
+    """Numbers in proof scripts and game files are ASCII decimals."""
+    assert unicode_digit_patterns(path.read_text(encoding="utf-8")) == []

@@ -121,3 +121,95 @@ def test_script_errors_match_the_frozen_parser(goal, line, coal):
         patch.setattr(dtw.proof, "parse_formula", lambda text, memo: naive_parse_formula(text))
         patch.setattr(dtw.proof, "parse_coalition_token", naive_parse_coalition_token)
         assert got == outcome(parse_script, text)
+
+
+# Modalities spelled with whitespace in every gap, well formed or not: each
+# well-formed one is a single token of the package's lexer, and each other
+# one is read member by member, as the frozen parser reads both.
+MODALITIES = [
+    "B [a] [ b ,c ] p", "Kd [a]p", "K [ a , b ] p", "K\t[\ta\t]\tp", "B\u00a0[a]\u00a0[b]\u00a0p",
+    "K[ ] p", "Kd []  q", "K [a] [b] p", "Kd[a][b] p", "K[K] p", "K[Kd] Kd[B] B[K][Kd] p",
+    "K[a,,b] p", "K[a b] p", "K[", "K[a", "K[a,", "B[a]p", "B[a] [b c] p", "B[a][", "K[a,] p",
+    "K[,a] p", "K [a]] p", "K[1] p", "K[_a] p", "K[a]é", "éK[a] p",
+    "K[false]p", "K[a,false]p", "K[false", "K[falsey] p", "B[false][a] p", "B[a][false] p",
+    "[a]", "[a] p", "p [a]", "p K[a] q", "p K[a]", "K[a] p K[b] q", "(K[a] p) K[a] q",
+    "K[a, K[b]] p", "B[a]K[b]p", "B[K[a]] p", "K[K [a]] p", "B[a] Kd[b] p",
+    "(K[a] p", "K[a] p)", "~K[a]", "K[a]", "B[a][b]", "Kd[]", "K", "Kd", "B", "K p",
+    "xK[a] p", "K[a]K[b]", "K[a]&K[b]", "K[a]->K[b] q", "~(K[a] p -> B [a] [b] (q))",
+]
+
+GAP = st.sampled_from(("", " ", "\t", "\u00a0"))
+MEMBERS = st.sampled_from(("a", "b", "K", "Kd", "B", "false", "falsey", "", "a b", "K[b]", "("))
+
+
+@st.composite
+def spaced_coalitions(draw):
+    """A bracket with a gap around every member and comma; sometimes a
+    member that is no identifier, or no closing bracket."""
+    members = draw(st.lists(MEMBERS, max_size=3))
+    sep = draw(GAP) + "," + draw(GAP)
+    close = draw(st.sampled_from(("]", "]", "]", "")))
+    return "[" + draw(GAP) + sep.join(members) + draw(GAP) + close
+
+
+spaced = st.recursive(
+    st.sampled_from(("p", "q", "false", "K", "B")),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(("K", "Kd")), GAP, spaced_coalitions(), GAP, inner),
+        st.tuples(st.just("B"), GAP, spaced_coalitions(), GAP, spaced_coalitions(),
+                  GAP, inner),
+        st.tuples(inner, GAP, st.sampled_from(("&", "->", "")), GAP, inner),
+        st.tuples(st.just("("), inner, st.just(")")),
+    ).map("".join),
+    max_leaves=8,
+)
+spaced_texts = st.one_of(spaced, st.sampled_from(MODALITIES),
+                         st.builds(lambda text, soup, at: text[:at] + soup + text[at:],
+                                   spaced, soups, st.integers(0, 40)))
+
+
+def frozen_script_outcome(text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dtw.proof, "parse_formula", lambda text, memo: naive_parse_formula(text))
+        patch.setattr(dtw.proof, "parse_coalition_token", naive_parse_coalition_token)
+        return outcome(parse_script, text)
+
+
+def modality_scripts(text):
+    """Scripts that hold the text as a hypothesis, as the goal, and on
+    lines that a group memo reads after other lines."""
+    line = text.replace("\n", " ")
+    return [f"hyp: {line}\ngoal: p\n1. p   taut\n",
+            f"goal: {line}\n1. p   taut\n",
+            f"goal: p\n1. K[a] p   taut\n2. {line}   nec 1 [a, b]\n3. ({line})   taut\n"]
+
+
+@pytest.mark.parametrize("text", MODALITIES)
+def test_modalities_match_the_frozen_parser(text):
+    assert outcome(parse_formula, text) == outcome(naive_parse_formula, text)
+
+
+@pytest.mark.parametrize("text", MODALITIES)
+def test_modality_scripts_match_the_frozen_parser(text):
+    for script in modality_scripts(text):
+        assert outcome(parse_script, script) == frozen_script_outcome(script)
+
+
+@settings(max_examples=500, deadline=None)
+@given(spaced_texts)
+def test_spaced_modalities_match_the_frozen_parser(text):
+    assert outcome(parse_formula, text) == outcome(naive_parse_formula, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaced_texts)
+def test_spaced_modality_scripts_match_the_frozen_parser(text):
+    for script in modality_scripts(text):
+        assert outcome(parse_script, script) == frozen_script_outcome(script)
+
+
+@pytest.mark.parametrize("text", ["K[]", "K[a]", "Kd[a]", "B[a][b]", "[a] K[b]", "[ a , b ]",
+                                  "[a b]", "[false]", "[K[a]]"])
+def test_coalitions_with_modalities_match_the_frozen_parser(text):
+    assert (outcome(parse_coalition_token, text)
+            == outcome(naive_parse_coalition_token, text))

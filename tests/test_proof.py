@@ -23,7 +23,7 @@ from dtw.formula import (
     render,
 )
 from dtw.lemmas import bundled_scripts, gen_lemma6
-from dtw.parser import parse_formula
+from dtw.parser import parse_coalition_token, parse_formula
 from dtw.proof import (
     Axiom,
     CheckResult,
@@ -459,6 +459,17 @@ class TestScriptFiles:
             parse_script("goal: p -> p\n1. p -> p\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("knowers", ["[a, b]", "[ b ,a ]", "[\ta ,\tb ]", "[ ]"])
+    def test_nec_coalition_may_hold_spaces(self, knowers):
+        """As inside a formula; the script is written back as ``[a,b]``."""
+        goal = f"K{knowers} (p -> p)"
+        text = f"goal: {goal}\n1. p -> p   taut\n2. {goal}   nec 1 {knowers}\n"
+        script = parse_script(text)
+        assert script.lines[1].justification == Necessitation(1, parse_coalition_token(knowers))
+        assert check_proof(script).accepted
+        assert render_script(script).splitlines()[-1].endswith(
+            f"   nec 1 [{','.join(sorted(script.goal.knowers))}]")
+
     def test_comments_and_blank_lines(self):
         text = "# header\n\ngoal: p -> p\n1. p -> p   taut  # identity\n"
         assert check_proof(parse_script(text)).accepted
@@ -527,7 +538,20 @@ class TestRejectionReasons:
         ("goal: p\ngoal: q\n1. p -> p   taut\n", "duplicate goal line (line 2)"),
         ("# no lines\ngoal: p\n", "script has no proof lines (line 1)"),
         ("goal: p\n1. p   mp x 2\n", "expected a line number, got 'x' (line 2)"),
-    ], ids=["hyp-after-line", "second-goal", "goal-without-lines", "mp-not-a-number"])
+        ("goal: p -> p\n\u0661. p -> p   taut\n",
+         "expected 'N. <formula>  <justification>', got '\u0661. p -> p   taut' (line 2)"),
+        ("goal: K[a] q\n1. q   taut\n2. K[a] q   nec +1 [a]\n",
+         "expected a line number, got '+1' (line 3)"),
+        ("goal: K[a] q\n1. q   taut\n2. K[a] q   nec 0_1 [a]\n",
+         "expected a line number, got '0_1' (line 3)"),
+        ("goal: K[a] q\n1. q   taut\n2. K[a] q   nec -1 [a]\n",
+         "expected a line number, got '-1' (line 3)"),
+        ("goal: p\n1. p   mp 1 \u0662\n", "expected a line number, got '\u0662' (line 2)"),
+        ("hyp: p\ngoal: p\n1. p   hyp \u0661\n",
+         "expected a line number, got '\u0661' (line 3)"),
+    ], ids=["hyp-after-line", "second-goal", "goal-without-lines", "mp-not-a-number",
+            "arabic-indic-line-number", "nec-plus-sign", "nec-underscore", "nec-negative",
+            "mp-arabic-indic", "hyp-arabic-indic"])
     def test_parse_script_refuses(self, text, message):
         with pytest.raises(ParseError) as exc:
             parse_script(text)
