@@ -421,11 +421,11 @@ def children_of(f: Formula) -> tuple:
     return (f.left, f.right)
 
 
-def _post_order(f: Formula, opaque=()) -> dict:
-    """The distinct subformulas of f in post-order, each mapped to its
-    place in that order; the children of nodes in ``opaque`` are not
-    visited.  Iterative, so depth is not limited by the interpreter's
-    stack: a None on the stack closes the innermost open node."""
+def _post_order(f: Formula, children=children_of) -> dict:
+    """The distinct subformulas of f that ``children`` reaches, in
+    post-order, each mapped to its place in that order.  Iterative, so
+    depth is not limited by the interpreter's stack: a None on the stack
+    closes the innermost open node."""
     order: dict = {}
     stack = [f]
     open_nodes = []
@@ -434,11 +434,11 @@ def _post_order(f: Formula, opaque=()) -> dict:
         if g is None:
             order[open_nodes.pop()] = len(order)
         elif g not in order:
-            children = () if g in opaque else children_of(g)
-            if children:
+            below = children(g)
+            if below:
                 open_nodes.append(g)
                 stack.append(None)
-                stack.extend(reversed(children))
+                stack.extend(reversed(below))
             else:
                 order[g] = len(order)
     return order
@@ -456,20 +456,20 @@ class MaskProgram(NamedTuple):
     """A formula compiled for mask evaluation: its distinct subformulas in
     post-order, and one step ``(op, a, b)`` per subformula.  ``NOT`` and
     ``IMPLIES`` combine the values of steps a and b; a ``LEAF`` step is left
-    to the caller, with a the step of its child, or -1 for propositions and
-    opaque nodes."""
+    to the caller, with a the step of its child, or -1 for a node whose
+    children are not compiled."""
 
     nodes: tuple
     code: tuple
 
 
-def compile_masks(f: Formula, opaque=()) -> MaskProgram:
-    """Compile f into a :class:`MaskProgram`; nodes in ``opaque`` become
-    leaves whose children are not compiled."""
-    step = _post_order(f, opaque)
+def compile_masks(f: Formula, children=children_of) -> MaskProgram:
+    """Compile f, in one walk, into a :class:`MaskProgram` of the nodes
+    that ``children`` reaches; a node it gives no children is a leaf."""
+    step = _post_order(f, children)
     code = []
     for g in step:
-        if g in opaque or isinstance(g, Prop):
+        if not children(g):
             code.append((LEAF, -1, -1))
         elif isinstance(g, Not):
             code.append((NOT, step[g.child], -1))
@@ -486,7 +486,7 @@ def run_masks(program: MaskProgram, full: int, leaf) -> list:
 
     ``Not`` and ``Implies`` are Boolean operations on their children's
     masks; a leaf step i gets ``leaf(i, body)``, where body is its child's
-    mask (None for propositions and opaque nodes).
+    mask (None for a leaf whose child is not compiled).
     """
     values = []
     push = values.append
@@ -501,14 +501,13 @@ def run_masks(program: MaskProgram, full: int, leaf) -> list:
 
 
 def node_count(f: Formula) -> int:
-    """Total number of AST nodes (counting repeats, not deduplicated)."""
-    total = 0
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        total += 1
-        stack.extend(children_of(g))
-    return total
+    """Total number of AST nodes (counting repeats, not deduplicated), in
+    time linear in the distinct nodes: a node's size is 1 plus its
+    children's sizes."""
+    size = {}
+    for g in _post_order(f):
+        size[g] = 1 + sum(size[c] for c in children_of(g))
+    return size[f]
 
 
 def agents_of(f: Formula) -> Coalition:

@@ -25,11 +25,12 @@ coalitions together; every other token is an operator, a bracket, a comma,
 ``false`` or an identifier, and the parser compares token texts.  A
 modality token is resolved through a dict from its text to its pending
 entry, kept on the memo or, without one, on the parser, so a repeated
-modality costs one lookup.  An empty string ends the list.  A text that
-does not parse is read again one token per bracket, comma and member, as
-the grammar spells it, and that reading's error is raised: every error
+modality costs one lookup.  An empty string ends the list.  Every error
 names the token the grammar stops at, at its position, and positions are
-computed only then.  Pending prefix operators, parentheses and infix
+computed only then.  A modality token stands for the grammar's tokens it
+merges: at an error's lookahead it is its head, and where a coalition
+member is due its head is the member and its first ``[`` is the token the
+grammar stops at.  Pending prefix operators, parentheses and infix
 operators wait on one explicit stack instead of in Python calls, so
 nesting is not limited by the interpreter's stack and any depth costs
 linear time and memory.
@@ -61,16 +62,14 @@ from .formula import (
     iff,
 )
 
-# Each match is optional whitespace and one token; the last alternative
+# Each match is optional whitespace and one token: first a whole
+# well-formed modality, whose members are identifiers other than ``false``,
+# else one operator, bracket, comma or identifier; the last alternative
 # takes a character that starts no token, so the matches cover the text.
-# ``_TOKEN_RE`` reads one token per bracket, comma and member, as the
-# grammar does; ``_MODALITY_RE`` first tries a whole well-formed modality,
-# whose members are identifiers other than ``false``.
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _REST = rf"<->|->|[~&|(),\[\]]|{_NAME}|\S"
 _MEMBER = rf"(?!false[\s,\]]){_NAME}"
 _COAL = rf"\[\s*(?:{_MEMBER}(?:\s*,\s*{_MEMBER})*)?\s*\]"
-_TOKEN_RE = re.compile(rf"\s*({_REST})")
 _MODALITY_RE = re.compile(rf"\s*((?:Kd?|B\s*{_COAL})\s*{_COAL}|{_REST})")
 _NAME_RE = re.compile(_NAME)
 _EOF = ""
@@ -95,16 +94,16 @@ _NOT = (_PREFIX, Not, None)
 
 
 class _Parser:
-    """``toks``, split by ``lex``, ends in ``_EOF``, and ``i`` indexes the
-    lookahead, which never moves past it.  ``modalities`` maps the text of
-    each modality token to its pending entry.  With a memo, ``groups``,
+    """``toks`` ends in ``_EOF``, and ``i`` indexes the lookahead, which
+    never moves past it.  ``modalities`` maps the text of each modality
+    token to its pending entry.  With a memo, ``groups``,
     ``ends`` and ``whole`` are what :meth:`GroupMemo.scan` finds in the
     tokens, and ``parsed`` and ``modalities`` are the memo's; without one,
     ``groups`` and ``whole`` are None."""
 
-    def __init__(self, text: str, lex: re.Pattern, memo: GroupMemo | None = None):
-        self.text, self.lex = text, lex
-        self.toks = toks = lex.findall(text)
+    def __init__(self, text: str, memo: GroupMemo | None = None):
+        self.text = text
+        self.toks = toks = _MODALITY_RE.findall(text)
         toks.append(_EOF)
         self.i = 0
         self.modalities = modalities = {} if memo is None else memo.modalities
@@ -128,16 +127,20 @@ class _Parser:
             self.groups, self.ends, self.whole = memo.scan(toks)
             self.parsed = memo.parsed
 
-    def error(self, message: str, expected: str) -> ParseError:
-        """A ParseError at the lookahead."""
-        starts = [m.start(1) + 1 for m in self.lex.finditer(self.text)]
-        pos = starts[self.i] if self.i < len(starts) else len(self.text) + 1
+    def error(self, message: str, expected: str, offset: int = 0) -> ParseError:
+        """A ParseError at the lookahead, or ``offset`` characters into it."""
+        starts = [m.start(1) + 1 for m in _MODALITY_RE.finditer(self.text)]
+        pos = starts[self.i] + offset if self.i < len(starts) else len(self.text) + 1
         return ParseError(message, pos=pos, expected=expected)
 
     def unexpected(self, expected: str, after: str = "") -> ParseError:
+        """The grammar's error at the lookahead; a modality token there
+        is its head."""
         tok = self.toks[self.i]
         if tok == _EOF:
             return self.error("unexpected end of input", expected)
+        if tok in self.modalities:
+            tok = _NAME_RE.match(tok)[0]
         return self.error(f"unexpected {tok!r}{after}", expected)
 
     def formula(self) -> Formula:
@@ -158,18 +161,14 @@ class _Parser:
                 if entry is not None:
                     stack.append(entry)
                     continue
-                if tok not in _MODALITY_HEADS or toks[i] != "[":
-                    out = Prop(tok)
-                else:
+                if tok in _MODALITY_HEADS and toks[i] == "[":
+                    # A well-formed modality is one token, so one of its
+                    # coalitions raises the grammar's error.
                     self.i = i
-                    knowers = self.coal()
-                    if tok == "B":
-                        entry = (_PREFIX, partial(Blame, knowers, self.coal()), None)
-                    else:
-                        entry = (_PREFIX, Know if tok == "K" else dual_know, knowers)
-                    stack.append(entry)
-                    i = self.i
-                    continue
+                    self.coal()
+                    self.coal()
+                    raise AssertionError(f"modality {tok!r} is well formed but split")
+                out = Prop(tok)
             elif tok == "~":
                 stack.append(_NOT)
                 continue
@@ -216,8 +215,12 @@ class _Parser:
         members = set()
         if toks[self.i] != "]":
             while True:
-                if toks[self.i] in _SYMBOLS or toks[self.i][-1] == "]":  # or a modality
+                if toks[self.i] in _SYMBOLS:
                     raise self.unexpected("an agent identifier")
+                if toks[self.i] in self.modalities:
+                    # The grammar reads the head as the member, then '['.
+                    raise self.error("unexpected '['", "']' or ','",
+                                     toks[self.i].index("["))
                 members.add(toks[self.i])
                 self.i += 1
                 if toks[self.i] != ",":
@@ -297,14 +300,7 @@ def parse_formula(text: str, memo: GroupMemo | None = None) -> Formula:
     text that an earlier parse with the same memo read is not parsed
     again: the earlier formula object is the result's subterm.
     """
-    try:
-        return _read(_Parser(text, _MODALITY_RE, memo))
-    except ParseError:
-        # The error as the grammar's own tokens meet it.
-        return _read(_Parser(text, _TOKEN_RE))
-
-
-def _read(parser: _Parser) -> Formula:
+    parser = _Parser(text, memo)
     if parser.toks[0] == _EOF:
         raise EmptyInputError()
     out = parser.parsed.get(parser.whole)
@@ -318,7 +314,7 @@ def _read(parser: _Parser) -> Formula:
 
 def parse_coalition_token(text: str):
     """Parse a standalone bracketed coalition such as ``[a,b]`` or ``[]``."""
-    parser = _Parser(text, _TOKEN_RE)
+    parser = _Parser(text)
     out = parser.coal()
     parser.end("coalition")
     return out

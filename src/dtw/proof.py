@@ -40,6 +40,7 @@ from .formula import (
     Frozen,
     Implies,
     Know,
+    LEAF,
     Not,
     big_implies,
     coalition,
@@ -186,31 +187,25 @@ def match_axiom(name: str, f: Formula) -> Optional[dict]:
     return axioms.match_schema(schema, f)
 
 
-def boolean_atoms(f: Formula) -> list:
-    """Maximal non-Boolean subformulas, in first-occurrence order.
-    Iterative, so depth is not limited by the interpreter's stack."""
-    out: list = []
-    seen: set = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Not):
-            stack.append(g.child)
-        elif isinstance(g, Implies):
-            stack.append(g.right)
-            stack.append(g.left)
-        elif g not in seen:
-            seen.add(g)
-            out.append(g)
-    return out
+def _connectives(f: Formula) -> tuple:
+    """The operands of ``~`` and ``->``; every other node is an atom."""
+    cls = f.__class__
+    if cls is Not:
+        return (f.child,)
+    if cls is Implies:
+        return (f.left, f.right)
+    return ()
 
 
 @functools.lru_cache(maxsize=8192)
 def is_tautology(f: Formula) -> bool:
     """Truth-table check treating propositions and modal subformulas as
-    opaque atoms; raises TooManyAtomsError beyond 20 atoms.  The table is
-    bit-sliced: each atom's column is one int over all rows."""
-    atoms = boolean_atoms(f)
+    opaque atoms; raises TooManyAtomsError beyond 20 atoms.  One walk
+    compiles the Boolean skeleton, whose leaf steps are the atoms in
+    left-to-right first-occurrence order.  The table is bit-sliced: each
+    atom's column is one int over all rows."""
+    program = compile_masks(f, _connectives)
+    atoms = [i for i, (op, _, _) in enumerate(program.code) if op == LEAF]
     if len(atoms) > MAX_TAUTOLOGY_ATOMS:
         raise TooManyAtomsError(
             f"{len(atoms)} distinct atoms exceeds the limit of "
@@ -221,9 +216,8 @@ def is_tautology(f: Formula) -> bool:
         columns = [c | c << rows for c in columns] + [((1 << rows) - 1) << rows]
         rows <<= 1
     full = (1 << rows) - 1
-    column = dict(zip(atoms, columns))
-    program = compile_masks(f, column)
-    return run_masks(program, full, lambda i, _: column[program.nodes[i]])[-1] == full
+    column = dict(zip(atoms, columns))  # leaf step -> column
+    return run_masks(program, full, lambda i, _: column[i])[-1] == full
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Formula AST, parser, printer, and minimality expansion."""
 
+import contextlib
 import inspect
+import signal
 import sys
 
 import pytest
@@ -14,6 +16,7 @@ from dtw.formula import (
     Know,
     Not,
     Prop,
+    agents_of,
     big_conj,
     big_disj,
     coalition,
@@ -25,6 +28,7 @@ from dtw.formula import (
     iff,
     node_count,
     proper_subsets_of,
+    props_of,
     render,
     run_masks,
     subformulas,
@@ -34,7 +38,7 @@ from dtw.formula import (
 from dtw.game import tarasoff_game
 from dtw.parser import parse_formula
 from dtw.proof import is_tautology
-from dtw.semantics import valid_in_game
+from dtw.semantics import holds, valid_in_game
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -317,6 +321,56 @@ class TestExpandMinimality:
         got = expand_minimality(3, {"a"}, {"b"}, p, {"a", "b"})
         for g in _all_nodes(got):
             assert isinstance(g, (Prop, Not, Implies, Know, Blame))
+
+
+@contextlib.contextmanager
+def within_a_second():
+    """Raise TimeoutError in the body once it has run for a second."""
+    def expire(signum, frame):
+        raise TimeoutError("took more than a second")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def tower():
+    """``f = f -> f`` over one proposition, 60 levels high: 61 distinct
+    nodes, 2**61 - 1 in the tree.  Built in each test, not passed to it, so
+    that a failure report does not print it."""
+    f = Prop("killed")
+    for _ in range(60):
+        f = Implies(f, f)
+    return f
+
+
+class TestSharedSubterms:
+    """Every walk of a tower is linear in its distinct nodes."""
+
+    def test_node_count_counts_the_tree(self):
+        with within_a_second():
+            assert node_count(tower()) == 2**61 - 1
+
+    def test_expansion_is_refused_at_once(self):
+        with within_a_second(), pytest.raises(UniverseTooLargeError):
+            expand_minimality(1, {"a"}, {"b"}, tower(), {"a", "b"})
+
+    def test_walks_visit_each_distinct_node_once(self):
+        game, f = tarasoff_game(), tower()
+        walks = {
+            "subformulas": lambda: len(subformulas(f)) == 61,
+            "agents_of": lambda: agents_of(f) == frozenset(),
+            "props_of": lambda: props_of(f) == {"killed"},
+            "compile_masks": lambda: len(compile_masks(f).code) == 61,
+            "is_tautology": lambda: is_tautology(f),
+            "holds": lambda: holds(game, game.plays[0], f).holds,
+        }
+        for name, walk in walks.items():
+            with within_a_second():
+                assert walk(), name
 
 
 def _all_nodes(f):

@@ -46,37 +46,56 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def defined_names(statement) -> list:
+    """The names a module-level statement defines: a function's or class's,
+    or each name that an assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def read_names(statement) -> set:
+    """The names and attributes a statement reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def unreferenced_private(sources: dict) -> list:
-    """(module, name) of each module-level private function or class that
-    no code reads outside its own definition, in any of the sources."""
+    """(module, name) of each module-level private function, class or
+    constant that no code reads outside its own definition, in any of the
+    sources."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = collections.Counter()  # name -> top-level statements reading it
     for tree in trees.values():
         for statement in tree.body:
-            read.update({node.id if isinstance(node, ast.Name) else node.attr
-                         for node in ast.walk(statement)
-                         if isinstance(node, (ast.Name, ast.Attribute))})
+            read.update(read_names(statement))
     unread = []
     for module, tree in trees.items():
         for statement in tree.body:
-            name = getattr(statement, "name", "")
-            if (isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-                    and name.startswith("_") and not name.startswith("__")):
-                own = any(isinstance(node, ast.Name) and node.id == name
-                          for node in ast.walk(statement))
-                if read[name] == own:
-                    unread.append((module, name))
+            own = read_names(statement)
+            unread += [(module, name) for name in defined_names(statement)
+                       if name.startswith("_") and not name.startswith("__")
+                       and read[name] == (name in own)]
     return unread
 
 
 def test_the_reference_check_sees_orphans_and_recursion():
     sources = {"a": "def _used(): pass\ndef _alone(): return _alone()\n"
-                    "class _Kept: pass\nclass _Dropped: pass\n",
-               "b": "from a import _Kept\nx = _Kept, a._used\n"}
-    assert unreferenced_private(sources) == [("a", "_alone"), ("a", "_Dropped")]
+                    "class _Kept: pass\nclass _Dropped: pass\n"
+                    "_READ = 1\n_LEFT = 2\n_PAIR, (_ODD, __all__) = 3, (4, [])\n"
+                    "_TYPED: int = _PAIR\n_GROWN = [_GROWN]\nPUBLIC = 5\n",
+               "b": "from a import _Kept\nx = _Kept, a._used, a._READ, _TYPED\n"}
+    assert unreferenced_private(sources) == [
+        ("a", "_alone"), ("a", "_Dropped"), ("a", "_LEFT"), ("a", "_ODD"), ("a", "_GROWN")]
 
 
 def test_private_functions_and_classes_are_used():
+    """Private constants too: a table or pattern left behind is caught."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private(sources) == []
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtw.parser
 import dtw.proof
 import frozen_parser
 from dtw.errors import ParseError
-from dtw.parser import parse_coalition_token, parse_formula
+from dtw.parser import GroupMemo, parse_coalition_token, parse_formula
 from dtw.proof import parse_script
 from frozen_parser import naive_parse_coalition_token, naive_parse_formula
 
@@ -136,6 +137,11 @@ MODALITIES = [
     "K[a, K[b]] p", "B[a]K[b]p", "B[K[a]] p", "K[K [a]] p", "B[a] Kd[b] p",
     "(K[a] p", "K[a] p)", "~K[a]", "K[a]", "B[a][b]", "Kd[]", "K", "Kd", "B", "K p",
     "xK[a] p", "K[a]K[b]", "K[a]&K[b]", "K[a]->K[b] q", "~(K[a] p -> B [a] [b] (q))",
+    # Errors that start at a merged modality token: one as a member at the
+    # start, middle and end of a coalition, after a closed formula or ')',
+    # and where a coalition's '[' is due.
+    "K[K[b]]p", "K[ K [b] ]p", "K[a, Kd [b]]p", "K[a,Kd[b]]p", "B[a][b, B[c] [d]]p",
+    "B[a][b,B[c][d]]p", "(p) K[a] q", "(p)K[a]q", "p -> q B[a][b]", "B[a] K[b] p",
 ]
 
 GAP = st.sampled_from(("", " ", "\t", "\u00a0"))
@@ -209,7 +215,45 @@ def test_spaced_modality_scripts_match_the_frozen_parser(text):
 
 
 @pytest.mark.parametrize("text", ["K[]", "K[a]", "Kd[a]", "B[a][b]", "[a] K[b]", "[ a , b ]",
-                                  "[a b]", "[false]", "[K[a]]"])
+                                  "[a b]", "[false]", "[K[a]]", "[K[b]]", "[a K[b]]",
+                                  "[a, Kd [b]]", "[B[c] [d]]"])
 def test_coalitions_with_modalities_match_the_frozen_parser(text):
+    assert (outcome(parse_coalition_token, text)
+            == outcome(naive_parse_coalition_token, text))
+
+
+@pytest.mark.parametrize("memo", [None, GroupMemo()], ids=["alone", "memo"])
+@pytest.mark.parametrize("text", ["K[a b] p", "p K[a] q", "K[K[b]]p", "B[a] K[b] p", "(p",
+                                  "p $"])
+def test_a_failing_text_is_read_once(text, memo):
+    """The error comes from the one reading of the text."""
+    made = []
+
+    class Counted(dtw.parser._Parser):
+        def __init__(self, *args):
+            made.append(args[0])
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dtw.parser, "_Parser", Counted)
+        with pytest.raises(ParseError):
+            parse_formula(text, memo)
+    assert made == [text]
+
+
+# Texts of modality heads, brackets, commas, members, whole modalities and
+# coalitions, run together or spaced: most are malformed, and many merge a
+# well-formed modality with what follows or precedes it.
+MERGED = ("K", "Kd", "B", "[", "]", ",", "a", "b", "false", "(", ")", "~", "->", "&", "|",
+          "<->", "p", "x", "$", " ", "K[a]", "B[a][b]", "Kd[]", "[a,b]")
+SHARED_MEMO = GroupMemo()  # kept across examples, as one script's lines share one
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(MERGED), min_size=1, max_size=12).map("".join))
+def test_merged_tokens_match_the_frozen_parser(text):
+    frozen = outcome(naive_parse_formula, text)
+    assert outcome(parse_formula, text) == frozen
+    assert outcome(lambda text: parse_formula(text, SHARED_MEMO), text) == frozen
     assert (outcome(parse_coalition_token, text)
             == outcome(naive_parse_coalition_token, text))
