@@ -107,7 +107,10 @@ class Formula(Frozen):
 
     Equality is structural with coalitions compared as sets.  The stored
     hash lets deep equality checks short-circuit.  Equality walks a stack
-    of node pairs, so depth is not limited by the interpreter's stack.
+    of node pairs, so depth is not limited by the interpreter's stack, and
+    enters each pair of ``->`` nodes once, so comparing two formulas that
+    share subterms costs time linear in their distinct nodes, not in their
+    trees.
     """
 
     __slots__ = ()
@@ -119,6 +122,7 @@ class Formula(Frozen):
         if self.__class__ is not other.__class__ or self._hash != other._hash:
             return False  # the common case, decided without a walk
         pairs = []  # pairs of right operands still to compare
+        seen = set()  # the ``->`` pairs entered, by identity
         a, b = self, other
         while True:
             if a is not b:
@@ -126,10 +130,13 @@ class Formula(Frozen):
                 if cls is not b.__class__ or a._hash != b._hash:
                     return False
                 if cls is Implies:
-                    pairs.append((a.right, b.right))
-                    a, b = a.left, b.left
-                    continue
-                if cls is Prop:
+                    pair = (id(a), id(b))
+                    if pair not in seen:
+                        seen.add(pair)
+                        pairs.append((a.right, b.right))
+                        a, b = a.left, b.left
+                        continue
+                elif cls is Prop:
                     if a.name != b.name:
                         return False
                 elif cls is Not or (a.knowers == b.knowers

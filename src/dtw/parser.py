@@ -19,7 +19,7 @@ token is ``[``; otherwise they are ordinary proposition names.
 ``B[knowers][actors]``: the first coalition knows, the second one acts.
 All derived connectives are desugared during parsing.
 
-The input is split into tokens by one ``findall``.  A well-formed modality,
+The input is split into tokens by ``findall``.  A well-formed modality,
 such as ``K[a, b]``, ``Kd []`` or ``B[a] [b]``, is one token, head and
 coalitions together; every other token is an operator, a bracket, a comma,
 ``false`` or an identifier, and the parser compares token texts.  A
@@ -36,9 +36,12 @@ nesting is not limited by the interpreter's stack and any depth costs
 linear time and memory.
 
 Texts that repeat their subterms, such as the lines of one proof script,
-can be parsed with one :class:`GroupMemo`: a parenthesised group that a
-parse with the memo already read is one operand, and the parser jumps past
-its ``)``.  Without a memo each text is parsed on its own.
+can be parsed with one :class:`GroupMemo`.  It keys each parenthesised
+group on its text, split at the parentheses; a group that a parse with
+the memo already read is one ``(`` token, is one operand, and is not
+lexed.  No token holds a parenthesis, so lexing the text between
+parentheses gives the tokens that lexing the whole text gives.  Without
+a memo each text is lexed and parsed on its own.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ _MEMBER = rf"(?!false[\s,\]]){_NAME}"
 _COAL = rf"\[\s*(?:{_MEMBER}(?:\s*,\s*{_MEMBER})*)?\s*\]"
 _MODALITY_RE = re.compile(rf"\s*((?:Kd?|B\s*{_COAL})\s*{_COAL}|{_REST})")
 _NAME_RE = re.compile(_NAME)
+_PARENS_RE = re.compile(r"([()])")
 _EOF = ""
 _SYMBOLS = frozenset({"<->", "->", "~", "&", "|", "(", ")", ",", "[", "]", "false", _EOF})
 
@@ -95,22 +99,47 @@ _NOT = (_PREFIX, Not, None)
 
 class _Parser:
     """``toks`` ends in ``_EOF``, and ``i`` indexes the lookahead, which
-    never moves past it.  ``modalities`` maps the text of each modality
-    token to its pending entry.  With a memo, ``groups``,
-    ``ends`` and ``whole`` are what :meth:`GroupMemo.scan` finds in the
-    tokens, and ``parsed`` and ``modalities`` are the memo's; without one,
-    ``groups`` and ``whole`` are None."""
+    never moves past it.  ``plan`` is what was lexed: texts, whose tokens
+    ``toks`` holds in order, and parenthesised groups (see
+    :meth:`GroupMemo.scan`); without a memo it is the whole text.  A '('
+    that opens group ``g`` at token index ``o`` has ``groups[o] == g``,
+    and ``ends[o]`` indexes its ')'; a group the memo had already parsed
+    is that one '(' token, its own end.  ``parsed`` maps group ids to
+    formulas, and ``modalities`` maps the text of each modality token to
+    its pending entry; both are the memo's, or this parse's own."""
 
     def __init__(self, text: str, memo: GroupMemo | None = None):
         self.text = text
-        self.toks = toks = _MODALITY_RE.findall(text)
+        self.groups, self.ends = groups, ends = {}, {}
+        if memo is None:
+            self.plan, self.parts = [text], None
+            self.parsed, self.modalities = {}, {}
+            self.toks = toks = _MODALITY_RE.findall(text)
+        else:
+            self.plan, self.parts, self.top, self.whole = memo.scan(text)
+            self.parsed, self.modalities = memo.parsed, memo.modalities
+            self.toks = toks = []
+            opened = []
+            for item in self.plan:
+                if item.__class__ is str:
+                    toks += _MODALITY_RE.findall(item)
+                elif item is None:
+                    ends[opened.pop()] = len(toks)
+                    toks.append(")")
+                else:
+                    o = len(toks)
+                    toks.append("(")
+                    if item.__class__ is int:
+                        groups[o] = item
+                        opened.append(o)
+                    else:
+                        groups[o], ends[o] = item[0], o
         toks.append(_EOF)
         self.i = 0
-        self.modalities = modalities = {} if memo is None else memo.modalities
         # Identifiers and modalities start with an ASCII letter; any other
         # token that is not a symbol is a lone character that starts no
         # token, and the first one is reported.  Only a modality ends in ']'.
-        bad = []
+        modalities, bad = self.modalities, []
         for t in set(toks) - _SYMBOLS:
             if not (t[0].isascii() and t[0].isalpha()):
                 bad.append(t)
@@ -120,16 +149,20 @@ class _Parser:
             self.i = min(map(toks.index, bad))
             raise self.error(f"unexpected character {toks[self.i]!r}",
                              "an identifier, operator, bracket, or parenthesis")
-        if memo is None:
-            self.groups = self.whole = None
-            self.parsed = {}
-        else:
-            self.groups, self.ends, self.whole = memo.scan(toks)
-            self.parsed = memo.parsed
 
     def error(self, message: str, expected: str, offset: int = 0) -> ParseError:
-        """A ParseError at the lookahead, or ``offset`` characters into it."""
-        starts = [m.start(1) + 1 for m in _MODALITY_RE.finditer(self.text)]
+        """A ParseError at the lookahead, or ``offset`` characters into it.
+        The plan is walked again for the text position of each token; a
+        skipped group's '(' starts the text of its parts."""
+        starts, at = [], 1
+        for item in self.plan:
+            if item.__class__ is str:
+                starts += [at + m.start(1) for m in _MODALITY_RE.finditer(item)]
+                at += len(item)
+            else:
+                starts.append(at)
+                at += (1 if item is None or item.__class__ is int
+                       else sum(map(len, self.parts[item[1]:item[2] + 1])))
         pos = starts[self.i] + offset if self.i < len(starts) else len(self.text) + 1
         return ParseError(message, pos=pos, expected=expected)
 
@@ -173,7 +206,7 @@ class _Parser:
                 stack.append(_NOT)
                 continue
             elif tok == "(":
-                group = None if groups is None else groups[i - 1]
+                group = groups.get(i - 1)
                 out = parsed.get(group)
                 if out is None:
                     stack.append((0, None, group))
@@ -251,14 +284,18 @@ class GroupMemo:
     object (packrat memoization, Ford 2002, which shares subterms as
     hash-consing does).
 
-    A group's id stands for its token sequence.  Its key is its tokens with
-    each inner group replaced by that group's id, so a key holds only the
-    group's own tokens, and scanning a text costs time and memory linear
-    in its length at any depth.  A whole text is keyed the same way, so a
-    line's formula is the same object as that text parenthesised on another
-    line.  Only groups that parsed are stored, so every error is the one a
-    parse without a memo raises.  A modality is one token, so groups that
-    space or order a coalition differently have different keys.
+    A group's id stands for its text.  Its key is its text split at its
+    parentheses, with each inner group replaced by that group's id, so a
+    key holds only the group's own text segments, and scanning a text costs
+    time and memory linear in its length at any depth.  A group the memo
+    has parsed is neither lexed nor parsed again.  A whole text is keyed
+    the same way, less the white space around it, so a line's formula is
+    the same object as that text parenthesised on another line.  So is the
+    right operand of a line whose root is a depth-0 ``->``: the conclusion
+    that ``mp`` draws from it is one lookup.  Only groups that parsed are
+    stored, so every error is the one a parse without a memo raises.  Keys
+    are text, so groups spaced differently, such as ``(p -> q)`` and
+    ``( p->q )``, are equal formulas but different objects.
     """
 
     __slots__ = ("ids", "parsed", "modalities")
@@ -268,27 +305,66 @@ class GroupMemo:
         self.parsed = {}      # group id -> formula, once a parse has closed it
         self.modalities = {}  # modality token -> pending entry
 
-    def scan(self, toks):
-        """``(groups, ends, whole)`` in one stack pass: the '(' at index o
-        that has a matching ')' opens group ``groups[o]``, closed at
-        ``ends[o]``; ``whole`` is the id of the tokens before ``_EOF``."""
-        ids = self.ids
-        groups, ends = [None] * len(toks), [0] * len(toks)
-        opens, starts, key = [], [], []
-        for j, tok in enumerate(toks):
-            if tok == ")" and opens:
-                start = starts.pop()
+    def scan(self, text: str):
+        """``(plan, parts, top, whole)``: ``parts`` is the text split at its
+        parentheses, ``top`` the text's key and ``whole`` its id.  ``plan``
+        is the text to lex, in order: runs of text, and for each group the
+        memo has parsed, ``(group, first part, last part)`` in place of its
+        parts, so it is never lexed.  Of a group still to parse, its '(' is
+        the group's id and its ')' is None; an unmatched parenthesis stays
+        text.  One pass over the parts finds both keys and plan."""
+        parts = _PARENS_RE.split(text)
+        ids, parsed = self.ids, self.parsed
+        key, plan, opens = [], [], []
+        for k in range(1, len(parts), 2):
+            key.append(parts[k - 1])
+            plan.append(parts[k - 1])
+            if parts[k] == "(":
+                key.append("(")  # an unmatched '(' stays in the key
+                plan.append("(")
+                opens.append((len(key), len(plan), k))
+            elif opens:
+                start, first, o = opens.pop()
                 group = ids.setdefault(tuple(key[start:]), len(ids))
                 del key[start - 1:]  # the group and its '('
                 key.append(group)
-                o = opens.pop()
-                groups[o], ends[o] = group, j
+                if group in parsed:
+                    del plan[first:]
+                    plan[-1] = (group, o, k)
+                else:
+                    plan[first - 1] = group
+                    plan.append(None)
             else:
-                key.append(tok)  # an unmatched parenthesis stays in the key
-                if tok == "(":
-                    opens.append(j)
-                    starts.append(len(key))
-        return groups, ends, ids.setdefault(tuple(key[:-1]), len(ids))
+                key.append(")")
+                plan.append(")")
+        key.append(parts[-1])
+        plan.append(parts[-1])
+        # White space around a whole text is no part of its key.
+        key[0] = key[0].lstrip()
+        key[-1] = key[-1].rstrip()
+        top = tuple(key)
+        whole = ids.setdefault(top, len(ids))
+        if whole in parsed:
+            plan = [(whole, 0, len(parts) - 1)]
+        return plan, parts, top, whole
+
+    def close(self, top, whole, out: Formula) -> None:
+        """Store ``out``, the formula of the text keyed ``top``.  If its root
+        is a depth-0 ``->``, store its right operand too, under the key of
+        the text after the first depth-0 ``->``, so that the conclusion
+        that ``mp`` draws from it is one lookup and the same object.  That
+        ``->`` is the root's: ``->`` binds looser than all but ``<->``, and a
+        depth-0 ``<->`` would make the root a negation."""
+        parsed = self.parsed
+        parsed[whole] = out
+        if out.__class__ is not Implies:
+            return
+        for k in range(0, len(top), 2):  # every parenthesis is matched
+            at = top[k].find("->")
+            if at >= 0:
+                right = (top[k][at + 2:].lstrip(), *top[k + 1:])
+                parsed[self.ids.setdefault(right, len(self.ids))] = out.right
+                return
 
 
 def parse_formula(text: str, memo: GroupMemo | None = None) -> Formula:
@@ -297,18 +373,16 @@ def parse_formula(text: str, memo: GroupMemo | None = None) -> Formula:
     Raises :class:`ParseError` with a 1-based character position and an
     expected-token hint on malformed input, and :class:`EmptyInputError`
     when the input is blank.  With a memo, a parenthesised group or whole
-    text that an earlier parse with the same memo read is not parsed
-    again: the earlier formula object is the result's subterm.
+    text that an earlier parse with the same memo read is not lexed or
+    parsed again: the earlier formula object is the result's subterm.
     """
     parser = _Parser(text, memo)
     if parser.toks[0] == _EOF:
         raise EmptyInputError()
-    out = parser.parsed.get(parser.whole)
-    if out is None:
-        out = parser.formula()
-        parser.end("formula")
-        if parser.whole is not None:
-            parser.parsed[parser.whole] = out
+    out = parser.formula()
+    parser.end("formula")
+    if memo is not None:
+        memo.close(parser.top, parser.whole, out)
     return out
 
 

@@ -507,7 +507,7 @@ def parse_script(text: str) -> ProofScript:
     this call: a parenthesised group, or a line's whole formula, is parsed
     once per script, and every later occurrence is the same object.
     Scripts repeat their subterms, since an ``mp`` line's implication holds
-    the text of its premise."""
+    the texts of its premise and of its conclusion."""
     memo = GroupMemo()
     hypotheses: List[Formula] = []
     goal: Optional[Formula] = None

@@ -372,6 +372,20 @@ class TestSharedSubterms:
             with within_a_second():
                 assert walk(), name
 
+    def test_equality_enters_each_pair_once(self):
+        """Two towers built apart share no node, and compare equal without
+        walking their trees.  So does a braid, whose two strands at each
+        level are equal but distinct: ``b = b -> c`` and ``c = c -> b``.
+        The tower's nodes meet both strands, so an equality that kept only
+        the last node compared with each node would walk the tree."""
+        b = c = Prop("killed")
+        for _ in range(60):
+            b, c = Implies(b, c), Implies(c, b)
+        with within_a_second():
+            assert tower() == tower()
+            assert tower() == b and c == tower()
+            assert tower() != Implies(tower().left, Prop("killed"))
+
 
 def _all_nodes(f):
     stack = [f]

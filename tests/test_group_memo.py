@@ -18,7 +18,7 @@ from dtw.formula import FALSUM, Prop, children_of, coalition, node_count, render
 from dtw.lemmas import bundled_scripts, gen_lemma6, gen_lemma7
 from dtw.parser import GroupMemo, parse_formula
 from dtw.proof import ModusPonens, parse_script, render_script
-from frozen_parser import _naive_tokenize
+from frozen_parser import _naive_tokenize, naive_parse_formula
 
 
 def outcome(parse, text):
@@ -61,13 +61,23 @@ def test_generated_scripts_match_the_per_line_reader(name, text):
 
 
 # Formula texts that parse, and pieces that do not, built from a few
-# tokens, so that a script's lines repeat their groups.
+# tokens, so that a script's lines repeat their groups.  Groups and
+# operators come with and without spaces around them, so that texts which
+# differ only in spacing, and so have different keys, meet in one memo.
 _atoms = st.sampled_from(("p", "q", "false", "~p", "K[a] q", "B[a][b] p", "Kd[] r"))
+_GAP = st.sampled_from(("", " ", "  "))
+
+
+def _group(inner):
+    return st.builds("({}{}{})".format, _GAP, inner, _GAP)
+
+
 _formulas = st.recursive(_atoms, lambda inner: st.one_of(
-    st.builds("~({})".format, inner),
-    st.builds("K[b] ({})".format, inner),
-    st.builds("({}) {} ({})".format, inner, st.sampled_from(("->", "&", "|", "<->")), inner),
-    st.builds("{} -> {}".format, inner, inner),
+    st.builds("~{}".format, _group(inner)),
+    st.builds("K[b] {}".format, _group(inner)),
+    st.builds("{}{}{}{}{}".format, _group(inner), _GAP,
+              st.sampled_from(("->", "&", "|", "<->")), _GAP, _group(inner)),
+    st.builds("{}{}->{}{}".format, inner, _GAP, _GAP, inner),
 ), max_leaves=6)
 _broken = st.sampled_from(("p q", "p &", "& p", "K[a", "B[a] p", "~", "", "(p", "p)",
                            "K[(] p", "K[a) p", "p -> (q"))
@@ -82,8 +92,8 @@ def _line(draw, pool):
     out = ""
     for text, paren in parts:
         if out:
-            out += f" {draw(st.sampled_from(_OPS))} "
-        out += f"({text})" if paren else text
+            out += draw(_GAP) + draw(st.sampled_from(_OPS)) + draw(_GAP)
+        out += f"({draw(_GAP)}{text}{draw(_GAP)})" if paren else text
     return out
 
 
@@ -128,21 +138,46 @@ def test_one_memo_across_failed_parses(texts):
     parses as it does without a memo."""
     memo = GroupMemo()
     for text in texts:
-        assert (outcome(lambda t: parse_formula(t, memo), text)
-                == outcome(parse_formula, text)), text
+        got = outcome(lambda t: parse_formula(t, memo), text)
+        assert got == outcome(parse_formula, text), text
+        assert got == outcome(naive_parse_formula, text), text
 
 
-@pytest.mark.parametrize("texts", [
+MEMO_EXAMPLES = [
     ["p q", "(p q) -> r"],
     ["(p -> q) -> r", "(p -> q) r", "(p -> q"],
     ["((p) -> q) & r", "((r) -> q) & r", "(r) -> q"],
     ["(p) & (q)", "p & (q) & (p)", "(p & (q)) & (p)"],
-])
+    # Errors after a group that the memo skips: a bad character, an
+    # unmatched ')', a missing operator, and errors inside a group that is
+    # read between two skipped ones.
+    ["(p -> q)", "(p -> q) & $", "((p -> q) é) & (p -> q)"],
+    ["(p -> q)", "(p -> q))", "((p -> q))) & (p -> q)"],
+    ["(p -> q)", "(p -> q) r", "((p -> q) r)", "p & ((p -> q) -> q) (p -> q)"],
+    ["(p) & (q)", "(p) & (r s) & (q)", "(p) & (r $) & (q)", "(p) & ((q) (p)) & (q)"],
+    # The root of the first line is '<->', so no right operand is stored;
+    # the second line is the text after its first '->'.
+    ["(p) -> q <-> r", "q <-> r", "q"],
+]
+
+
+@pytest.mark.parametrize("texts", MEMO_EXAMPLES)
 def test_one_memo_examples(texts):
     memo = GroupMemo()
     for text in texts:
         assert (outcome(lambda t: parse_formula(t, memo), text)
                 == outcome(parse_formula, text)), text
+
+
+@pytest.mark.parametrize("texts", MEMO_EXAMPLES)
+def test_memo_example_scripts_match_the_per_line_reader(texts):
+    """Each text as the last line of a script whose earlier lines are the
+    texts before it that parse: an error carries the line that raised it."""
+    for k, text in enumerate(texts):
+        lines = [t for t in texts[:k] if outcome(parse_formula, t)[0] == "ok"] + [text]
+        script = "goal: p\n" + "".join(f"{n}. {line}   taut\n"
+                                       for n, line in enumerate(lines, start=1))
+        assert outcome(parse_script, script) == per_line(script)
 
 
 def nodes(script):
@@ -171,6 +206,45 @@ def test_mp_implications_hold_their_premise_as_the_same_object():
     assert shared >= 20
 
 
+def depth0(text):
+    """The text outside every parenthesised group."""
+    out, depth = [], 0
+    for ch in text:
+        depth -= ch == ")"
+        if depth == 0:
+            out.append(ch)
+        depth += ch == "("
+    return "".join(out)
+
+
+def test_mp_conclusions_are_the_right_operand_of_their_implication():
+    """A line whose root is a depth-0 '->' stores its right operand, so the
+    conclusion of each mp line drawn from it is that object (0 of the 127
+    mp lines before the memo stored right operands)."""
+    script = parse_script(render_script(lemma6(4)))
+    shared = 0
+    for line in script.lines:
+        just = line.justification
+        if isinstance(just, ModusPonens):
+            implication = script.lines[just.implication - 1].formula
+            text = depth0(render(implication))
+            if "->" in text.replace("<->", ""):
+                assert line.formula is implication.right
+                shared += 1
+    assert shared == 127
+
+
+def test_groups_spaced_differently_are_equal_not_shared():
+    """Keys are text, so a group spaced differently is another object; the
+    white space around a whole text is no part of its key."""
+    memo = GroupMemo()
+    first = parse_formula("(p -> q) & r", memo)
+    spaced = parse_formula("( p->q ) & r", memo)
+    assert first == spaced and first.child.left is not spaced.child.left
+    assert parse_formula("  p -> q ", memo) is first.child.left
+    assert parse_formula("s -> (p -> q)", memo).right is first.child.left
+
+
 def test_a_script_builds_far_fewer_nodes_than_its_tree_size():
     script = parse_script(render_script(lemma6(4)))
     tree = sum(map(node_count, (*script.hypotheses, script.goal,
@@ -191,6 +265,25 @@ def test_a_modality_is_one_token():
     # The frozen tokenizer's list ends in an end-of-input token.
     assert sum(len(_naive_tokenize(text)) - 1 for text in texts) == 67_795
     assert sum(len(dtw.parser._MODALITY_RE.findall(text)) for text in texts) == 38_082
+
+
+def test_groups_the_memo_has_parsed_are_not_lexed():
+    """The parser lexes 3,218 tokens of the formula texts of lemma 6 for
+    n = 6.  The rest lie in groups and right operands that the memo has
+    parsed, each one '(' token.  Lexing every text whole, as the parser did
+    before the memo was keyed on text, reads 38,082."""
+    lexer, lexed = dtw.parser._MODALITY_RE, []
+
+    class Counted:
+        def findall(self, text):
+            tokens = lexer.findall(text)
+            lexed.extend(tokens)
+            return tokens
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dtw.parser, "_MODALITY_RE", Counted())
+        parse_script(render_script(lemma6(6)))
+    assert len(lexed) == 3_218
 
 
 def test_two_calls_share_no_node():

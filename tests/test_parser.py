@@ -222,11 +222,26 @@ def test_coalitions_with_modalities_match_the_frozen_parser(text):
             == outcome(naive_parse_coalition_token, text))
 
 
-@pytest.mark.parametrize("memo", [None, GroupMemo()], ids=["alone", "memo"])
+def primed_memo():
+    """A memo that has parsed the groups ``(p -> q)``, ``(p)`` and ``(q)``,
+    so a text that holds them lexes each as one '(' token."""
+    memo = GroupMemo()
+    parse_formula("(p -> q) & (p) & (q)", memo)
+    return memo
+
+
+@pytest.mark.parametrize("memo", [None, primed_memo()], ids=["alone", "memo"])
 @pytest.mark.parametrize("text", ["K[a b] p", "p K[a] q", "K[K[b]]p", "B[a] K[b] p", "(p",
-                                  "p $"])
+                                  "p $",
+                                  # After a group the memo skips: a bad
+                                  # character, an unmatched ')', a missing
+                                  # operator, and a broken group between two
+                                  # skipped ones.
+                                  "(p -> q) & $", "(p -> q))", "(p -> q) r",
+                                  "(p) & (r s) & (q)"])
 def test_a_failing_text_is_read_once(text, memo):
-    """The error comes from the one reading of the text."""
+    """The error comes from the one reading of the text, and is the error
+    of a parse without a memo."""
     made = []
 
     class Counted(dtw.parser._Parser):
@@ -236,9 +251,12 @@ def test_a_failing_text_is_read_once(text, memo):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dtw.parser, "_Parser", Counted)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as caught:
             parse_formula(text, memo)
     assert made == [text]
+    exc = caught.value
+    assert (type(exc), str(exc), exc.message, exc.pos, exc.expected, exc.line) == outcome(
+        parse_formula, text)
 
 
 # Texts of modality heads, brackets, commas, members, whole modalities and
