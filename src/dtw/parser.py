@@ -114,26 +114,25 @@ class _Parser:
         if memo is None:
             self.plan, self.parts = [text], None
             self.parsed, self.modalities = {}, {}
-            self.toks = toks = _MODALITY_RE.findall(text)
         else:
             self.plan, self.parts, self.top, self.whole = memo.scan(text)
             self.parsed, self.modalities = memo.parsed, memo.modalities
-            self.toks = toks = []
-            opened = []
-            for item in self.plan:
-                if item.__class__ is str:
-                    toks += _MODALITY_RE.findall(item)
-                elif item is None:
-                    ends[opened.pop()] = len(toks)
-                    toks.append(")")
+        self.toks = toks = []
+        opened = []
+        for item in self.plan:
+            if item.__class__ is str:
+                toks += _MODALITY_RE.findall(item)
+            elif item is None:
+                ends[opened.pop()] = len(toks)
+                toks.append(")")
+            else:
+                o = len(toks)
+                toks.append("(")
+                if item.__class__ is int:
+                    groups[o] = item
+                    opened.append(o)
                 else:
-                    o = len(toks)
-                    toks.append("(")
-                    if item.__class__ is int:
-                        groups[o] = item
-                        opened.append(o)
-                    else:
-                        groups[o], ends[o] = item[0], o
+                    groups[o], ends[o] = item[0], o
         toks.append(_EOF)
         self.i = 0
         # Identifiers and modalities start with an ASCII letter; any other
