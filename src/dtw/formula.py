@@ -235,7 +235,8 @@ def dual_know(knowers: Iterable[str], child: Formula) -> Formula:
     return Not(Know(coalition(knowers), Not(child)))
 
 
-FALSUM = Not(Implies(Prop(TRUE_SEED), Prop(TRUE_SEED)))
+_SEED = Prop(TRUE_SEED)  # one object, as a parse shares equal subterms
+FALSUM = Not(Implies(_SEED, _SEED))
 
 
 def falsum() -> Formula:

@@ -35,35 +35,26 @@ operators wait on one explicit stack instead of in Python calls, so
 nesting is not limited by the interpreter's stack and any depth costs
 linear time and memory.
 
+Every node is built through a node table, which hash-conses: equal
+nodes of one parse are one object, and so are the derived connectives'
+nodes, desugared one by one.  ``false`` is the one :data:`FALSUM`.
+
 Texts that repeat their subterms, such as the lines of one proof script,
-can be parsed with one :class:`GroupMemo`.  It keys each parenthesised
-group on its text, split at the parentheses; a group that a parse with
-the memo already read is one ``(`` token, is one operand, and is not
-lexed.  No token holds a parenthesis, so lexing the text between
-parentheses gives the tokens that lexing the whole text gives.  Without
-a memo each text is lexed and parsed on its own.
+can be parsed with one :class:`GroupMemo`, which keeps one node table for
+all of them.  It keys each parenthesised group on its text, split at the
+parentheses; a group that a parse with the memo already read is one
+``(`` token, is one operand, and is not lexed.  No token holds a
+parenthesis, so lexing the text between parentheses gives the tokens that
+lexing the whole text gives.  Without a memo each text is lexed and
+parsed on its own, with a node table of its own.
 """
 
 from __future__ import annotations
 
 import re
-from functools import partial
 
 from .errors import EmptyInputError, ParseError
-from .formula import (
-    Blame,
-    Formula,
-    Implies,
-    Know,
-    Not,
-    Prop,
-    coalition,
-    conj,
-    disj,
-    dual_know,
-    falsum,
-    iff,
-)
+from .formula import FALSUM, Blame, Formula, Implies, Know, Not, Prop, coalition
 
 # Each match is optional whitespace and one token: first a whole
 # well-formed modality, whose members are identifiers other than ``false``,
@@ -82,19 +73,66 @@ _SYMBOLS = frozenset({"<->", "->", "~", "&", "|", "(", ")", ",", "[", "]", "fals
 _MODALITY_HEADS = frozenset({"K", "Kd", "B"})
 _FORMULA_START = "a formula (identifier, 'false', '~', 'K[', 'Kd[', 'B[', or '(')"
 
+
+class _Nodes(dict):
+    """The node table: every node a parse builds comes from here, so equal
+    nodes are one object (hash-consing, Filliâtre & Conchon 2006).  A node
+    is keyed by its kind and its children's identities: a proposition by
+    its name, ``~`` by its child's id, ``->`` by the pair of ids, and a
+    modality by its coalitions and its child's id; keys of different kinds
+    have different types, so one dict holds them all.  The table holds
+    every node it builds, so no id in a key is reused while it lives.  The
+    derived connectives are desugared node by node.  Nodes are never false,
+    so ``get(key) or setdefault(key, node)`` builds one only for a new key."""
+
+    __slots__ = ()
+
+    def prop(self, name):
+        return self.get(name) or self.setdefault(name, Prop(name))
+
+    def neg(self, child):
+        return self.get(id(child)) or self.setdefault(id(child), Not(child))
+
+    def implies(self, left, right):
+        key = (id(left), id(right))
+        return self.get(key) or self.setdefault(key, Implies(left, right))
+
+    def conj(self, left, right):
+        return self.neg(self.implies(left, self.neg(right)))
+
+    def disj(self, left, right):
+        return self.implies(self.neg(left), right)
+
+    def iff(self, left, right):
+        return self.conj(self.implies(left, right), self.implies(right, left))
+
+    def know(self, knowers, child):
+        key = (knowers, id(child))
+        return self.get(key) or self.setdefault(key, Know(knowers, child))
+
+    def dual_know(self, knowers, child):
+        return self.neg(self.know(knowers, self.neg(child)))
+
+    def blame(self, coalitions, child):
+        key = (*coalitions, id(child))
+        return self.get(key) or self.setdefault(key, Blame(*coalitions, child))
+
+
 # Pending entries are ``(strength, builder, argument)``; applying one to the
-# operand that follows it gives ``builder(argument, operand)``, or
-# ``builder(operand)`` when the argument is None.  Before an infix operator
-# waits, it applies every pending entry at least as strong as its left
-# strength; it waits with its right strength.  ``->`` waits one weaker, so
-# the next ``->`` leaves it pending: it is right-associative.  A token that
-# is no infix operator applies every entry down to the innermost open
-# parenthesis, the only entry of strength 0: ``(0, None, group)``, where
-# ``group`` is its memo id, or None.
-_INFIX = {"<->": (1, 1, iff), "->": (2, 1, Implies), "|": (3, 3, disj), "&": (4, 4, conj)}
+# operand that follows it gives ``builder(nodes, argument, operand)``, or
+# ``builder(nodes, operand)`` when the argument is None, where ``nodes`` is
+# the parse's node table.  Before an infix operator waits, it applies every
+# pending entry at least as strong as its left strength; it waits with its
+# right strength.  ``->`` waits one weaker, so the next ``->`` leaves it
+# pending: it is right-associative.  A token that is no infix operator
+# applies every entry down to the innermost open parenthesis, the only
+# entry of strength 0: ``(0, None, group)``, where ``group`` is its memo
+# id, or None.
+_INFIX = {"<->": (1, 1, _Nodes.iff), "->": (2, 1, _Nodes.implies),
+          "|": (3, 3, _Nodes.disj), "&": (4, 4, _Nodes.conj)}
 _NOT_INFIX = (1, None, None)
 _PREFIX = 5
-_NOT = (_PREFIX, Not, None)
+_NOT = (_PREFIX, _Nodes.neg, None)
 
 
 class _Parser:
@@ -105,18 +143,20 @@ class _Parser:
     that opens group ``g`` at token index ``o`` has ``groups[o] == g``,
     and ``ends[o]`` indexes its ')'; a group the memo had already parsed
     is that one '(' token, its own end.  ``parsed`` maps group ids to
-    formulas, and ``modalities`` maps the text of each modality token to
-    its pending entry; both are the memo's, or this parse's own."""
+    formulas, ``modalities`` maps the text of each modality token to its
+    pending entry, and ``nodes`` is the node table; all three are the
+    memo's, or this parse's own."""
 
     def __init__(self, text: str, memo: GroupMemo | None = None):
         self.text = text
         self.groups, self.ends = groups, ends = {}, {}
         if memo is None:
             self.plan, self.parts = [text], None
-            self.parsed, self.modalities = {}, {}
+            self.parsed, self.modalities, self.nodes = {}, {}, _Nodes()
         else:
             self.plan, self.parts, self.top, self.whole = memo.scan(text)
             self.parsed, self.modalities = memo.parsed, memo.modalities
+            self.nodes = memo.nodes
         self.toks = toks = []
         opened = []
         for item in self.plan:
@@ -183,6 +223,7 @@ class _Parser:
         stack = []
         i = self.i
         groups, parsed, modalities = self.groups, self.parsed, self.modalities
+        nodes = self.nodes
         while True:
             # Operand position: prefix operators and parentheses wait on the
             # stack until an atom comes.
@@ -200,7 +241,7 @@ class _Parser:
                     self.coal()
                     self.coal()
                     raise AssertionError(f"modality {tok!r} is well formed but split")
-                out = Prop(tok)
+                out = nodes.prop(tok)
             elif tok == "~":
                 stack.append(_NOT)
                 continue
@@ -212,7 +253,7 @@ class _Parser:
                     continue
                 i = self.ends[i - 1] + 1  # past its ')'
             elif tok == "false":
-                out = falsum()
+                out = FALSUM
             else:
                 self.i = i - 1
                 raise self.unexpected(_FORMULA_START)
@@ -223,7 +264,8 @@ class _Parser:
                 left, right, builder = _INFIX.get(tok, _NOT_INFIX)
                 while stack and stack[-1][0] >= left:
                     _, apply, arg = stack.pop()
-                    out = apply(out) if arg is None else apply(arg, out)
+                    out = (apply(nodes, out) if arg is None
+                           else apply(nodes, arg, out))
                 if builder is not None:
                     stack.append((right, builder, out))
                     i += 1
@@ -271,10 +313,10 @@ class _Parser:
 def _modality(tok: str):
     """The pending entry of a modality token such as ``B[a] [b, c]``."""
     head, *coals = tok.split("[")
-    coals = [coalition(_NAME_RE.findall(c)) for c in coals]
+    coals = tuple(coalition(_NAME_RE.findall(c)) for c in coals)
     if len(coals) == 2:
-        return (_PREFIX, partial(Blame, *coals), None)
-    return (_PREFIX, Know if head.rstrip() == "K" else dual_know, coals[0])
+        return (_PREFIX, _Nodes.blame, coals)
+    return (_PREFIX, _Nodes.know if head.rstrip() == "K" else _Nodes.dual_know, coals[0])
 
 
 class GroupMemo:
@@ -293,16 +335,18 @@ class GroupMemo:
     right operand of a line whose root is a depth-0 ``->``: the conclusion
     that ``mp`` draws from it is one lookup.  Only groups that parsed are
     stored, so every error is the one a parse without a memo raises.  Keys
-    are text, so groups spaced differently, such as ``(p -> q)`` and
-    ``( p->q )``, are equal formulas but different objects.
+    are text, so a group spaced differently, such as ``( p->q )`` after
+    ``(p -> q)``, is parsed again; the memo's node table, which every
+    parse with the memo builds through, gives it as the same object.
     """
 
-    __slots__ = ("ids", "parsed", "modalities")
+    __slots__ = ("ids", "parsed", "modalities", "nodes")
 
     def __init__(self):
         self.ids = {}         # key -> group id
         self.parsed = {}      # group id -> formula, once a parse has closed it
         self.modalities = {}  # modality token -> pending entry
+        self.nodes = _Nodes()  # the node table of every parse with this memo
 
     def scan(self, text: str):
         """``(plan, parts, top, whole)``: ``parts`` is the text split at its
@@ -371,9 +415,10 @@ def parse_formula(text: str, memo: GroupMemo | None = None) -> Formula:
 
     Raises :class:`ParseError` with a 1-based character position and an
     expected-token hint on malformed input, and :class:`EmptyInputError`
-    when the input is blank.  With a memo, a parenthesised group or whole
-    text that an earlier parse with the same memo read is not lexed or
-    parsed again: the earlier formula object is the result's subterm.
+    when the input is blank.  Equal subformulas of the result are one
+    object.  With a memo, so are those of every parse with the same memo,
+    and a parenthesised group or whole text that an earlier parse with it
+    read is not lexed or parsed again.
     """
     parser = _Parser(text, memo)
     if parser.toks[0] == _EOF:

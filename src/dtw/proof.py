@@ -505,9 +505,11 @@ def parse_script(text: str) -> ProofScript:
 
     The script's formulas are read with one :class:`GroupMemo`, made for
     this call: a parenthesised group, or a line's whole formula, is parsed
-    once per script, and every later occurrence is the same object.
-    Scripts repeat their subterms, since an ``mp`` line's implication holds
-    the texts of its premise and of its conclusion."""
+    once per script, and the memo's node table makes equal subformulas of
+    the script one object, however they are spaced.  Scripts repeat their
+    subterms, since an ``mp`` line's implication holds the texts of its
+    premise and of its conclusion.  A line's justification is read from
+    its last three tokens at most."""
     memo = GroupMemo()
     hypotheses: List[Formula] = []
     goal: Optional[Formula] = None
@@ -557,19 +559,20 @@ def _at_line(lineno: int, parse, *args):
 
 def _split_justification(text: str, lineno: int,
                           memo: GroupMemo) -> Tuple[Formula, Justification]:
-    tokens = text.split()
-    # Scan from the right for the shortest justification suffix.
+    # Scan from the right for the shortest justification suffix: only the
+    # last three tokens are split off, the rest is the formula text.
     # Few lines hold "nec", and the regex backtracks over the whole line.
+    tail = text.rsplit(None, 3)
     nec = _NEC_RE.fullmatch(text) if "nec" in text else None
     if nec is not None:
         formula_text, source, knowers = nec.groups()
         just: Justification = Necessitation(
             _int_arg(source, lineno), _at_line(lineno, parse_coalition_token, knowers))
-    elif len(tokens) >= 4 and tokens[-3] == "mp":
-        formula_text = text.rsplit(None, 3)[0]
-        just = ModusPonens(_int_arg(tokens[-2], lineno), _int_arg(tokens[-1], lineno))
-    elif len(tokens) >= 3 and tokens[-2] in ("axiom", "hyp", "thm"):
-        head, arg = tokens[-2], tokens[-1]
+    elif len(tail) == 4 and tail[1] == "mp":
+        formula_text = tail[0]
+        just = ModusPonens(_int_arg(tail[2], lineno), _int_arg(tail[3], lineno))
+    elif len(tail) >= 3 and tail[-2] in ("axiom", "hyp", "thm"):
+        head, arg = tail[-2], tail[-1]
         formula_text = text.rsplit(None, 2)[0]
         if head == "axiom":
             just = Axiom(arg)
@@ -577,7 +580,7 @@ def _split_justification(text: str, lineno: int,
             just = Hypothesis(_int_arg(arg, lineno))
         else:
             just = Theorem(arg)
-    elif len(tokens) >= 2 and tokens[-1] == "taut":
+    elif len(tail) >= 2 and tail[-1] == "taut":
         formula_text = text.rsplit(None, 1)[0]
         just = Tautology()
     else:

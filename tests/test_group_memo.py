@@ -1,8 +1,8 @@
 """The group memo of ``parse_script`` against a reader that parses every
 line on its own, without a memo: the same ASTs, or the same error with the
-same message, position, hint and line.  Also: within one script, equal
-parenthesised subterms are one object; two calls share no node; and a
-deeply nested line parses without recursion."""
+same message, position, hint and line.  Also: within one script, and
+across the parses of one memo, equal subformulas are one object; two calls
+share no node; and a deeply nested line parses without recursion."""
 
 import inspect
 import sys
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import dtw.parser
 import dtw.proof
 from dtw.errors import ParseError
-from dtw.formula import FALSUM, Prop, children_of, coalition, node_count, render
+from dtw.formula import (FALSUM, Implies, Not, Prop, children_of, coalition,
+                         node_count, render)
 from dtw.lemmas import bundled_scripts, gen_lemma6, gen_lemma7
 from dtw.parser import GroupMemo, parse_formula
 from dtw.proof import ModusPonens, parse_script, render_script
@@ -234,15 +235,79 @@ def test_mp_conclusions_are_the_right_operand_of_their_implication():
     assert shared == 127
 
 
-def test_groups_spaced_differently_are_equal_not_shared():
-    """Keys are text, so a group spaced differently is another object; the
-    white space around a whole text is no part of its key."""
+def test_groups_spaced_differently_are_one_object():
+    """Keys are text, so a group spaced differently is parsed again, but the
+    node table builds it as the object it built before; the white space
+    around a whole text is no part of its key."""
     memo = GroupMemo()
     first = parse_formula("(p -> q) & r", memo)
     spaced = parse_formula("( p->q ) & r", memo)
-    assert first == spaced and first.child.left is not spaced.child.left
+    assert first is spaced and first.child.left is spaced.child.left
     assert parse_formula("  p -> q ", memo) is first.child.left
     assert parse_formula("s -> (p -> q)", memo).right is first.child.left
+
+
+def boolean_atoms(script):
+    """{id: node} over the nodes of the script that a walk entering only
+    ``~`` and ``->`` treats as opaque: what a truth table assigns."""
+    seen, atoms = set(), {}
+    stack = [*script.hypotheses, script.goal, *(line.formula for line in script.lines)]
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            if isinstance(f, (Not, Implies)):
+                stack.extend(children_of(f))
+            else:
+                atoms[id(f)] = f
+    return atoms
+
+
+def test_a_script_holds_one_object_per_distinct_subformula():
+    """The rendered lemma 6 for n = 6 has 938 distinct subformulas, 90 of
+    them Boolean atoms; before the node table, its parse held 2,962 node
+    objects and 734 atom objects."""
+    script = parse_script(render_script(lemma6(6)))
+    held, atoms = nodes(script), boolean_atoms(script)
+    assert len(held) == len(set(held.values())) == 938
+    assert len(atoms) == len(set(atoms.values())) == 90
+
+
+@pytest.mark.parametrize("name, text", list(generated_texts()),
+                         ids=[name for name, _ in generated_texts()])
+def test_no_two_objects_of_a_script_are_equal(name, text):
+    held = list(nodes(parse_script(text)).values())
+    assert len(set(held)) == len(held)
+
+
+_SHARED = GroupMemo()
+_SEEN = {}  # every node that a parse with ``_SHARED`` gave, by value
+
+
+def one_object_per_value(formula, seen):
+    """Whether each node of ``formula`` is the object that ``seen`` holds
+    for its value; a node not yet in ``seen`` is added."""
+    stack, visited = [formula], set()
+    while stack:
+        f = stack.pop()
+        if id(f) not in visited:
+            visited.add(id(f))
+            if seen.setdefault(f, f) is not f:
+                return False
+            stack.extend(children_of(f))
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(_formulas)
+def test_a_parse_gives_one_object_per_value(text):
+    """Without a memo, and with one memo kept across every example."""
+    alone = parse_formula(text)
+    assert alone == naive_parse_formula(text)
+    assert one_object_per_value(alone, {})
+    shared = parse_formula(text, _SHARED)
+    assert shared == alone
+    assert one_object_per_value(shared, _SEEN)
 
 
 def test_a_script_builds_far_fewer_nodes_than_its_tree_size():

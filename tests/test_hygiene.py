@@ -296,3 +296,48 @@ def test_the_digit_check_sees_backslash_d_only():
 def test_no_pattern_matches_unicode_digits(path):
     """Numbers in proof scripts and game files are ASCII decimals."""
     assert unicode_digit_patterns(path.read_text(encoding="utf-8")) == []
+
+
+NODE_BUILDERS = frozenset({"Prop", "Not", "Implies", "Know", "Blame",
+                           "conj", "disj", "iff", "dual_know"})
+
+
+def node_table_bypasses(source: str) -> list:
+    """(line, name) of each read of a node constructor or derived
+    connective outside the parser's node table, the class ``_Nodes``: a
+    call, or a reference that something could call later.  Comparing a
+    node's class with ``is`` builds nothing."""
+    tree = ast.parse(source)
+    inside, compared = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "_Nodes":
+            inside |= {id(n) for n in ast.walk(node)}
+        elif isinstance(node, ast.Compare) and all(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            compared |= {id(n) for n in (node.left, *node.comparators)}
+    return sorted((node.lineno, node.id) for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id in NODE_BUILDERS
+                  and isinstance(node.ctx, ast.Load)
+                  and id(node) not in inside and id(node) not in compared)
+
+
+def test_the_node_table_check_sees_calls_and_references_outside_it():
+    source = ("from .formula import Blame, Implies, Not, Prop, conj\n"
+              "class _Nodes(dict):\n"
+              "    def neg(self, child):\n"
+              "        return Not(child)\n"
+              "def parse(tok, out):\n"
+              "    if out.__class__ is not Implies:\n"
+              "        out = Prop(tok)\n"
+              "    return {'&': conj}, partial(Blame, out)\n"
+              "class Other:\n"
+              "    def neg(self, child):\n"
+              "        return Not(child)\n")
+    assert node_table_bypasses(source) == [(7, "Prop"), (8, "Blame"), (8, "conj"),
+                                           (11, "Not")]
+
+
+def test_the_parser_builds_every_node_through_its_table():
+    """So equal nodes of one parse, or of one memo's parses, are one object."""
+    source = (Path(dtw.__file__).parent / "parser.py").read_text(encoding="utf-8")
+    assert node_table_bypasses(source) == []
