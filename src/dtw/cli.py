@@ -28,8 +28,9 @@ class _CliError(Exception):
 
 
 def _read_text(path: str | Path) -> str:
+    """The file's text; a leading byte order mark is no part of it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 

@@ -41,12 +41,13 @@ nodes, desugared one by one.  ``false`` is the one :data:`FALSUM`.
 
 Texts that repeat their subterms, such as the lines of one proof script,
 can be parsed with one :class:`GroupMemo`, which keeps one node table for
-all of them.  It keys each parenthesised group on its text, split at the
-parentheses; a group that a parse with the memo already read is one
-``(`` token, is one operand, and is not lexed.  No token holds a
-parenthesis, so lexing the text between parentheses gives the tokens that
-lexing the whole text gives.  Without a memo each text is lexed and
-parsed on its own, with a node table of its own.
+all of them and maps texts it has parsed, less the white space around
+them, to their formulas.  A whole text it holds is not read at all, and a
+top-level parenthesised group it holds is one ``(`` token, is one
+operand, and is not lexed.  No token holds a parenthesis, so lexing the
+text between parentheses gives the tokens that lexing the whole text
+gives.  Without a memo each text is lexed and parsed on its own, with a
+node table of its own.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ class _Nodes(dict):
 # right strength.  ``->`` waits one weaker, so the next ``->`` leaves it
 # pending: it is right-associative.  A token that is no infix operator
 # applies every entry down to the innermost open parenthesis, the only
-# entry of strength 0: ``(0, None, group)``, where ``group`` is its memo
-# id, or None.
+# entry of strength 0: ``(0, None, group)``, where ``group`` is the memo
+# key of a top-level group, or None.
 _INFIX = {"<->": (1, 1, _Nodes.iff), "->": (2, 1, _Nodes.implies),
           "|": (3, 3, _Nodes.disj), "&": (4, 4, _Nodes.conj)}
 _NOT_INFIX = (1, None, None)
@@ -138,41 +139,38 @@ _NOT = (_PREFIX, _Nodes.neg, None)
 class _Parser:
     """``toks`` ends in ``_EOF``, and ``i`` indexes the lookahead, which
     never moves past it.  ``plan`` is what was lexed: texts, whose tokens
-    ``toks`` holds in order, and parenthesised groups (see
-    :meth:`GroupMemo.scan`); without a memo it is the whole text.  A '('
-    that opens group ``g`` at token index ``o`` has ``groups[o] == g``,
-    and ``ends[o]`` indexes its ')'; a group the memo had already parsed
-    is that one '(' token, its own end.  ``parsed`` maps group ids to
-    formulas, ``modalities`` maps the text of each modality token to its
-    pending entry, and ``nodes`` is the node table; all three are the
-    memo's, or this parse's own."""
+    ``toks`` holds in order, and top-level parenthesised groups (see
+    :meth:`GroupMemo.scan`); without a memo it is the whole text.  A group
+    the memo holds is its one '(' token, whose index ``known`` maps to its
+    formula; the '(' of any other group in the plan has its memo key in
+    ``groups``.  ``parsed`` maps memo keys to formulas, ``modalities`` maps
+    the text of each modality token to its pending entry, and ``nodes`` is
+    the node table; all three are the memo's, or this parse's own."""
 
     def __init__(self, text: str, memo: GroupMemo | None = None):
         self.text = text
-        self.groups, self.ends = groups, ends = {}, {}
+        self.groups, self.known = groups, known = {}, {}
         if memo is None:
-            self.plan, self.parts = [text], None
+            self.plan = [text]
             self.parsed, self.modalities, self.nodes = {}, {}, _Nodes()
         else:
-            self.plan, self.parts, self.top, self.whole = memo.scan(text)
+            self.plan = memo.scan(text)
             self.parsed, self.modalities = memo.parsed, memo.modalities
             self.nodes = memo.nodes
         self.toks = toks = []
-        opened = []
         for item in self.plan:
             if item.__class__ is str:
                 toks += _MODALITY_RE.findall(item)
-            elif item is None:
-                ends[opened.pop()] = len(toks)
-                toks.append(")")
             else:
-                o = len(toks)
-                toks.append("(")
-                if item.__class__ is int:
-                    groups[o] = item
-                    opened.append(o)
+                key, inner, out = item
+                if out is None:
+                    groups[len(toks)] = key
+                    toks.append("(")
+                    toks += _MODALITY_RE.findall(inner)
+                    toks.append(")")
                 else:
-                    groups[o], ends[o] = item[0], o
+                    known[len(toks)] = out
+                    toks.append("(")
         toks.append(_EOF)
         self.i = 0
         # Identifiers and modalities start with an ASCII letter; any other
@@ -192,16 +190,19 @@ class _Parser:
     def error(self, message: str, expected: str, offset: int = 0) -> ParseError:
         """A ParseError at the lookahead, or ``offset`` characters into it.
         The plan is walked again for the text position of each token; a
-        skipped group's '(' starts the text of its parts."""
+        skipped group's '(' starts the text of its group."""
         starts, at = [], 1
         for item in self.plan:
             if item.__class__ is str:
                 starts += [at + m.start(1) for m in _MODALITY_RE.finditer(item)]
                 at += len(item)
             else:
+                _, inner, out = item
                 starts.append(at)
-                at += (1 if item is None or item.__class__ is int
-                       else sum(map(len, self.parts[item[1]:item[2] + 1])))
+                if out is None:
+                    starts += [at + 1 + m.start(1) for m in _MODALITY_RE.finditer(inner)]
+                    starts.append(at + 1 + len(inner))
+                at += len(inner) + 2
         pos = starts[self.i] + offset if self.i < len(starts) else len(self.text) + 1
         return ParseError(message, pos=pos, expected=expected)
 
@@ -218,12 +219,12 @@ class _Parser:
     def formula(self) -> Formula:
         """Operator-precedence parsing over one explicit stack of pending
         entries, so that nesting costs stack entries, not Python calls.
-        A group already in ``parsed`` is one operand, read in one step."""
+        A group in ``known`` is one operand, read in one step."""
         toks = self.toks
         stack = []
         i = self.i
-        groups, parsed, modalities = self.groups, self.parsed, self.modalities
-        nodes = self.nodes
+        groups, known, parsed = self.groups, self.known, self.parsed
+        modalities, nodes = self.modalities, self.nodes
         while True:
             # Operand position: prefix operators and parentheses wait on the
             # stack until an atom comes.
@@ -246,12 +247,10 @@ class _Parser:
                 stack.append(_NOT)
                 continue
             elif tok == "(":
-                group = groups.get(i - 1)
-                out = parsed.get(group)
+                out = known.get(i - 1)
                 if out is None:
-                    stack.append((0, None, group))
+                    stack.append((0, None, groups.get(i - 1)))
                     continue
-                i = self.ends[i - 1] + 1  # past its ')'
             elif tok == "false":
                 out = FALSUM
             else:
@@ -320,94 +319,80 @@ def _modality(tok: str):
 
 
 class GroupMemo:
-    """The parenthesised groups of the texts parsed with one memo: each
-    distinct group is parsed once, and all its occurrences are one formula
-    object (packrat memoization, Ford 2002, which shares subterms as
+    """The texts parsed with one memo: each distinct text that a parse with
+    the memo read, whole or as a top-level parenthesised group, maps to its
+    formula (packrat memoization, Ford 2002, which shares subterms as
     hash-consing does).
 
-    A group's id stands for its text.  Its key is its text split at its
-    parentheses, with each inner group replaced by that group's id, so a
-    key holds only the group's own text segments, and scanning a text costs
-    time and memory linear in its length at any depth.  A group the memo
-    has parsed is neither lexed nor parsed again.  A whole text is keyed
-    the same way, less the white space around it, so a line's formula is
-    the same object as that text parenthesised on another line.  So is the
-    right operand of a line whose root is a depth-0 ``->``: the conclusion
-    that ``mp`` draws from it is one lookup.  Only groups that parsed are
-    stored, so every error is the one a parse without a memo raises.  Keys
-    are text, so a group spaced differently, such as ``( p->q )`` after
-    ``(p -> q)``, is parsed again; the memo's node table, which every
-    parse with the memo builds through, gives it as the same object.
+    Keys are texts less the white space around them, so a line's formula
+    is the same object as that text parenthesised on another line.  A
+    whole text the memo holds is not read, and a top-level group it holds
+    is neither lexed nor parsed; the groups inside a top-level group the
+    memo does not hold are parsed as the groups of a parse without a memo,
+    and the node table, which every parse with the memo builds through,
+    makes them the objects it built before.  Each character lies in at
+    most one top-level group, so scanning a text costs time and memory
+    linear in its length at any depth.  The right operand of a line whose
+    root is a depth-0 ``->`` is stored too, so the conclusion that ``mp``
+    draws from it is one lookup.  Only texts that parsed are stored, so
+    every error is the one a parse without a memo raises.  A group spaced
+    differently inside, such as ``( p->q )`` after ``(p -> q)``, is parsed
+    again, as the same object.
     """
 
-    __slots__ = ("ids", "parsed", "modalities", "nodes")
+    __slots__ = ("parsed", "modalities", "nodes")
 
     def __init__(self):
-        self.ids = {}         # key -> group id
-        self.parsed = {}      # group id -> formula, once a parse has closed it
+        self.parsed = {}      # text, stripped -> formula, once a parse has read it
         self.modalities = {}  # modality token -> pending entry
         self.nodes = _Nodes()  # the node table of every parse with this memo
 
-    def scan(self, text: str):
-        """``(plan, parts, top, whole)``: ``parts`` is the text split at its
-        parentheses, ``top`` the text's key and ``whole`` its id.  ``plan``
-        is the text to lex, in order: runs of text, and for each group the
-        memo has parsed, ``(group, first part, last part)`` in place of its
-        parts, so it is never lexed.  Of a group still to parse, its '(' is
-        the group's id and its ')' is None; an unmatched parenthesis stays
-        text.  One pass over the parts finds both keys and plan."""
+    def scan(self, text: str) -> list:
+        """The plan of ``text``: what to lex, in order.  Runs of text
+        outside every top-level group, and for each top-level group
+        ``(key, inner, formula)``: ``inner`` is its text between the
+        parentheses, ``key`` that text stripped, and ``formula`` what the
+        memo holds for the key, or None.  Each group's text is joined once
+        from the parts.  An unmatched parenthesis stays text."""
         parts = _PARENS_RE.split(text)
-        ids, parsed = self.ids, self.parsed
-        key, plan, opens = [], [], []
+        parsed = self.parsed
+        plan, depth, run = [], 0, 0
         for k in range(1, len(parts), 2):
-            key.append(parts[k - 1])
-            plan.append(parts[k - 1])
             if parts[k] == "(":
-                key.append("(")  # an unmatched '(' stays in the key
-                plan.append("(")
-                opens.append((len(key), len(plan), k))
-            elif opens:
-                start, first, o = opens.pop()
-                group = ids.setdefault(tuple(key[start:]), len(ids))
-                del key[start - 1:]  # the group and its '('
-                key.append(group)
-                if group in parsed:
-                    del plan[first:]
-                    plan[-1] = (group, o, k)
-                else:
-                    plan[first - 1] = group
-                    plan.append(None)
-            else:
-                key.append(")")
-                plan.append(")")
-        key.append(parts[-1])
-        plan.append(parts[-1])
-        # White space around a whole text is no part of its key.
-        key[0] = key[0].lstrip()
-        key[-1] = key[-1].rstrip()
-        top = tuple(key)
-        whole = ids.setdefault(top, len(ids))
-        if whole in parsed:
-            plan = [(whole, 0, len(parts) - 1)]
-        return plan, parts, top, whole
+                depth += 1
+                if depth == 1:
+                    o = k
+            elif depth:
+                depth -= 1
+                if depth == 0:
+                    inner = "".join(parts[o + 1:k])
+                    key = inner.strip()
+                    plan += ("".join(parts[run:o]), (key, inner, parsed.get(key)))
+                    run = k + 1
+        plan.append("".join(parts[run:]))
+        return plan
 
-    def close(self, top, whole, out: Formula) -> None:
-        """Store ``out``, the formula of the text keyed ``top``.  If its root
-        is a depth-0 ``->``, store its right operand too, under the key of
+    def close(self, text: str, plan: list, out: Formula) -> None:
+        """Store ``out``, the formula of ``text``, whose plan is ``plan``.
+        If its root is a depth-0 ``->``, store its right operand too, under
         the text after the first depth-0 ``->``, so that the conclusion
         that ``mp`` draws from it is one lookup and the same object.  That
         ``->`` is the root's: ``->`` binds looser than all but ``<->``, and a
         depth-0 ``<->`` would make the root a negation."""
         parsed = self.parsed
-        parsed[whole] = out
+        parsed[text.strip()] = out
         if out.__class__ is not Implies:
             return
-        for k in range(0, len(top), 2):  # every parenthesis is matched
-            at = top[k].find("->")
-            if at >= 0:
-                right = (top[k][at + 2:].lstrip(), *top[k + 1:])
-                parsed[self.ids.setdefault(right, len(self.ids))] = out.right
-                return
+        at = 0
+        for item in plan:  # every parenthesis is matched
+            if item.__class__ is str:
+                arrow = item.find("->")
+                if arrow >= 0:
+                    parsed[text[at + arrow + 2:].strip()] = out.right
+                    return
+                at += len(item)
+            else:
+                at += len(item[1]) + 2
 
 
 def parse_formula(text: str, memo: GroupMemo | None = None) -> Formula:
@@ -417,16 +402,20 @@ def parse_formula(text: str, memo: GroupMemo | None = None) -> Formula:
     expected-token hint on malformed input, and :class:`EmptyInputError`
     when the input is blank.  Equal subformulas of the result are one
     object.  With a memo, so are those of every parse with the same memo,
-    and a parenthesised group or whole text that an earlier parse with it
-    read is not lexed or parsed again.
+    and a whole text or top-level parenthesised group that an earlier
+    parse with it read is not lexed or parsed again.
     """
+    if memo is not None:
+        out = memo.parsed.get(text.strip())
+        if out is not None:
+            return out
     parser = _Parser(text, memo)
     if parser.toks[0] == _EOF:
         raise EmptyInputError()
     out = parser.formula()
     parser.end("formula")
     if memo is not None:
-        memo.close(parser.top, parser.whole, out)
+        memo.close(text, parser.plan, out)
     return out
 
 

@@ -504,12 +504,12 @@ def parse_script(text: str) -> ProofScript:
     """Parse the proof-script file format.
 
     The script's formulas are read with one :class:`GroupMemo`, made for
-    this call: a parenthesised group, or a line's whole formula, is parsed
-    once per script, and the memo's node table makes equal subformulas of
-    the script one object, however they are spaced.  Scripts repeat their
-    subterms, since an ``mp`` line's implication holds the texts of its
-    premise and of its conclusion.  A line's justification is read from
-    its last three tokens at most."""
+    this call: a line's whole formula, or a top-level parenthesised group,
+    is parsed once per script, and the memo's node table makes equal
+    subformulas of the script one object, however they are spaced.
+    Scripts repeat their subterms, since an ``mp`` line's implication holds
+    the texts of its premise and of its conclusion.  A line's
+    justification is read from its last three tokens at most."""
     memo = GroupMemo()
     hypotheses: List[Formula] = []
     goal: Optional[Formula] = None

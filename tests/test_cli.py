@@ -131,6 +131,37 @@ class TestValid:
         assert err.startswith(f"error: {error} (line {text.count(chr(10)) + 1})")
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte order mark, as some editors save
+    it, reads as the same file without one."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("tarasoff.game", ["valid", "{}", "K[parents] killed -> killed"]),
+        ("tarasoff.game", ["valid", "{}", "killed", "--json"]),
+        ("tarasoff.game", ["check", "{}", PLAY, "B[university][parents] killed"]),
+        ("tarasoff.game", ["check", "{}", PLAY, "B[parents][parents] killed", "--json"]),
+        ("lemma3_a_b_p.prf", ["prove", "{}"]),
+        ("lemma6_n2.prf", ["prove", "{}", "--json"]),
+    ])
+    def test_same_output_as_without_the_mark(self, example_dir, tmp_path, capsys,
+                                             name, argv):
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + (example_dir / name).read_bytes())
+        plain = run(capsys, [arg.format(example_dir / name) for arg in argv])
+        assert plain[0] in (0, 1) and plain[2] == ""
+        assert run(capsys, [arg.format(marked) for arg in argv]) == plain
+
+    def test_a_library_script_with_the_mark_is_cited(self, example_dir, tmp_path,
+                                                     capsys):
+        library = tmp_path / "library"
+        library.mkdir()
+        (library / "t.prf").write_bytes(b"\xef\xbb\xbfgoal: p -> p\n1. p -> p   taut\n")
+        script = tmp_path / "main.prf"
+        script.write_text("goal: p -> p\n1. p -> p   thm t\n", encoding="utf-8")
+        assert run(capsys, ["prove", str(script), "--library", str(library)]) == (
+            0, "accepted (1 lines)\n", "")
+
+
 class TestBudgetEnvironment:
     def test_non_integer_budget_exits_two_with_one_line(self, example_dir,
                                                         capsys, monkeypatch):

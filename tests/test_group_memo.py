@@ -2,7 +2,8 @@
 line on its own, without a memo: the same ASTs, or the same error with the
 same message, position, hint and line.  Also: within one script, and
 across the parses of one memo, equal subformulas are one object; two calls
-share no node; and a deeply nested line parses without recursion."""
+share no node; a text the memo holds builds no parser; a deeply nested
+line parses without recursion; and a wide one is scanned in linear time."""
 
 import inspect
 import sys
@@ -20,6 +21,7 @@ from dtw.lemmas import bundled_scripts, gen_lemma6, gen_lemma7
 from dtw.parser import GroupMemo, parse_formula
 from dtw.proof import ModusPonens, parse_script, render_script
 from frozen_parser import _naive_tokenize, naive_parse_formula
+from test_formula import within_a_second
 
 
 def outcome(parse, text):
@@ -247,6 +249,16 @@ def test_groups_spaced_differently_are_one_object():
     assert parse_formula("s -> (p -> q)", memo).right is first.child.left
 
 
+def test_white_space_inside_a_group_is_no_part_of_its_key():
+    """A top-level group whose text, less the white space around it, the
+    memo has read is one '(' token, however it is spaced at its ends."""
+    memo = GroupMemo()
+    inner = parse_formula("p -> q", memo)
+    parser = dtw.parser._Parser("(  p -> q\t) & r", memo)
+    assert parser.toks == ["(", "&", "r", ""]
+    assert parser.formula().child.left is inner
+
+
 def boolean_atoms(script):
     """{id: node} over the nodes of the script that a walk entering only
     ``~`` and ``->`` treats as opaque: what a truth table assigns."""
@@ -333,10 +345,14 @@ def test_a_modality_is_one_token():
 
 
 def test_groups_the_memo_has_parsed_are_not_lexed():
-    """The parser lexes 3,218 tokens of the formula texts of lemma 6 for
-    n = 6.  The rest lie in groups and right operands that the memo has
-    parsed, each one '(' token.  Lexing every text whole, as the parser did
-    before the memo was keyed on text, reads 38,082."""
+    """The parser lexes 5,899 tokens of the formula texts of lemma 6 for
+    n = 6.  The rest lie in whole texts, top-level groups and right
+    operands that the memo has read; a whole text is not lexed, and a
+    top-level group is one '(' token.  A top-level group the memo has not
+    read is lexed whole, with the groups inside it: keyed on each group's
+    text split at its parentheses, the memo had the parser lex 3,218.
+    Lexing every text whole, as the parser did before any memo was keyed
+    on text, reads 38,082."""
     lexer, lexed = dtw.parser._MODALITY_RE, []
 
     class Counted:
@@ -348,7 +364,64 @@ def test_groups_the_memo_has_parsed_are_not_lexed():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dtw.parser, "_MODALITY_RE", Counted())
         parse_script(render_script(lemma6(6)))
-    assert len(lexed) == 3_218
+    assert len(lexed) == 5_899
+
+
+def parsers_built(text):
+    """``(script, made)``: ``parse_script(text)``, and for each parser it
+    built, the parser's text, stripped, and whether its memo held that."""
+    made = []
+
+    class Counted(dtw.parser._Parser):
+        def __init__(self, text, memo=None):
+            key = text.strip()
+            made.append((key, memo is not None and key in memo.parsed))
+            super().__init__(text, memo)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dtw.parser, "_Parser", Counted)
+        return parse_script(text), made
+
+
+def test_a_text_the_script_has_read_builds_no_parser():
+    """Parsing the rendered lemma 6 for n = 6 builds 364 parsers: 21 for
+    the coalitions of its nec lines, and 343 for formula texts, none of
+    which the memo held.  Its other 246 formula texts are whole-text hits.
+    Before the memo was keyed on raw text, every text built one: 610."""
+    made = parsers_built(render_script(lemma6(6)))[1]
+    assert len(made) == 364
+    assert not any(held for _, held in made)
+
+
+def siblings(n):
+    """``(p) & (q) & (p) & ...``: n top-level groups side by side."""
+    return " & ".join(("(p)", "(q)")[k % 2] for k in range(n))
+
+
+class TestWideLines:
+    """The scan joins and strips each top-level group once, and the parser
+    lexes each group it does not skip once, so a line of many groups is
+    scanned and lexed in time linear in its length.  The timer covers the
+    scan and the lexing, that is building the parser; parsing 10^5
+    operands takes most of a second on a slow host by itself, so the
+    parse runs after it, untimed."""
+
+    def test_sibling_top_level_groups(self):
+        line = siblings(10**5)
+        with within_a_second():
+            parser = dtw.parser._Parser(line, GroupMemo())
+        assert len(parser.toks) == 4 * 10**5  # '(', atom, ')' and '&' or the end
+        script = parse_script(f"goal: p\n1. {line}   taut\n")
+        assert script.lines[0].formula == parse_formula(line)
+
+    def test_one_top_level_group_of_siblings_read_twice(self):
+        line = f"({siblings(10**5)})"
+        with within_a_second():
+            dtw.parser._Parser(line, GroupMemo())
+        script, made = parsers_built(f"goal: p\n1. {line}   taut\n2.  {line}   taut\n")
+        first, second = (line.formula for line in script.lines)
+        assert [text for text, _ in made] == ["p", line]  # the goal and line 1; line 2 is a hit
+        assert second is first
 
 
 def test_two_calls_share_no_node():

@@ -341,3 +341,62 @@ def test_the_parser_builds_every_node_through_its_table():
     """So equal nodes of one parse, or of one memo's parses, are one object."""
     source = (Path(dtw.__file__).parent / "parser.py").read_text(encoding="utf-8")
     assert node_table_bypasses(source) == []
+
+
+MUTATORS = frozenset({"append", "add", "setdefault", "update", "pop", "clear", "extend",
+                      "insert", "remove", "discard", "popitem"})
+
+
+def module_state_writes(source: str) -> list:
+    """(line, what) of each write to module state inside a function: an
+    assignment to, or deletion of, a subscript of a module-level name, a
+    call of a mutating method on one, and each ``global`` statement.  A
+    name that the function binds itself is its own, not the module's."""
+    tree = ast.parse(source)
+    module = {name for statement in tree.body for name in defined_names(statement)}
+    sites = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        own = {node.arg for node in ast.walk(func.args) if isinstance(node, ast.arg)}
+        own |= {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                sites.add((node.lineno, "global"))
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in module - own:
+                sites.add((node.lineno, target.id))
+    return sorted(sites)
+
+
+def test_the_module_state_check_sees_writes_and_skips_own_names():
+    source = ("import re\n_CACHE = {}\n_SEEN, _LOG = set(), []\nclass Memo: pass\n"
+              "def parse(text, _LOG=None):\n"
+              "    _CACHE[text] = 1\n"
+              "    _SEEN.add(text); _LOG.append(text)\n"
+              "    del _CACHE[text]\n"
+              "    _CACHE[text] += 1\n"
+              "    cache, memo = {}, Memo()\n"
+              "    cache[text] = memo.pop()\n"
+              "    return _CACHE.get(text), re.compile(text), sorted(_SEEN)\n"
+              "def reset():\n"
+              "    global _CACHE\n"
+              "    _CACHE = {}\n"
+              "    return lambda key: _SEEN.discard(key)\n"
+              "_CACHE.update(a=1)\n")
+    assert module_state_writes(source) == [(6, "_CACHE"), (7, "_SEEN"), (8, "_CACHE"),
+                                           (9, "_CACHE"), (14, "global"), (16, "_SEEN")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_function_writes_module_state(path):
+    """The parser and the printer are reentrant with no global state: no
+    process-wide cache, and no call that changes what the next one sees."""
+    assert module_state_writes(path.read_text(encoding="utf-8")) == []

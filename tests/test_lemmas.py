@@ -3,12 +3,16 @@
 import hashlib
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dtw.errors import BadParamsError, ResourceLimitError
+from dtw.axioms import AXIOM_SCHEMAS, instantiate, side_conditions_hold
+from dtw.errors import BadParamsError, ResourceLimitError, TooManyAtomsError
 from dtw.formula import (
     Blame,
     Implies,
     Know,
+    Not,
     Prop,
     agents_of,
     big_disj,
@@ -42,11 +46,14 @@ from dtw.proof import (
     Theorem,
     apply_deduction_theorem,
     check_proof,
+    is_tautology,
+    parse_script,
     render_script,
 )
 from dtw.semantics import SearchBounds, countermodel_search, valid_in_game
 
 from oracles import naive_valid
+from test_group_memo import nodes
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 A, B, C = coalition("a"), coalition("b"), coalition("c")
@@ -281,6 +288,97 @@ class TestSoundnessBridge:
         script = self.GENERATED[name]()
         assert check_proof(script).accepted
         self.assert_no_countermodel(name, script)
+
+
+# Random derivations over the agents a, b and the propositions p, q: few
+# enough that the bridge's exhaustive search stays under the default budget.
+_COALITIONS = st.frozensets(st.sampled_from("ab"))
+_FORMULAS = st.recursive(st.sampled_from((p, q)), lambda inner: st.one_of(
+    st.builds(Not, inner), st.builds(Implies, inner, inner), st.builds(conj, inner, inner),
+    st.builds(Know, _COALITIONS, inner), st.builds(Blame, _COALITIONS, _COALITIONS, inner),
+), max_leaves=3)
+# Propositional theorems over three parts; a part may be an earlier line,
+# so that modus ponens finds premises.
+_TAUTOLOGIES = (
+    lambda a, b, c: Implies(a, Implies(b, a)),
+    lambda a, b, c: Implies(Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c))),
+    lambda a, b, c: Implies(Implies(Not(a), Not(b)), Implies(b, a)),
+    lambda a, b, c: Implies(a, Implies(Implies(a, b), b)),
+    lambda a, b, c: Implies(conj(a, b), b),
+)
+
+
+def _accepted_tautology(f):
+    try:
+        return is_tautology(f)
+    except TooManyAtomsError:
+        return False
+
+
+@st.composite
+def derivations(draw):
+    """A script built step by step with ScriptBuilder: hypotheses, axiom
+    instances whose side conditions hold, tautologies that is_tautology
+    accepts, modus ponens, and necessitation of hypothesis-free lines."""
+    hypotheses = draw(st.lists(_FORMULAS, max_size=2))
+    builder = ScriptBuilder(hypotheses)
+    free = [None]  # free[k]: line k depends on no hypothesis
+    at = builder.formula_at
+    for step in draw(st.lists(st.sampled_from(("axiom", "taut", "mp", "nec", "hyp")),
+                              min_size=1, max_size=8)):
+        lines = range(1, len(builder.lines) + 1)
+        part = st.one_of(_FORMULAS, *[st.sampled_from(lines).map(at)] * bool(lines))
+        if step == "hyp" and hypotheses:
+            builder.hyp(draw(st.integers(0, len(hypotheses) - 1)))
+            free.append(False)
+        elif step == "axiom":
+            name = draw(st.sampled_from(sorted(AXIOM_SCHEMAS)))
+            schema = AXIOM_SCHEMAS[name]
+            subst = {v: draw(part) for v in schema.formula_vars}
+            subst.update({v: draw(_COALITIONS) for v in schema.coalition_vars})
+            if side_conditions_hold(schema, subst):
+                builder.axiom(name, instantiate(schema, subst))
+                free.append(True)
+        elif step == "taut":
+            f = draw(st.sampled_from(_TAUTOLOGIES))(draw(part), draw(part), draw(part))
+            if _accepted_tautology(f):
+                builder.taut(f)
+                free.append(True)
+        elif step == "mp" and lines:
+            pairs = [(i, j) for i in lines for j in lines
+                     if isinstance(at(j), Implies) and at(j).left == at(i)]
+            if not pairs:  # draw a premise, and weaken it into an implication
+                i = draw(st.sampled_from(lines))
+                f = Implies(at(i), Implies(draw(_FORMULAS), at(i)))
+                if not _accepted_tautology(f):
+                    continue
+                pairs = [(i, builder.taut(f))]
+                free.append(True)
+            i, j = draw(st.sampled_from(pairs))
+            builder.mp(i, j)
+            free.append(free[i] and free[j])
+        elif step == "nec" and any(free[1:]):
+            builder.nec(draw(st.sampled_from([k for k in lines if free[k]])),
+                        draw(_COALITIONS))
+            free.append(True)
+    assume(builder.lines)
+    return builder.build(prune=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(derivations())
+def test_a_random_derivation_reads_back_accepted_and_sound(script):
+    """It prints and parses back to itself with one object per value, the
+    checker accepts what it parsed, and hyp1 -> ... -> goal has no
+    countermodel at the bounds of the soundness bridge."""
+    assert check_proof(script).accepted
+    read = parse_script(render_script(script))
+    held = list(nodes(read).values())
+    assert read == script and len(set(held)) == len(held)
+    assert check_proof(read).accepted
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("DTW_BUDGET", raising=False)
+        TestSoundnessBridge().assert_no_countermodel("random", read)
 
 
 def _lemma6(n):
