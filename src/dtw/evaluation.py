@@ -29,9 +29,7 @@ from .formula import (
     Formula,
     Know,
     Prop,
-    RESERVED_PREFIX,
     Record,
-    agents_of,
     compile_masks,
     run_masks,
 )
@@ -58,7 +56,6 @@ class Verdict(Record):
             "witness": self.witness.as_dict() if self.witness else None,
             "refutation": self.refutation.as_dict() if self.refutation else None,
         }
-
 
 
 def _modal_mask(frame: Frame, knowers: Coalition, actors: Optional[Coalition],
@@ -141,24 +138,23 @@ def _truth(program, frame: Frame, full: int, prop, subst=None) -> list:
     return run_masks(program, full, leaf)
 
 
-def _warn_unvalued(valued, names) -> None:
-    """Warn once per proposition name that is not among the valued names,
-    in the order they first occur."""
-    for name in dict.fromkeys(names):
-        if name not in valued and not name.startswith(RESERVED_PREFIX):
+def _masks(game: Game, program) -> list:
+    """The plays where each node of the program holds, in program order,
+    after one warning per proposition without a valuation.  Each entry
+    point calls this directly, so the warning names the entry's caller."""
+    for name in program.props():
+        if name not in game.valuation:
             warnings.warn(f"proposition {name!r} has no valuation in this game; "
-                          "treating it as false everywhere")
+                          "treating it as false everywhere", stacklevel=3)
+    masks = game.masks
+    return _truth(program, masks.frame, masks.full, masks.prop)
 
 
 def satisfaction(game: Game, f: Formula) -> Dict[Formula, int]:
-    """The plays where each subformula of f holds, by subformula.  Warns
-    once per proposition of f without a valuation, in the order they first
-    occur in f."""
+    """The plays where each subformula of f holds, by subformula.  Warns as
+    :func:`holds` does."""
     program = compile_masks(f)
-    _warn_unvalued(game.valuation, (g.name for g in program.nodes if isinstance(g, Prop)))
-    masks = game.masks
-    return dict(zip(program.nodes,
-                    _truth(program, masks.frame, masks.full, masks.prop)))
+    return dict(zip(program.nodes, _masks(game, program)))
 
 
 def play_bit(game: Game, play: Play) -> int:
@@ -184,31 +180,33 @@ def preventing_profile(frame: Frame, knowers: Coalition, actors: Coalition,
 def holds(game: Game, play: Play, f: Formula) -> Verdict:
     """Evaluate f at one play of the game.
 
-    Propositions without a valuation are treated as false everywhere; each
-    one f mentions draws one warning per call, whether or not its value
-    decides the verdict.  Raises UnknownAgentError when f names agents
-    outside the game and UnknownPlayError when the play is not in the play
-    relation.
+    Raises UnknownAgentError when f names agents outside the game, and
+    then UnknownPlayError when the play is not in the play relation.  A
+    proposition without a valuation is false everywhere: each call warns
+    once for each such proposition f mentions, whether or not its value
+    decides the verdict, naming the caller's line.  Python's default
+    filter shows a warning once per line.
     """
-    game.check_agents(agents_of(f))
+    program = compile_masks(f)
+    game.check_agents(program.agents())
     bit = play_bit(game, play)
-    truth = satisfaction(game, f)
-    value = bool(truth[f] >> bit & 1)
+    truth = _masks(game, program)
+    value = bool(truth[-1] >> bit & 1)
+    body = truth[program.code[-1][1]]  # the child's mask, for K and B
     frame = game.masks.frame
     witness = refutation = None
     if value and isinstance(f, Blame):
-        witness = preventing_profile(frame, f.knowers, f.actors, play.initial,
-                                     truth[f.child])
+        witness = preventing_profile(frame, f.knowers, f.actors, play.initial, body)
     if not value and isinstance(f, Know):
-        refutation = _first_play(game, frame.blocks(f.knowers)[0][play.initial]
-                                 & ~truth[f.child])
+        refutation = _first_play(game, frame.blocks(f.knowers)[0][play.initial] & ~body)
     return Verdict(value, witness=witness, refutation=refutation)
 
 
 def valid_in_game(game: Game, f: Formula) -> Verdict:
     """True iff f holds at every play; else the first falsifying play in
-    declaration order is reported as the refutation."""
-    game.check_agents(agents_of(f))
-    refutation = _first_play(game, game.masks.full ^ satisfaction(game, f)[f])
+    declaration order is reported as the refutation.  Errors and warnings
+    as for :func:`holds`."""
+    program = compile_masks(f)
+    game.check_agents(program.agents())
+    refutation = _first_play(game, game.masks.full ^ _masks(game, program)[-1])
     return Verdict(refutation is None, refutation=refutation)
-

@@ -422,39 +422,15 @@ def _render(roots, shared) -> list:
 # ---------------------------------------------------------------------------
 
 def children_of(f: Formula) -> tuple:
-    if isinstance(f, (Prop,)):
-        return ()
-    if isinstance(f, (Not, Know, Blame)):
-        return (f.child,)
-    return (f.left, f.right)
-
-
-def _post_order(f: Formula, children=children_of) -> dict:
-    """The distinct subformulas of f that ``children`` reaches, in
-    post-order, each mapped to its place in that order.  Iterative, so
-    depth is not limited by the interpreter's stack: a None on the stack
-    closes the innermost open node."""
-    order: dict = {}
-    stack = [f]
-    open_nodes = []
-    while stack:
-        g = stack.pop()
-        if g is None:
-            order[open_nodes.pop()] = len(order)
-        elif g not in order:
-            below = children(g)
-            if below:
-                open_nodes.append(g)
-                stack.append(None)
-                stack.extend(reversed(below))
-            else:
-                order[g] = len(order)
-    return order
+    cls = f.__class__
+    if cls is Implies:
+        return (f.left, f.right)
+    return () if cls is Prop else (f.child,)
 
 
 def subformulas(f: Formula) -> list:
     """All distinct subformulas in post-order, including f itself."""
-    return list(_post_order(f))
+    return list(compile_masks(f).nodes)
 
 
 NOT, IMPLIES, LEAF = range(3)
@@ -470,21 +446,54 @@ class MaskProgram(NamedTuple):
     nodes: tuple
     code: tuple
 
+    def agents(self) -> Coalition:
+        """The agents in the coalitions of the compiled nodes."""
+        return frozenset().union(*(
+            g.knowers | g.actors if g.__class__ is Blame else g.knowers
+            for g in self.nodes if g.__class__ in (Know, Blame)))
+
+    def props(self) -> tuple:
+        """The names of the compiled propositions but the reserved ones, in
+        program order."""
+        return tuple(g.name for g in self.nodes if g.__class__ is Prop
+                     and not g.name.startswith(RESERVED_PREFIX))
+
 
 def compile_masks(f: Formula, children=children_of) -> MaskProgram:
-    """Compile f, in one walk, into a :class:`MaskProgram` of the nodes
-    that ``children`` reaches; a node it gives no children is a leaf."""
-    step = _post_order(f, children)
+    """Compile f into a :class:`MaskProgram` of the nodes that ``children``
+    reaches; a node it gives no children is a leaf.  One walk, iterative,
+    so depth is not limited by the interpreter's stack: each node's
+    children are asked for once, when it is first reached, and its step is
+    written when a None on the stack closes it."""
+    step = {}
     code = []
-    for g in step:
-        if not children(g):
-            code.append((LEAF, -1, -1))
-        elif isinstance(g, Not):
-            code.append((NOT, step[g.child], -1))
-        elif isinstance(g, Implies):
-            code.append((IMPLIES, step[g.left], step[g.right]))
+    emit = code.append
+    stack = [f]
+    opened = []  # the open nodes, innermost last
+    done = []  # the steps of their operands reached so far, last one last
+    while stack:
+        g = stack.pop()
+        if g is None:
+            g = opened.pop()
+            cls = g.__class__
+            if cls is Implies:
+                b = done.pop()
+                emit((IMPLIES, done.pop(), b))
+            else:
+                emit((NOT if cls is Not else LEAF, done.pop(), -1))
+            i = step[g] = len(code) - 1
         else:
-            code.append((LEAF, step[g.child], -1))
+            i = step.get(g)
+            if i is None:
+                below = children(g)
+                if below:
+                    opened.append(g)
+                    stack.append(None)
+                    stack.extend(reversed(below))
+                    continue
+                i = step[g] = len(code)
+                emit((LEAF, -1, -1))
+        done.append(i)
     return MaskProgram(tuple(step), tuple(code))
 
 
@@ -511,28 +520,21 @@ def run_masks(program: MaskProgram, full: int, leaf) -> list:
 def node_count(f: Formula) -> int:
     """Total number of AST nodes (counting repeats, not deduplicated), in
     time linear in the distinct nodes: a node's size is 1 plus its
-    children's sizes."""
-    size = {}
-    for g in _post_order(f):
-        size[g] = 1 + sum(size[c] for c in children_of(g))
-    return size[f]
+    children's sizes, summed over the compiled program."""
+    size = []
+    for _, a, b in compile_masks(f).code:
+        size.append(1 + (size[a] if a >= 0 else 0) + (size[b] if b >= 0 else 0))
+    return size[-1]
 
 
 def agents_of(f: Formula) -> Coalition:
     """All agents mentioned in coalition annotations of f."""
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, Know):
-            out |= g.knowers
-        elif isinstance(g, Blame):
-            out |= g.knowers | g.actors
-    return frozenset(out)
+    return compile_masks(f).agents()
 
 
 def props_of(f: Formula) -> frozenset:
     """All proposition names in f but the reserved ones."""
-    return frozenset(g.name for g in subformulas(f)
-                     if isinstance(g, Prop) and not g.name.startswith(RESERVED_PREFIX))
+    return frozenset(compile_masks(f).props())
 
 
 def subsets_of(members: Iterable[str]) -> list:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import BadParamsError, ResourceLimitError
-from .evaluation import play_bit, preventing_profile, satisfaction
-from .formula import Coalition, Formula, agents_of, coalition, subsets_of
+from .evaluation import _masks, play_bit, preventing_profile
+from .formula import Coalition, Formula, coalition, compile_masks, subsets_of
 from .game import Game, Play
 from .limits import budget
 
@@ -59,11 +59,13 @@ def minimal_verdict(
 ):
     """Like :func:`check_minimal`, but for kind 4 returns the witnessing
     actor coalition (or None when the operator fails); kinds 1-3 return a
-    plain bool.  Refuses the same budget as :func:`check_minimal`."""
+    plain bool.  Refuses the same budget as :func:`check_minimal`, and
+    warns as :func:`dtw.evaluation.holds` does."""
     knowers_set = coalition(knowers)
     if kind not in (1, 2, 3, 4):
         raise BadParamsError(f"kind must be 1, 2, 3, or 4, got {kind!r}")
-    game.check_agents(knowers_set | agents_of(phi))
+    program = compile_masks(phi)
+    game.check_agents(knowers_set | program.agents())
     if kind == 4:
         if actors is not None:
             raise BadParamsError("kind 4 quantifies actors; pass actors=None")
@@ -85,7 +87,7 @@ def minimal_verdict(
         )
 
     bit = play_bit(game, play)
-    body = satisfaction(game, phi)[phi]
+    body = _masks(game, program)[-1]
     if not body >> bit & 1:  # every blame fact needs phi at the play
         return None if kind == 4 else False
     frame = game.masks.frame

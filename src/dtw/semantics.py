@@ -32,9 +32,7 @@ from .formula import (
     Not,
     Prop,
     Record,
-    agents_of,
     compile_masks,
-    props_of,
     write_slot,
 )
 from .game import ActionProfile, Frame, Game, Play, index_blocks, make_game
@@ -580,13 +578,13 @@ def countermodel_search(
     mode refuses as :func:`enumerate_games` does, random mode as
     :func:`sample_game` does.
     """
-    base_agents = tuple(sorted(agents_of(f)))
-    props = tuple(sorted(props_of(f)))
+    program = compile_masks(f)
+    base_agents = tuple(sorted(program.agents()))
+    props = tuple(sorted(program.props()))
     if len(base_agents) > bounds.max_agents:
         raise BadParamsError(
             f"formula names {len(base_agents)} agents, bound is {bounds.max_agents}"
         )
-    program = compile_masks(f)
     if bounds.mode == "exhaustive":
         structures = _structures(base_agents, props, bounds)
         for s, frame, masks in _batches(structures):

@@ -13,7 +13,7 @@ comparison live apart: the enumerator and per-model countermodel search in
 import itertools
 import random
 
-from dtw.formula import Blame, Implies, Know, Not, Prop, coalition
+from dtw.formula import IMPLIES, LEAF, NOT, Blame, Implies, Know, Not, Prop, coalition
 from dtw.proof import ProofLine, ProofScript
 from dtw.semantics import SearchBounds, sample_game
 
@@ -114,6 +114,33 @@ def naive_tautology(f):
         _truth_value(f, dict(zip(atoms, values)))
         for values in itertools.product((False, True), repeat=len(atoms))
     )
+
+
+# ---------------------------------------------------------------------------
+# Recursive mask compilation.
+# ---------------------------------------------------------------------------
+
+def naive_compile(f, children):
+    """(nodes, code) of ``compile_masks(f, children)``, by recursion: each
+    distinct node, the first time it is reached, after its children from
+    left to right; NOT and IMPLIES steps for ``~`` and ``->``, a LEAF step
+    with its child's step (or -1 without children) for every other node."""
+    step, code = {}, []
+
+    def visit(g):
+        if g not in step:
+            below = [visit(c) for c in children(g)]
+            if not below:
+                code.append((LEAF, -1, -1))
+            elif isinstance(g, Implies):
+                code.append((IMPLIES, below[0], below[1]))
+            else:
+                code.append((NOT if isinstance(g, Not) else LEAF, below[0], -1))
+            step[g] = len(code) - 1
+        return step[g]
+
+    visit(f)
+    return tuple(step), tuple(code)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dtw.formula import (
     agents_of,
     big_conj,
     big_disj,
+    children_of,
     coalition,
     compile_masks,
     conj,
@@ -37,8 +38,10 @@ from dtw.formula import (
 )
 from dtw.game import tarasoff_game
 from dtw.parser import parse_formula
-from dtw.proof import is_tautology
+from dtw.proof import _connectives, is_tautology
 from dtw.semantics import holds, valid_in_game
+
+from oracles import naive_compile
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -242,6 +245,45 @@ class TestSubformulas:
         assert len(subformulas(f)) == 20001
         program = compile_masks(f)
         assert run_masks(program, 0b11, lambda i, body: 0b01)[-1] == 0b01
+
+
+@st.composite
+def shared_formulas(draw):
+    """A formula built bottom up over a pool of nodes, each new node over
+    earlier ones, so subterms recur: as one object, and as equal copies
+    that the constructor builds apart."""
+    pool = [p, q, falsum()]
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(0, 12))):
+        op = draw(st.sampled_from(("not", "implies", "know", "blame", "copy")))
+        if op == "not":
+            pool.append(Not(pick()))
+        elif op == "implies":
+            pool.append(Implies(pick(), pick()))
+        elif op == "know":
+            pool.append(Know(draw(coalitions), pick()))
+        elif op == "blame":
+            pool.append(Blame(draw(coalitions), draw(coalitions), pick()))
+        else:
+            pool.append(pick().replace())
+    return pool[-1]
+
+
+class TestCompileMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_formulas())
+    @pytest.mark.parametrize("children", [children_of, _connectives],
+                             ids=["children_of", "connectives"])
+    def test_matches_a_recursive_compile(self, children, f):
+        """The same steps, and the same object for each node: the first
+        one the walk reaches of its equal copies."""
+        program = compile_masks(f, children)
+        nodes, code = naive_compile(f, children)
+        assert program == (nodes, code)
+        assert list(map(id, program.nodes)) == list(map(id, nodes))
 
 
 class TestSubsets:

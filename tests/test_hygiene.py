@@ -400,3 +400,46 @@ def test_no_function_writes_module_state(path):
     """The parser and the printer are reentrant with no global state: no
     process-wide cache, and no call that changes what the next one sees."""
     assert module_state_writes(path.read_text(encoding="utf-8")) == []
+
+
+FORMULA_WALKS = frozenset({"agents_of", "props_of", "subformulas", "node_count"})
+
+
+def formula_walks(source: str, function: str = None) -> list:
+    """(line, name) of each call, in the module or in the named function,
+    of a helper that compiles its formula anew to read it: a query that
+    has compiled its formula reads its program instead."""
+    tree = ast.parse(source)
+    if function is not None:
+        tree = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == function)
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in FORMULA_WALKS:
+                sites.append((node.lineno, name))
+    return sorted(sites)
+
+
+def test_the_walk_check_sees_calls_in_the_module_or_the_function():
+    source = ("from .formula import agents_of, props_of\n"
+              "def search(f):\n"
+              "    program = compile_masks(f)\n"
+              "    return agents_of(f), formula.node_count(f), program.props()\n"
+              "def other(f):\n"
+              "    return props_of(f), sorted(subformulas(f))\n")
+    assert formula_walks(source) == [(4, "agents_of"), (4, "node_count"),
+                                     (6, "props_of"), (6, "subformulas")]
+    assert formula_walks(source, "search") == [(4, "agents_of"), (4, "node_count")]
+
+
+@pytest.mark.parametrize("name, function", [("evaluation.py", None),
+                                            ("minimality.py", None),
+                                            ("semantics.py", "countermodel_search")])
+def test_queries_read_their_compiled_program(name, function):
+    """A query compiles its formula once and reads its agents and
+    propositions from that program, so it walks the formula once."""
+    source = (Path(dtw.__file__).parent / name).read_text(encoding="utf-8")
+    assert formula_walks(source, function) == []

@@ -292,6 +292,8 @@ class TestSoundnessBridge:
 
 # Random derivations over the agents a, b and the propositions p, q: few
 # enough that the bridge's exhaustive search stays under the default budget.
+# The bundled library's theorems name only these, so they may be cited.
+LIBRARY = bundled_library()
 _COALITIONS = st.frozensets(st.sampled_from("ab"))
 _FORMULAS = st.recursive(st.sampled_from((p, q)), lambda inner: st.one_of(
     st.builds(Not, inner), st.builds(Implies, inner, inner), st.builds(conj, inner, inner),
@@ -319,13 +321,14 @@ def _accepted_tautology(f):
 def derivations(draw):
     """A script built step by step with ScriptBuilder: hypotheses, axiom
     instances whose side conditions hold, tautologies that is_tautology
-    accepts, modus ponens, and necessitation of hypothesis-free lines."""
+    accepts, citations of the bundled library, modus ponens, and
+    necessitation of hypothesis-free lines."""
     hypotheses = draw(st.lists(_FORMULAS, max_size=2))
     builder = ScriptBuilder(hypotheses)
     free = [None]  # free[k]: line k depends on no hypothesis
     at = builder.formula_at
-    for step in draw(st.lists(st.sampled_from(("axiom", "taut", "mp", "nec", "hyp")),
-                              min_size=1, max_size=8)):
+    steps = st.sampled_from(("axiom", "taut", "thm", "mp", "nec", "hyp"))
+    for step in draw(st.lists(steps, min_size=1, max_size=8)):
         lines = range(1, len(builder.lines) + 1)
         part = st.one_of(_FORMULAS, *[st.sampled_from(lines).map(at)] * bool(lines))
         if step == "hyp" and hypotheses:
@@ -344,6 +347,10 @@ def derivations(draw):
             if _accepted_tautology(f):
                 builder.taut(f)
                 free.append(True)
+        elif step == "thm":
+            ident = draw(st.sampled_from(sorted(LIBRARY)))
+            builder.thm(ident, LIBRARY[ident])
+            free.append(True)
         elif step == "mp" and lines:
             pairs = [(i, j) for i in lines for j in lines
                      if isinstance(at(j), Implies) and at(j).left == at(i)]
@@ -369,13 +376,14 @@ def derivations(draw):
 @given(derivations())
 def test_a_random_derivation_reads_back_accepted_and_sound(script):
     """It prints and parses back to itself with one object per value, the
-    checker accepts what it parsed, and hyp1 -> ... -> goal has no
-    countermodel at the bounds of the soundness bridge."""
-    assert check_proof(script).accepted
+    checker accepts what it parsed with the bundled library, and
+    hyp1 -> ... -> goal has no countermodel at the bounds of the soundness
+    bridge."""
+    assert check_proof(script, LIBRARY).accepted
     read = parse_script(render_script(script))
     held = list(nodes(read).values())
     assert read == script and len(set(held)) == len(held)
-    assert check_proof(read).accepted
+    assert check_proof(read, LIBRARY).accepted
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv("DTW_BUDGET", raising=False)
         TestSoundnessBridge().assert_no_countermodel("random", read)

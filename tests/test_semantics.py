@@ -1,6 +1,7 @@
 """Satisfaction, validity, fuzzing, and countermodel search."""
 
 import random
+import sys
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtw import axioms, semantics
+from dtw import axioms, evaluation, formula, minimality, semantics
 from dtw.errors import (
     BadParamsError,
     ResourceLimitError,
@@ -150,6 +151,89 @@ class TestHolds:
         first = holds(g, october_attack_play(), f)
         second = holds(g, october_attack_play(), f)
         assert first == second
+
+
+GHOST = Play("Oct", ActionProfile.make({"poddar": "1", "parents": "1"}), "alive")
+
+
+def query(name, game, play, f):
+    """A call of one entry point that evaluates f in the game."""
+    return {
+        "holds": lambda: holds(game, play, f),
+        "valid_in_game": lambda: valid_in_game(game, f),
+        "minimal_verdict": lambda: minimal_verdict(1, game, play, {"parents"},
+                                                   {"parents"}, f),
+        "satisfaction": lambda: evaluation.satisfaction(game, f),
+    }[name]
+
+
+class TestOneCompile:
+    """Each query compiles its formula once.  It checks the agents, then
+    the play, then warns about the unvalued propositions, so an error comes
+    before any warning."""
+
+    @pytest.mark.parametrize("name, text, play, error", [
+        ("holds", "K[university] killed", GHOST, UnknownAgentError),
+        ("minimal_verdict", "K[university] killed", GHOST, UnknownAgentError),
+        ("holds", "zzz -> killed", GHOST, UnknownPlayError),
+        ("minimal_verdict", "zzz -> killed", GHOST, UnknownPlayError),
+        ("holds", "K[university] zzz", None, UnknownAgentError),
+        ("valid_in_game", "K[university] zzz", None, UnknownAgentError),
+        ("minimal_verdict", "K[university] zzz", None, UnknownAgentError),
+    ])
+    def test_errors_come_first_and_warn_of_nothing(self, name, text, play, error):
+        g = tarasoff2_game()
+        run = query(name, g, play or g.plays[0], parse_formula(text))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error):
+                run()
+        assert caught == []
+
+    @pytest.mark.parametrize("name", ["holds", "valid_in_game", "minimal_verdict",
+                                      "satisfaction"])
+    def test_each_call_warns_at_the_calling_line(self, name):
+        g = tarasoff2_game()
+        run = query(name, g, g.plays[0], parse_formula("zzz -> killed"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+            run()
+        assert [(w.filename, str(w.message)) for w in caught] == [
+            (__file__, "proposition 'zzz' has no valuation in this game; "
+             "treating it as false everywhere")] * 2
+
+    @pytest.mark.parametrize("name", ["holds", "valid_in_game", "minimal_verdict",
+                                      "satisfaction", "countermodel_search"])
+    def test_a_query_walks_its_formula_once(self, name, monkeypatch):
+        """One compile, which asks for the children of each of the 4
+        distinct nodes once."""
+        compiled, asked = [], []
+
+        def counting(f, *rest, compile_masks=formula.compile_masks):
+            compiled.append(f)
+            return compile_masks(f, *rest)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is formula.children_of.__code__:
+                asked.append(frame.f_locals["f"])
+
+        for module in (formula, evaluation, minimality, semantics):
+            monkeypatch.setattr(module, "compile_masks", counting, raising=False)
+        g, f = tarasoff2_game(), parse_formula("K[parents] (zzz -> killed)")
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                if name == "countermodel_search":
+                    countermodel_search(f, SearchBounds(max_agents=1, max_props=2))
+                else:
+                    query(name, g, g.plays[0], f)()
+        finally:
+            sys.setprofile(previous)
+        assert compiled == [f] and compiled[0] is f
+        assert asked == [f, f.child, f.child.left, f.child.right]
 
 
 class TestValidity:
